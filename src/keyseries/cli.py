@@ -123,9 +123,10 @@ def cmd_key(args, cfg: EngineConfig) -> int:
         cfg.check_tdeg(max(nu, default=0))
         poly = key_by_composition(nu, xi_mode=args.xi)
         params = {"nu": list(nu), "xi": args.xi}
+    text = poly.to_text()
     obj = {"command": "key", "params": params, "polynomial": poly.to_json_obj(),
-           "text": poly.to_text()}
-    _emit(args, [poly.to_text()], obj)
+           "text": text}
+    _emit(args, [text], obj)
     _write_manifest(args, "key", params, {"terms": len(poly.terms)}, EXIT_OK)
     return EXIT_OK
 
@@ -141,15 +142,19 @@ def cmd_pw(args, cfg: EngineConfig) -> int:
         tmax = args.grade
     if args.tdeg is not None:
         cfg.check_tdeg(args.tdeg)
-        tmax = args.tdeg if tmax is None else min(tmax, args.tdeg)
+        if tmax is None:
+            tmax = args.tdeg
+        elif tmax > args.tdeg:
+            raise ValueError(f"--grade {tmax} is above --tdeg {args.tdeg}")
     poly = numerator_P(w, xi_mode=args.xi, tmax=tmax)
     if args.grade is not None:
         poly = poly.t_slice(args.grade)
     params = {"w": w.one_line(), "xi": args.xi, "grade": args.grade,
               "tdeg": args.tdeg}
+    text = poly.to_text()
     obj = {"command": "pw", "params": params, "polynomial": poly.to_json_obj(),
-           "text": poly.to_text()}
-    _emit(args, [poly.to_text()], obj)
+           "text": text}
+    _emit(args, [text], obj)
     _write_manifest(args, "pw", params, {"terms": len(poly.terms)}, EXIT_OK)
     return EXIT_OK
 

@@ -254,11 +254,8 @@ def suite_fcoeff(group_n: int = 3, max_weight: int = 6) -> ScanOutcome:
                      "detail": "enumeration disagrees with series block"}
                 )
                 continue
-            for (x, _, _), c in block.terms.items():
+            for (mu, _, _), c in block.multiset_items():
                 coeffs += 1
-                mu = tuple(
-                    v for v, e in enumerate(x, start=1) for _ in range(e)
-                )
                 got = F_coefficient(lam, w, mu)
                 if got != c:
                     out.counterexamples.append(

@@ -25,7 +25,7 @@ from .multisets import (
 )
 from .parallel import ordered_map
 from .permutation import Permutation, all_permutations
-from .poly import SparsePoly, t_pair, x_exps, x_multiset
+from .poly import SparsePoly, t_pair, x_exps
 from .series import n_factor_product, numerator_P
 
 __all__ = [
@@ -80,18 +80,16 @@ def quadratic_multiplicities(w: Permutation) -> dict[tuple, int]:
     whenever the structure theory says they should be.
     """
     out: dict[tuple, int] = {}
-    for (x, t, _), c in numerator_P(w, tmax=2).t_slice(2).terms.items():
-        k, l = levels_from_t(t)
-        out[(k, l, x_multiset(x))] = -c
+    for (eta, (k, l), _), c in numerator_P(w, tmax=2).t_slice(2).multiset_items():
+        out[(k, l, eta)] = -c
     return out
 
 
 def cubic_multiplicities(w: Permutation) -> dict[tuple, int]:
     """All nonzero m with keys (p, k, l, tau), from the T-cubic slice of P_w."""
     out: dict[tuple, int] = {}
-    for (x, t, _), c in numerator_P(w, tmax=3).t_slice(3).terms.items():
-        p, k, l = levels_from_t(t)
-        out[(p, k, l, x_multiset(x))] = c
+    for (tau, (p, k, l), _), c in numerator_P(w, tmax=3).t_slice(3).multiset_items():
+        out[(p, k, l, tau)] = c
     return out
 
 
@@ -125,32 +123,13 @@ def N_quadratic(w: Permutation, i: int) -> SparsePoly:
     contains i and not i+1, so its s_i image contains i+1 and not i.
     """
     out = _n_slice_unsigned(w, i, 2, 2)
-    for (x, _, _), _ in out.terms.items():
+    for (x, _, _), _ in out.exponent_items():
         assert (x[i] if i < len(x) else 0) == 2, (w.one_line(), i, x)
         assert (x[i - 1] if i - 1 < len(x) else 0) == 0, (w.one_line(), i, x)
     return out
 
 
 # -- pair-degree decomposition ---------------------------------------------------
-
-
-def _pair_component(f: SparsePoly, i: int, a: int, b: int) -> SparsePoly:
-    """Terms of f with exact degrees (a, b) in (x_i, x_{i+1}), degrees removed."""
-    ia, ib = i - 1, i
-    out = {}
-    for (x, t, xi), c in f.terms.items():
-        xa = x[ia] if ia < len(x) else 0
-        xb = x[ib] if ib < len(x) else 0
-        if (xa, xb) != (a, b):
-            continue
-        base = list(x) + [0] * (ib + 1 - len(x))
-        base[ia] = 0
-        base[ib] = 0
-        k = len(base)
-        while k and base[k - 1] == 0:
-            k -= 1
-        out[(tuple(base[:k]), t, xi)] = c
-    return SparsePoly(out, _trusted=True)
 
 
 def _pair_basis(i: int, a: int, b: int) -> SparsePoly:
@@ -175,7 +154,8 @@ def decompose_quadratic(f: SparsePoly, i: int) -> dict[tuple[int, int], SparsePo
     Returns components free of x_i and x_{i+1}; the expansion over
     _pair_basis reconstructs f, which is asserted.
     """
-    c = {(a, b): _pair_component(f, i, a, b) for a in range(3) for b in range(3)}
+    parts = f.pair_components(i)
+    c = {(a, b): parts.get((a, b), SparsePoly.zero()) for a in range(3) for b in range(3)}
     comp = {
         (0, 0): c[(0, 0)],
         (0, 1): c[(0, 1)],
@@ -434,10 +414,10 @@ def check_multsiw(n: int, cubic: bool = True) -> ScanOutcome:
             sw = w.left_mul_s(i)
             quad_sw = quadratic_multiplicities(sw)
             nfac = n_factor_product(w, i, tmax=3 if cubic else 2)
-            n2 = {}
-            for (x, t, _), c in nfac.t_slice(2).terms.items():
-                k, l = levels_from_t(t)
-                n2[(k, l, x_multiset(x))] = c
+            n2 = {
+                (k, l, eta): c
+                for (eta, (k, l), _), c in nfac.t_slice(2).multiset_items()
+            }
             for key in _key_closure_quadratic(i, quad_w, quad_sw, n2):
                 k, l, eta = key
                 a, b = _pair_counts(eta, i)

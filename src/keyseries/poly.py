@@ -1,10 +1,17 @@
-"""Sparse exact-integer polynomials in x_1, x_2, ..., block variables T_1, T_2, ...,
+"""Sparse exact-integer polynomials in x_1..x_9, block variables T_1..T_9,
 and a single deformation variable xi.
 
 The T_l are atomic generators (a block T_l stands for the product t_1...t_l of
-underlying torus variables, but is never expanded).  Monomial keys are triples
-``(x, t, xi)`` of trimmed exponent tuples plus the xi exponent; coefficients
-are Python ints, so arithmetic is exact at any size.
+underlying torus variables, but is never expanded).  Coefficients are Python
+ints, so arithmetic is exact at any size.  A monomial is one packed ``int``
+of ``FIELD_BITS``-bit exponent fields: from the low end x_1..x_9, xi, T_1..T_9,
+and on top the total T-degree, so a monomial product is one integer add and
+``key >> TD_SHIFT`` is the T-degree.  Exponents are at most ``MAX_EXP``, which
+keeps each field's top bit clear: a sum of two keys never carries between
+fields, and a product, exponent or variable index that does not fit raises
+``ResourceCapError``, never wraps.  The public surface speaks exponent tuples
+``(x, t, xi)``; ``exponent_items`` and ``multiset_items`` decode each distinct
+x-part and T-part once per call.
 
 The isobaric operators act on the x variables only:
 
@@ -13,57 +20,95 @@ The isobaric operators act on the x variables only:
     pi_xi(i, f)              = pi(i, (1 + xi * x_{i+1}) * f)
 
 all implemented by grouping terms over their (x_i, x_{i+1})-free part and
-expanding the closed one-pair formulas, so no rational division ever happens.
+adding packed closed one-pair formulas, so no rational division ever happens.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping
 
+from .config import ResourceCapError
+
 __all__ = [
-    "Monomial",
-    "SparsePoly",
-    "divided_difference",
-    "pi",
-    "pi_xi",
-    "pi_word",
-    "series_inverse_product",
-    "x_exps",
-    "x_multiset",
-    "t_pair",
+    "FIELD_BITS", "MAX_EXP", "NVARS", "Monomial", "SparsePoly", "divided_difference",
+    "pi", "pi_xi", "pi_word", "series_inverse_product", "x_exps", "x_multiset", "t_pair",
 ]
 
-# (x exponents, T exponents, xi exponent); exponent tuples are 1-based by
-# position (index 0 holds x_1 / T_1) and carry no trailing zeros.
+# (x exponents, T exponents, xi exponent); tuple index 0 holds x_1 / T_1, no trailing zeros.
 Monomial = tuple[tuple[int, ...], tuple[int, ...], int]
 
-_ONE_KEY: Monomial = ((), (), 0)
+FIELD_BITS = 12
+NVARS = 9  # x_1..x_9 and T_1..T_9, matching config.ABSOLUTE_MAX_N
+MAX_EXP = (1 << (FIELD_BITS - 1)) - 1
+XI_SHIFT = NVARS * FIELD_BITS
+T_SHIFT = XI_SHIFT + FIELD_BITS
+TD_SHIFT = T_SHIFT + NVARS * FIELD_BITS
+_FIELD = (1 << FIELD_BITS) - 1
+_PART = (1 << (NVARS * FIELD_BITS)) - 1
+_GUARD = sum(1 << (FIELD_BITS * f + FIELD_BITS - 1) for f in range(2 * NVARS + 2))
 
 
-def _trim(t: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(t)
-    while k and t[k - 1] == 0:
-        k -= 1
-    return t[:k]
+def _pack_part(exps: Iterable[int], shift: int, name: str) -> int:
+    part = 0
+    for idx, e in enumerate(exps):
+        if e:
+            var = name if name == "xi" else f"{name}{idx + 1}"
+            if e < 0:
+                raise ValueError(f"negative exponent {e} of {var}")
+            if e > MAX_EXP or idx >= NVARS:
+                raise ResourceCapError(f"{var}^{e} does not fit a monomial field (exponents "
+                                       f"to {MAX_EXP}, variables to x{NVARS}, T{NVARS})")
+            part |= e << (shift + idx * FIELD_BITS)
+    return part
 
 
-def _tadd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    return tuple(x + y for x, y in zip(a, b)) + a[len(b):]
+def _pack(x: Iterable[int], t: Iterable[int], xi: int) -> int:
+    t = tuple(t)
+    td = sum(t)
+    if td > MAX_EXP:
+        raise ResourceCapError(f"total T-degree {td} exceeds {MAX_EXP}")
+    return (_pack_part(x, 0, "x") | _pack_part((xi,), XI_SHIFT, "xi")
+            | _pack_part(t, T_SHIFT, "T") | td << TD_SHIFT)
+
+
+def _checked(key_or: int) -> None:
+    """Raise if any key folded into key_or has a field past MAX_EXP."""
+    if key_or & _GUARD:
+        raise ResourceCapError(f"a product exponent exceeds {MAX_EXP}")
+
+
+def _unpack(part: int) -> tuple[int, ...]:
+    """The fields of an x-part or T-part, trailing zero fields dropped."""
+    out = []
+    while part:
+        out.append(part & _FIELD)
+        part >>= FIELD_BITS
+    return tuple(out)
+
+
+def _unpack_multiset(part: int) -> tuple[int, ...]:
+    """An x-part or T-part as a sorted multiset of indices, as x_multiset gives."""
+    out: tuple[int, ...] = ()
+    idx = 1
+    while part:
+        if part & _FIELD:
+            out += (idx,) * (part & _FIELD)
+        part >>= FIELD_BITS
+        idx += 1
+    return out
+
+
+def _sort_info(part: int) -> tuple:
+    exps = _unpack(part)
+    return exps, sum(exps), tuple(-e for e in exps)
 
 
 def x_exps(eta: tuple[int, ...]) -> tuple[int, ...]:
     """Exponent tuple of the x-monomial indexed by a multiset such as (1,1,3)."""
-    if not eta:
-        return ()
-    vec = [0] * max(eta)
+    vec = [0] * max(eta, default=0)
     for v in eta:
         vec[v - 1] += 1
     return tuple(vec)
@@ -71,10 +116,7 @@ def x_exps(eta: tuple[int, ...]) -> tuple[int, ...]:
 
 def x_multiset(x: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse of :func:`x_exps`: sorted tuple with repeats."""
-    out: list[int] = []
-    for idx, e in enumerate(x, start=1):
-        out.extend([idx] * e)
-    return tuple(out)
+    return tuple(idx for idx, e in enumerate(x, start=1) for _ in range(e))
 
 
 def t_pair(k: int, l: int) -> tuple[int, ...]:
@@ -86,21 +128,19 @@ def t_pair(k: int, l: int) -> tuple[int, ...]:
 
 
 class SparsePoly:
-    """Immutable-by-convention sparse polynomial with int coefficients."""
+    """Immutable-by-convention sparse polynomial with int coefficients.
+
+    ``terms`` maps packed monomial keys to nonzero coefficients.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None, _trusted: bool = False):
-        if terms is None:
-            self.terms: dict[Monomial, int] = {}
-        elif _trusted:
-            self.terms = dict(terms)
+        """Build from a map of exponent triples; ``_trusted`` adopts a packed map."""
+        if _trusted:
+            self.terms: dict[int, int] = terms
         else:
-            clean: dict[Monomial, int] = {}
-            for (x, t, xi), c in terms.items():
-                if c:
-                    clean[(_trim(tuple(x)), _trim(tuple(t)), xi)] = c
-            self.terms = clean
+            self.terms = {_pack(x, t, xi): c for (x, t, xi), c in (terms or {}).items() if c}
 
     # -- constructors --------------------------------------------------
 
@@ -110,19 +150,12 @@ class SparsePoly:
 
     @classmethod
     def one(cls) -> "SparsePoly":
-        return cls({_ONE_KEY: 1}, _trusted=True)
+        return cls({0: 1}, _trusted=True)
 
     @classmethod
-    def term(
-        cls,
-        coeff: int = 1,
-        x: tuple[int, ...] = (),
-        t: tuple[int, ...] = (),
-        xi: int = 0,
-    ) -> "SparsePoly":
-        if not coeff:
-            return cls()
-        return cls({(_trim(tuple(x)), _trim(tuple(t)), xi): coeff}, _trusted=True)
+    def term(cls, coeff: int = 1, x: tuple[int, ...] = (), t: tuple[int, ...] = (),
+             xi: int = 0) -> "SparsePoly":
+        return cls({_pack(x, t, xi): coeff} if coeff else {}, _trusted=True)
 
     @classmethod
     def x_var(cls, i: int) -> "SparsePoly":
@@ -174,8 +207,6 @@ class SparsePoly:
         return SparsePoly({k: -c for k, c in self.terms.items()}, _trusted=True)
 
     def __sub__(self, other: "SparsePoly | int") -> "SparsePoly":
-        if isinstance(other, int):
-            other = SparsePoly.term(coeff=other)
         return self + (-other)
 
     def __rsub__(self, other: int) -> "SparsePoly":
@@ -183,11 +214,8 @@ class SparsePoly:
 
     def __mul__(self, other: "SparsePoly | int") -> "SparsePoly":
         if isinstance(other, int):
-            if not other:
-                return SparsePoly()
-            return SparsePoly(
-                {k: c * other for k, c in self.terms.items()}, _trusted=True
-            )
+            return SparsePoly({k: c * other for k, c in self.terms.items()} if other else {},
+                              _trusted=True)
         return self.mul_trunc(other, None)
 
     __rmul__ = __mul__
@@ -205,95 +233,114 @@ class SparsePoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Monomial, int] = {}
-        bitems = [(k, c, sum(k[1])) for k, c in b.items()]
-        if tmax is not None:
-            bitems.sort(key=lambda kc: kc[2])
-        for (ax, at, axi), ac in a.items():
-            atd = sum(at)
-            for (bx, bt, bxi), bc, btd in bitems:
-                if tmax is not None and atd + btd > tmax:
-                    break
-                k = (_tadd(ax, bx), _tadd(at, bt), axi + bxi)
-                s = out.get(k, 0) + ac * bc
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+        if tmax is None:
+            groups = [list(b.items())]
+        else:
+            # by T-degree, each group in b's order: the output's term order is observable
+            groups = [[] for _ in range(min(tmax, max(b, default=0) >> TD_SHIFT) + 1)]
+            for k, c in b.items():
+                if k >> TD_SHIFT <= tmax:
+                    groups[k >> TD_SHIFT].append((k, c))
+        out: dict[int, int] = {}
+        get = out.get
+        for ak, ac in a.items():
+            span = groups if tmax is None else groups[: max(0, tmax + 1 - (ak >> TD_SHIFT))]
+            for group in span:
+                for bk, bc in group:
+                    k = ak + bk
+                    s = get(k, 0) + ac * bc
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        _checked(reduce(or_, out, 0))
         return SparsePoly(out, _trusted=True)
 
     # -- degree slices ----------------------------------------------------
 
     def t_degree(self) -> int:
         """Largest total T-degree among terms (0 for the zero polynomial)."""
-        return max((sum(t) for (_, t, _) in self.terms), default=0)
+        return max(self.terms, default=0) >> TD_SHIFT
 
     def t_slice(self, d: int) -> "SparsePoly":
-        return SparsePoly(
-            {k: c for k, c in self.terms.items() if sum(k[1]) == d}, _trusted=True
-        )
+        lo, hi = d << TD_SHIFT, (d + 1) << TD_SHIFT
+        return SparsePoly({k: c for k, c in self.terms.items() if lo <= k < hi},
+                          _trusted=True)
 
     def t_truncate(self, tmax: int | None) -> "SparsePoly":
         if tmax is None:
             return self
-        return SparsePoly(
-            {k: c for k, c in self.terms.items() if sum(k[1]) <= tmax}, _trusted=True
-        )
+        limit = (tmax + 1) << TD_SHIFT
+        return SparsePoly({k: c for k, c in self.terms.items() if k < limit}, _trusted=True)
 
     def xi_slice(self, d: int) -> "SparsePoly":
-        return SparsePoly(
-            {k: c for k, c in self.terms.items() if k[2] == d}, _trusted=True
-        )
+        mask, want = _FIELD << XI_SHIFT, d << XI_SHIFT
+        return SparsePoly({k: c for k, c in self.terms.items() if k & mask == want},
+                          _trusted=True)
 
-    def coefficient(
-        self,
-        x: tuple[int, ...] = (),
-        t: tuple[int, ...] = (),
-        xi: int = 0,
-    ) -> int:
-        return self.terms.get((_trim(tuple(x)), _trim(tuple(t)), xi), 0)
+    def coefficient(self, x: tuple[int, ...] = (), t: tuple[int, ...] = (),
+                    xi: int = 0) -> int:
+        try:
+            return self.terms.get(_pack(x, t, xi), 0)
+        except (ResourceCapError, ValueError):
+            return 0  # a monomial that cannot be stored has no term here
 
     def t_coefficient(self, t: tuple[int, ...]) -> "SparsePoly":
         """The polynomial in x and xi multiplying an exact T-monomial."""
-        tt = _trim(tuple(t))
-        return SparsePoly(
-            {
-                (x, (), xi): c
-                for (x, tk, xi), c in self.terms.items()
-                if tk == tt
-            },
-            _trusted=True,
-        )
+        hi, low = _pack((), t, 0) >> T_SHIFT, (1 << T_SHIFT) - 1
+        return SparsePoly({k & low: c for k, c in self.terms.items() if k >> T_SHIFT == hi},
+                          _trusted=True)
 
     def swap_x(self, i: int) -> "SparsePoly":
         """The transposition of x_i and x_{i+1} applied to every term."""
-        ia, ib = i - 1, i
-        out: dict[Monomial, int] = {}
-        for (x, t, xi), c in self.terms.items():
-            a = x[ia] if ia < len(x) else 0
-            b = x[ib] if ib < len(x) else 0
-            if a == b:
-                out[(x, t, xi)] = c
-                continue
-            base = list(x) + [0] * (ib + 1 - len(x))
-            base[ia], base[ib] = b, a
-            out[(_trim(tuple(base)), t, xi)] = c
+        sa, sb = _pair_shifts(i)
+        out: dict[int, int] = {}
+        for k, c in self.terms.items():
+            d = ((k >> sa) & _FIELD) - ((k >> sb) & _FIELD)
+            out[k - (d << sa) + (d << sb)] = c
         return SparsePoly(out, _trusted=True)
+
+    def pair_components(self, i: int) -> dict[tuple[int, int], "SparsePoly"]:
+        """Terms grouped by their exponents (a, b) of (x_i, x_{i+1}), which are removed."""
+        sa, sb = _pair_shifts(i)
+        mask = (_FIELD << sa) | (_FIELD << sb)
+        groups: dict[tuple[int, int], dict[int, int]] = {}
+        for k, c in self.terms.items():
+            pair = k & mask
+            groups.setdefault(((pair >> sa) & _FIELD, pair >> sb), {})[k - pair] = c
+        return {ab: SparsePoly(d, _trusted=True) for ab, d in groups.items()}
+
+    # -- decoded views ----------------------------------------------------
+
+    def _decoded(self, decode) -> Iterator[tuple[Monomial, int]]:
+        """Terms with each distinct x-part and T-part decoded once, in one memo."""
+        seen: dict[int, tuple] = {}
+        for k, c in self.terms.items():
+            xp, tp = k & _PART, (k >> T_SHIFT) & _PART
+            if xp not in seen:
+                seen[xp] = decode(xp)
+            if tp not in seen:
+                seen[tp] = decode(tp)
+            yield (seen[xp], seen[tp], (k >> XI_SHIFT) & _FIELD), c
+
+    def exponent_items(self) -> Iterator[tuple[Monomial, int]]:
+        """Terms as ((x, t, xi), coeff) with trimmed exponent tuples, in storage order."""
+        return self._decoded(_unpack)
+
+    def multiset_items(self) -> Iterator[tuple[Monomial, int]]:
+        """Terms as ((eta, levels, xi), coeff): the x and T parts as sorted index
+        multisets (x1^2*x3 gives (1, 1, 3)), in storage order."""
+        return self._decoded(_unpack_multiset)
 
     # -- presentation -----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Graded order, dominance-descending within a degree (x1 before x2)."""
-        return sorted(
-            self.terms.items(),
-            key=lambda kc: (
-                kc[0][2],
-                sum(kc[0][1]),
-                tuple(-e for e in kc[0][1]),
-                sum(kc[0][0]),
-                tuple(-e for e in kc[0][0]),
-            ),
+        rows = sorted(
+            ((xi, ts, tneg, xs, xneg), (x, t, xi), c)
+            for ((x, xs, xneg), (t, ts, tneg), xi), c in self._decoded(_sort_info)
         )
+        return [(m, c) for _, m, c in rows]
 
     def __repr__(self) -> str:
         return f"SparsePoly({self.to_text()})"
@@ -304,24 +351,15 @@ class SparsePoly:
         chunks: list[str] = []
         for (x, t, xi), c in self.sorted_terms():
             factors = [
-                f"x{i}" if e == 1 else f"x{i}^{e}"
-                for i, e in enumerate(x, start=1)
-                if e
-            ]
-            factors += [
-                f"T{l}" if e == 1 else f"T{l}^{e}"
-                for l, e in enumerate(t, start=1)
+                f"{v}{i}" if e == 1 else f"{v}{i}^{e}"
+                for v, exps in (("x", x), ("T", t))
+                for i, e in enumerate(exps, start=1)
                 if e
             ]
             if xi:
                 factors.append("xi" if xi == 1 else f"xi^{xi}")
             mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
+            body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
             if not chunks:
                 chunks.append(body if c > 0 else f"-{body}")
             else:
@@ -329,32 +367,32 @@ class SparsePoly:
         return " ".join(chunks)
 
     def to_json_obj(self) -> dict:
-        terms = []
-        for (x, t, xi), c in self.sorted_terms():
-            terms.append(
-                {
-                    "coeff": c,
-                    "x": {str(i): e for i, e in enumerate(x, start=1) if e},
-                    "T": {str(l): e for l, e in enumerate(t, start=1) if e},
-                    "xi": xi,
-                }
-            )
-        return {"terms": terms}
+        return {"terms": [
+            {"coeff": c,
+             "x": {str(i): e for i, e in enumerate(x, start=1) if e},
+             "T": {str(l): e for l, e in enumerate(t, start=1) if e},
+             "xi": xi}
+            for (x, t, xi), c in self.sorted_terms()
+        ]}
+
+    @staticmethod
+    def _accumulate(out: dict[int, int], xd: dict, td: dict, xi: int, coeff: int) -> None:
+        x = (xd.get(i, 0) for i in range(1, max(xd, default=0) + 1))
+        t = [td.get(l, 0) for l in range(1, max(td, default=0) + 1)]
+        k = _pack(x, t, xi)
+        c = out.get(k, 0) + coeff
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SparsePoly":
-        out: dict[Monomial, int] = {}
+        out: dict[int, int] = {}
         for term in obj["terms"]:
             xd = {int(i): int(e) for i, e in term.get("x", {}).items()}
             td = {int(l): int(e) for l, e in term.get("T", {}).items()}
-            x = tuple(xd.get(i, 0) for i in range(1, max(xd, default=0) + 1))
-            t = tuple(td.get(l, 0) for l in range(1, max(td, default=0) + 1))
-            k = (_trim(x), _trim(t), int(term.get("xi", 0)))
-            c = out.get(k, 0) + int(term["coeff"])
-            if c:
-                out[k] = c
-            else:
-                out.pop(k, None)
+            cls._accumulate(out, xd, td, int(term.get("xi", 0)), int(term["coeff"]))
         return cls(out, _trusted=True)
 
     _FACTOR_RE = re.compile(r"^(x|T)(\d+)(?:\^(\d+))?$|^(xi)(?:\^(\d+))?$|^(\d+)$")
@@ -365,21 +403,16 @@ class SparsePoly:
         s = text.strip()
         if not s:
             raise ValueError("empty polynomial text")
-        if s == "0":
-            return cls.zero()
         s = s.replace("-", "+-")
-        out: dict[Monomial, int] = {}
+        out: dict[int, int] = {}
         for chunk in s.split("+"):
             chunk = chunk.strip()
             if not chunk:
                 continue
-            sign = 1
-            if chunk.startswith("-"):
-                sign = -1
-                chunk = chunk[1:].strip()
+            coeff = -1 if chunk.startswith("-") else 1
+            chunk = chunk.lstrip("-").strip()
             if not chunk:
                 raise ValueError(f"dangling sign in {text!r}")
-            coeff = sign
             xd: dict[int, int] = {}
             td: dict[int, int] = {}
             xi = 0
@@ -397,69 +430,57 @@ class SparsePoly:
                     if idx < 1:
                         raise ValueError(f"variable index must be >= 1 in {factor!r}")
                     d[idx] = d.get(idx, 0) + int(m.group(3) or 1)
-            x = _trim(tuple(xd.get(i, 0) for i in range(1, max(xd, default=0) + 1)))
-            t = _trim(tuple(td.get(l, 0) for l in range(1, max(td, default=0) + 1)))
-            k = (x, t, xi)
-            c = out.get(k, 0) + coeff
-            if c:
-                out[k] = c
-            else:
-                out.pop(k, None)
+            cls._accumulate(out, xd, td, xi, coeff)
         return cls(out, _trusted=True)
 
 
 # -- isobaric operators -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _dd_pair(a: int, b: int) -> tuple[tuple[int, int, int], ...]:
-    """divided_difference on x_i^a x_{i+1}^b as (exp_i, exp_{i+1}, sign) triples."""
+def _pair_shifts(i: int) -> tuple[int, int]:
+    """Bit offsets of the x_i and x_{i+1} fields."""
+    if i < 1:
+        raise IndexError(f"operator index must be >= 1, got {i}")
+    if i >= NVARS:
+        raise ResourceCapError(f"operator index {i} needs x{i + 1}, past x{NVARS}")
+    return (i - 1) * FIELD_BITS, i * FIELD_BITS
+
+
+@lru_cache(maxsize=1 << 14)
+def _dd_pair(i: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """divided_difference on x_i^a x_{i+1}^b as (packed offset, sign) pairs."""
+    sa, sb = _pair_shifts(i)
     if a > b:
-        return tuple((b + u, a - 1 - u, 1) for u in range(a - b))
-    if b > a:
-        return tuple((a + u, b - 1 - u, -1) for u in range(b - a))
-    return ()
+        return tuple((((b + u) << sa) + ((a - 1 - u) << sb), 1) for u in range(a - b))
+    return tuple((((a + u) << sa) + ((b - 1 - u) << sb), -1) for u in range(b - a))
 
 
-@lru_cache(maxsize=None)
-def _pi_pair(a: int, b: int) -> tuple[tuple[int, int, int], ...]:
-    """pi on x_i^a x_{i+1}^b as (exp_i, exp_{i+1}, sign) triples."""
+@lru_cache(maxsize=1 << 14)
+def _pi_pair(i: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """pi on x_i^a x_{i+1}^b as (packed offset, sign) pairs."""
+    sa, sb = _pair_shifts(i)
     if a >= b:
-        return tuple((b + u, a - u, 1) for u in range(a - b + 1))
-    if b == a + 1:
-        return ()
-    return tuple((a + 1 + u, b - 1 - u, -1) for u in range(b - a - 1))
+        return tuple((((b + u) << sa) + ((a - u) << sb), 1) for u in range(a - b + 1))
+    return tuple(
+        (((a + 1 + u) << sa) + ((b - 1 - u) << sb), -1) for u in range(b - a - 1)
+    )
 
 
 def _apply_pair_table(f: SparsePoly, i: int, table) -> SparsePoly:
-    ia, ib = i - 1, i
-    groups: dict[Monomial, dict[tuple[int, int], int]] = {}
-    for (x, t, xi), c in f.terms.items():
-        a = x[ia] if ia < len(x) else 0
-        b = x[ib] if ib < len(x) else 0
-        if a or b:
-            base = list(x) + [0] * (ib + 1 - len(x))
-            base[ia] = 0
-            base[ib] = 0
-            key = (_trim(tuple(base)), t, xi)
-        else:
-            key = (x, t, xi)
-        bucket = groups.setdefault(key, {})
-        bucket[(a, b)] = bucket.get((a, b), 0) + c
-    out: dict[Monomial, int] = {}
-    for (bx, t, xi), bucket in groups.items():
-        padded = list(bx) + [0] * (ib + 1 - len(bx))
-        for (a, b), c in bucket.items():
-            for ea, eb, sign in table(a, b):
-                if ea or eb:
-                    padded[ia] = ea
-                    padded[ib] = eb
-                    key = (_trim(tuple(padded)), t, xi)
-                    padded[ia] = 0
-                    padded[ib] = 0
-                else:
-                    key = (bx, t, xi)
-                s = out.get(key, 0) + sign * c
+    sa, sb = _pair_shifts(i)
+    pair_mask = (_FIELD << sa) | (_FIELD << sb)
+    groups: dict[int, dict[int, int]] = {}
+    for k, c in f.terms.items():
+        pair = k & pair_mask
+        bucket = groups.setdefault(k - pair, {})
+        bucket[pair] = bucket.get(pair, 0) + c
+    out: dict[int, int] = {}
+    get = out.get
+    for base, bucket in groups.items():
+        for pair, c in bucket.items():
+            for offset, sign in table(i, (pair >> sa) & _FIELD, pair >> sb):
+                key = base + offset
+                s = get(key, 0) + sign * c
                 if s:
                     out[key] = s
                 else:
@@ -469,30 +490,20 @@ def _apply_pair_table(f: SparsePoly, i: int, table) -> SparsePoly:
 
 def divided_difference(i: int, f: SparsePoly) -> SparsePoly:
     """(f - s_i f) / (x_i - x_{i+1}), computed without any division."""
-    if i < 1:
-        raise IndexError(f"operator index must be >= 1, got {i}")
     return _apply_pair_table(f, i, _dd_pair)
 
 
 def pi(i: int, f: SparsePoly) -> SparsePoly:
     """The idempotent isobaric operator: divided_difference(i, x_i * f)."""
-    if i < 1:
-        raise IndexError(f"operator index must be >= 1, got {i}")
     return _apply_pair_table(f, i, _pi_pair)
 
 
 def pi_xi(i: int, f: SparsePoly) -> SparsePoly:
     """The xi-deformed operator: pi(i, (1 + xi x_{i+1}) f)."""
-    if i < 1:
-        raise IndexError(f"operator index must be >= 1, got {i}")
-    extra = SparsePoly(
-        {
-            (_tadd(x, (0,) * (i) + (1,)), t, xi + 1): c
-            for (x, t, xi), c in f.terms.items()
-        },
-        _trusted=True,
-    )
-    return pi(i, f + extra)
+    step = (1 << _pair_shifts(i)[1]) + (1 << XI_SHIFT)
+    extra = {k + step: c for k, c in f.terms.items()}
+    _checked(reduce(or_, extra, 0))
+    return pi(i, f + SparsePoly(extra, _trusted=True))
 
 
 def pi_word(word: Iterable[int], f: SparsePoly, xi_mode: bool = False) -> SparsePoly:
@@ -506,9 +517,7 @@ def pi_word(word: Iterable[int], f: SparsePoly, xi_mode: bool = False) -> Sparse
 # -- truncated geometric products -------------------------------------------
 
 
-def series_inverse_product(
-    factors: Iterable[SparsePoly | Monomial], D: int
-) -> SparsePoly:
+def series_inverse_product(factors: Iterable[SparsePoly | Monomial], D: int) -> SparsePoly:
     """prod over factors m of 1/(1 - m), truncated past total T-degree D.
 
     Every factor must be a single monomial of T-degree >= 1 (otherwise the
@@ -523,25 +532,15 @@ def series_inverse_product(
                 raise ValueError(f"factor is not a monomial: {fac!r}")
             ((key, coeff),) = fac.terms.items()
         else:
-            key, coeff = (_trim(tuple(fac[0])), _trim(tuple(fac[1])), 0), 1
-        td = sum(key[1])
+            key, coeff = _pack(fac[0], fac[1], 0), 1
+        td = key >> TD_SHIFT
         if td < 1:
-            raise ValueError(f"factor monomial has no T part: {key}")
-        geom: dict[Monomial, int] = {_ONE_KEY: 1}
-        gx, gt, gxi = (), (), 0
-        gc = 1
+            raise ValueError(f"factor monomial has no T part: {fac!r}")
+        geom: dict[int, int] = {0: 1}
+        gk, gc = 0, 1
         for _ in range(D // td):
-            gx, gt, gxi, gc = _tadd(gx, key[0]), _tadd(gt, key[1]), gxi + key[2], gc * coeff
-            geom[(gx, gt, gxi)] = gc
+            gk, gc = gk + key, gc * coeff
+            _checked(gk)
+            geom[gk] = gc
         result = result.mul_trunc(SparsePoly(geom, _trusted=True), D)
     return result
-
-
-def _selftest() -> None:  # pragma: no cover - convenience for interactive use
-    x1, x2 = SparsePoly.x_var(1), SparsePoly.x_var(2)
-    assert pi(1, x2 * x2) == -(x1 * x2)
-    assert divided_difference(1, x1) == SparsePoly.one()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _selftest()

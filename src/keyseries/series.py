@@ -407,7 +407,7 @@ def lascoux_linear_part(w: Permutation, method: str = "closed") -> SparsePoly:
             if count > 1:
                 key = (x_exps(alpha), tvec, 1)
                 total[key] = total.get(key, 0) + (count - 1)
-    return SparsePoly(total, _trusted=True)
+    return SparsePoly(total)
 
 
 def suite_pxiw1(group_n: int) -> list[FormCheck]:

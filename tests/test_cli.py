@@ -7,6 +7,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from keyseries.cli import main
+from keyseries.poly import MAX_EXP
 from keyseries.report import body_digest
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -71,6 +72,11 @@ def test_pw_grade_slice(capsys):
         "-x1^2*x2*x3*x4*T2*T3 - x1^2*x2*x3*x4*x5*T2*T4"
         " - x1^2*x2^2*x3*x4*x5*T3*T4"
     )
+
+
+def test_pw_grade_above_tdeg_is_usage_error(capsys):
+    assert run(capsys, "pw", "--w", "14253", "--grade", "3", "--tdeg", "2")[0] == 2
+    assert run(capsys, "pw", "--w", "14253", "--grade", "2", "--tdeg", "2")[0] == 0
 
 
 def test_sets_A_golden(capsys):
@@ -234,6 +240,17 @@ def test_resource_caps(tmp_path, capsys):
     code, _ = run(capsys, "verify", "--suite", "diff1", "--n", "4",
                   "--config", str(cfg))
     assert code == 3
+
+
+def test_exponent_past_field_width_is_resource_error(tmp_path, capsys):
+    # a config may lift max_tdeg past what a monomial field holds
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(f"max_tdeg={MAX_EXP + 10}\n")
+    ok = run(capsys, "key", "--w", "21", "--lambda", str(MAX_EXP), "--config", str(cfg))
+    assert ok[0] == 0
+    code, out = run(capsys, "key", "--w", "21", "--lambda", str(MAX_EXP + 1),
+                    "--config", str(cfg))
+    assert code == 3 and out == ""
 
 
 def test_bad_threads_env(capsys, monkeypatch):

@@ -58,8 +58,7 @@ def test_every_coefficient_matches():
     poly = F_polynomial((4, 2), W321)
     series = F_block_series((4, 2), W321)
     assert poly == series
-    for (x, _, _), c in poly.terms.items():
-        mu = tuple(v for v, e in enumerate(x, start=1) for _ in range(e))
+    for (mu, _, _), c in poly.multiset_items():
         assert F_coefficient((4, 2), W321, mu) == c
 
 
@@ -86,7 +85,7 @@ def test_order3_exact_for_short_columns():
         for lam in partitions(3, 3):
             key = key_polynomial(lam, w)
             poly = F_polynomial(lam, w)
-            for (x, _, _), _c in poly.terms.items():
+            for (x, _, _), _c in poly.exponent_items():
                 mu = tuple(v for v, e in enumerate(x, start=1) for _ in range(e))
                 assert approx_coefficient(lam, w, mu, order=3) == key.coefficient(x=x)
 

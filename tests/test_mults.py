@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from keyseries.multisets import enum_B, parse_multiset
@@ -23,6 +25,7 @@ from keyseries.mults import (
     t_from_levels,
 )
 from keyseries.permutation import all_permutations, parse_permutation
+from keyseries.report import canonical_json
 
 W = parse_permutation("42531")
 
@@ -182,6 +185,15 @@ def test_formpw3_records_both_level_shapes():
     }
     assert 3 in support_shapes
     assert support_shapes & {1, 2}
+
+
+def test_formpw3_n5_findings_in_pinned_order():
+    # The findings follow the cubic slice's term order, so a kernel that
+    # reorders terms changes this digest even when every count is unchanged.
+    ces = scan_formpw3(5).counterexamples
+    assert len(ces) == 3232
+    digest = hashlib.sha256(canonical_json(ces).encode()).hexdigest()
+    assert digest == "dca2e87691810ab5fed54a5c9c052a90ad0d19463d4e1c29ce58c72ae98f4825"
 
 
 def test_scan_threads_deterministic():

@@ -1,13 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from keyseries.config import ResourceCapError
 from keyseries.permutation import all_permutations
 from keyseries.poly import (
+    MAX_EXP,
+    NVARS,
     SparsePoly,
     divided_difference,
     pi,
     pi_word,
     pi_xi,
+    series_inverse_product,
     t_pair,
     x_exps,
     x_multiset,
@@ -21,6 +30,7 @@ monomials = st.tuples(
 )
 polys = st.dictionaries(monomials, coeffs, min_size=1, max_size=6).map(SparsePoly)
 letters = st.integers(min_value=1, max_value=3)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_exponent_helpers_roundtrip():
@@ -33,7 +43,65 @@ def test_exponent_helpers_roundtrip():
 def test_constructor_drops_zeros_and_pads():
     p = SparsePoly({((1, 0), (), 0): 2, ((0, 1), (), 0): 0})
     assert p == 2 * SparsePoly.x_var(1)
-    assert ((1,), (), 0) in p.terms
+    assert p.coefficient(x=(1,)) == 2
+    assert list(p.exponent_items()) == [(((1,), (), 0), 2)]
+
+
+def test_exponent_past_field_is_a_cap_error():
+    with pytest.raises(ResourceCapError):
+        SparsePoly.term(x=(0, MAX_EXP + 1))
+    with pytest.raises(ResourceCapError):
+        SparsePoly({((), (0, MAX_EXP + 1), 0): 1})
+    with pytest.raises(ResourceCapError):
+        SparsePoly.term(xi=MAX_EXP + 1)
+    with pytest.raises(ResourceCapError):
+        SparsePoly.x_var(NVARS + 1)
+    with pytest.raises(ResourceCapError):
+        SparsePoly.parse(f"1 + x1^{MAX_EXP + 1}")
+    with pytest.raises(ResourceCapError):
+        SparsePoly.parse(f"T{NVARS + 1}")
+    with pytest.raises(ResourceCapError):
+        SparsePoly.term(t=(MAX_EXP, 1))  # each field fits, the T-degree does not
+    with pytest.raises(ValueError):
+        SparsePoly.term(x=(-1,))
+    edge = SparsePoly.term(x=(MAX_EXP,), t=(0, MAX_EXP))
+    assert edge.coefficient(x=(MAX_EXP,), t=(0, MAX_EXP)) == 1
+    assert edge.coefficient(x=(MAX_EXP + 1,)) == 0
+
+
+def test_product_past_field_is_a_cap_error():
+    x1, t1 = SparsePoly.x_var(1), SparsePoly.t_block(1)
+    top = SparsePoly.term(x=(MAX_EXP,))
+    with pytest.raises(ResourceCapError):
+        top * x1
+    with pytest.raises(ResourceCapError):
+        (1 + x1) ** 2 * SparsePoly.term(x=(MAX_EXP - 1,))
+    with pytest.raises(ResourceCapError):
+        SparsePoly.term(t=(MAX_EXP,)).mul_trunc(t1, None)
+    with pytest.raises(ResourceCapError):
+        pi_xi(1, SparsePoly.term(x=(0, MAX_EXP)))
+    with pytest.raises(ResourceCapError):
+        series_inverse_product([SparsePoly.term(x=(MAX_EXP // 2 + 1,), t=(1,))], 2)
+    assert top * SparsePoly.x_var(2) == SparsePoly.term(x=(MAX_EXP, 1))
+
+
+def test_overflow_raises_under_optimize():
+    code = (
+        "from keyseries.config import ResourceCapError\n"
+        "from keyseries.poly import MAX_EXP, SparsePoly\n"
+        "for make in (lambda: SparsePoly.term(x=(MAX_EXP + 1,)),\n"
+        "             lambda: SparsePoly.term(x=(MAX_EXP,)) * SparsePoly.x_var(1)):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ResourceCapError:\n"
+        "        print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "raised"]
 
 
 def test_arithmetic():

@@ -1,0 +1,117 @@
+"""Point-evaluation oracle for the polynomial kernel.
+
+Inputs are built through the public constructor from exponent-tuple maps and
+evaluated from those maps directly, with exact Fraction arithmetic at random
+integer points.  The identities below are the operators' definitions, so this
+shares no code with the packed representation: only the results are read
+back, through ``exponent_items``.  Evaluation is graded by total T-degree, so
+truncated products can be checked degree by degree.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, strategies as st
+
+from keyseries.poly import SparsePoly, divided_difference, pi, pi_xi
+
+NX, NT = 4, 3
+
+exponents = st.tuples(
+    st.tuples(*[st.integers(0, 3)] * NX),
+    st.tuples(*[st.integers(0, 2)] * NT),
+    st.integers(0, 2),
+)
+# fixed-length exponent tuples, so distinct keys stay distinct monomials
+maps = st.dictionaries(
+    exponents, st.integers(-4, 4).filter(bool), min_size=1, max_size=6
+)
+points = st.tuples(
+    st.tuples(*[st.integers(-5, 5)] * NX),
+    st.tuples(*[st.integers(-3, 3)] * NT),
+    st.integers(-3, 3),
+)
+letters = st.integers(1, NX - 1)
+
+
+def graded(items, point) -> dict[int, Fraction]:
+    """{T-degree: value} of ((x, t, xi), coeff) pairs at a point."""
+    xs, ts, xi_value = point
+    out: dict[int, Fraction] = {}
+    for (x, t, e), c in items:
+        v = Fraction(c) * xi_value**e
+        for base, k in zip(xs, x):
+            v *= base**k
+        for base, k in zip(ts, t):
+            v *= base**k
+        out[sum(t)] = out.get(sum(t), 0) + v
+    return out
+
+
+def value(items, point) -> Fraction:
+    return sum(graded(items, point).values(), Fraction(0))
+
+
+def at(poly: SparsePoly, point) -> Fraction:
+    return value(poly.exponent_items(), point)
+
+
+def swapped(point, i):
+    xs, ts, xi_value = point
+    xs = list(xs)
+    xs[i - 1], xs[i] = xs[i], xs[i - 1]
+    return tuple(xs), ts, xi_value
+
+
+@given(maps, points)
+def test_construction_evaluates_like_its_map(m, p):
+    got, want = graded(SparsePoly(m).exponent_items(), p), graded(m.items(), p)
+    for d in set(got) | set(want):
+        assert got.get(d, 0) == want.get(d, 0)
+
+
+@given(maps, points, letters)
+def test_divided_difference_at_points(m, p, i):
+    f = m.items()
+    lhs = (p[0][i - 1] - p[0][i]) * at(divided_difference(i, SparsePoly(m)), p)
+    assert lhs == value(f, p) - value(f, swapped(p, i))
+
+
+@given(maps, points, letters)
+def test_pi_at_points(m, p, i):
+    xa, xb = p[0][i - 1], p[0][i]
+    assume(xa != xb)
+    f = m.items()
+    expect = (xa * value(f, p) - xb * value(f, swapped(p, i))) / (xa - xb)
+    assert at(pi(i, SparsePoly(m)), p) == expect
+
+
+@given(maps, points, letters)
+def test_pi_xi_at_points(m, p, i):
+    xa, xb = p[0][i - 1], p[0][i]
+    assume(xa != xb)
+    xi_value = p[2]
+    f = m.items()
+    g_here = (1 + xi_value * xb) * value(f, p)
+    g_swapped = (1 + xi_value * xa) * value(f, swapped(p, i))
+    expect = (xa * g_here - xb * g_swapped) / (xa - xb)
+    assert at(pi_xi(i, SparsePoly(m)), p) == expect
+
+
+@given(maps, maps, points)
+def test_product_at_points(m1, m2, p):
+    product = SparsePoly(m1).mul_trunc(SparsePoly(m2), None)
+    assert at(product, p) == value(m1.items(), p) * value(m2.items(), p)
+
+
+@given(maps, maps, points, st.integers(0, 4))
+def test_truncated_product_by_degree(m1, m2, p, tmax):
+    g1, g2 = graded(m1.items(), p), graded(m2.items(), p)
+    expect: dict[int, Fraction] = {}
+    for d1, v1 in g1.items():
+        for d2, v2 in g2.items():
+            if d1 + d2 <= tmax:
+                expect[d1 + d2] = expect.get(d1 + d2, 0) + v1 * v2
+    got = graded(SparsePoly(m1).mul_trunc(SparsePoly(m2), tmax).exponent_items(), p)
+    assert set(got) <= set(range(tmax + 1))
+    for d in range(tmax + 1):
+        assert got.get(d, 0) == expect.get(d, 0)

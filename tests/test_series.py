@@ -200,7 +200,7 @@ def test_lascoux_homogeneous_with_negative_xi_degree():
     for w in all_permutations(3):
         for lam in partitions(3, 3):
             weight = sum(lam)
-            for (x, _, xi), _c in lascoux_polynomial(lam, w).terms.items():
+            for (x, _, xi), _c in lascoux_polynomial(lam, w).exponent_items():
                 assert sum(x) - xi == weight
 
 
@@ -211,5 +211,5 @@ def test_xi_linear_slice_closed_form():
 
 def test_xi_linear_slice_shape():
     p = lascoux_linear_part(parse_permutation("42531"))
-    for (x, t, xi), c in p.terms.items():
+    for (x, t, xi), c in p.exponent_items():
         assert xi == 1 and sum(t) == 1 and c >= 1
