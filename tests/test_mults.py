@@ -25,7 +25,7 @@ from keyseries.mults import (
     t_from_levels,
 )
 from keyseries.permutation import all_permutations, parse_permutation
-from keyseries.report import canonical_json
+from keyseries.report import body_digest, canonical_json, outcome_report
 
 W = parse_permutation("42531")
 
@@ -194,6 +194,33 @@ def test_formpw3_n5_findings_in_pinned_order():
     assert len(ces) == 3232
     digest = hashlib.sha256(canonical_json(ces).encode()).hexdigest()
     assert digest == "dca2e87691810ab5fed54a5c9c052a90ad0d19463d4e1c29ce58c72ae98f4825"
+
+
+# Report bodies of every check and scan, pinned so that a rewrite of the sweep
+# keeps each finding, its order and every stat.  lketa23 has nothing to check
+# below n=6.
+PINNED_BODIES = {
+    "diff1": (5, "919b62dcb23d51497555c22610f5b3fe2ae6a5e7bca980ecf81ea372e66b5c19"),
+    "diff2": (5, "e5fcdf489442325b08b4f5498fd3d501786c7af0acb5cf8191a9640d69595d67"),
+    "lketa23": (6, "e545fab7e91b35e0d1edf3a14596ced9f640494ba806135fa62f19e808a12ed2"),
+    "lowbdr2": (5, "2cc5ffd175d2b207d898eb778816045e2adc8a594839fcadbb35693b547afb1c"),
+    "multsiw": (5, "4a199ac9096e584aa0ef4a0fa9a4a7dda9bfccb2a0810249865badf54971164a"),
+    "quadratic_support": (
+        5, "eabedb8a7a34b09f6fb15f46fdac473337599d79de55efbeaffbec5baf49b7eb"),
+    "poset": (5, "156766005916822df24c0706604f90aed325e218ad57719d28f12545fd2a02bc"),
+    "siinc": (5, "7c4172a228c2b1c4faaf55baee92f4694037d3744097c77df7ba4d0007c52bc9"),
+    "formpw2bound": (
+        5, "a51be341a0dac5935d797edb5c34ab3958213bc3d07cb6111dbd00599dd035e9"),
+    "formpw3": (5, "d48ba8839abda92fa3c04207c26d48c105c22e644064ddccace60583cf1767e5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BODIES))
+def test_pinned_body_digest(name):
+    assert sorted(PINNED_BODIES) == sorted({**CHECKS, **SCANS})
+    n, digest = PINNED_BODIES[name]
+    fn = {**CHECKS, **SCANS}[name]
+    assert body_digest(outcome_report(fn(n), {}, 0)) == digest
 
 
 def test_scan_threads_deterministic():
