@@ -12,8 +12,8 @@ import argparse
 import sys
 from collections import Counter
 
-from keyseries.multisets import enum_B, presentations
-from keyseries.mults import _r_value, quadratic_multiplicities
+from keyseries.multisets import presentations
+from keyseries.mults import _b_keys, _r_value, quadratic_multiplicities
 from keyseries.permutation import all_permutations
 
 
@@ -28,17 +28,15 @@ def main() -> int:
     total = 0
     for w in all_permutations(args.n):
         quad = quadratic_multiplicities(w)
-        for k in range(1, args.n + 1):
-            for l in range(k, args.n + 1):
-                for eta in enum_B(w, k, l):
-                    m = quad.get((k, l, eta), 0)
-                    r = _r_value(k, l, eta)
-                    size = len(presentations(w, k, l, eta).pairs)
-                    by_r.setdefault(r, Counter())[m] += 1
-                    by_poset_size.setdefault(size, Counter())[m] += 1
-                    total += 1
-                    if m == 2**r - 1:
-                        tight += 1
+        for k, l, eta in _b_keys(w, args.n):
+            m = quad.get((k, l, eta), 0)
+            r = _r_value(k, l, eta)
+            size = len(presentations(w, k, l, eta).pairs)
+            by_r.setdefault(r, Counter())[m] += 1
+            by_poset_size.setdefault(size, Counter())[m] += 1
+            total += 1
+            if m == 2**r - 1:
+                tight += 1
 
     print(f"S_{args.n}: {total} two-presentation multisets")
     print(f"floor 2^r-1 tight on {tight}/{total}")

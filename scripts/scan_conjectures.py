@@ -32,7 +32,7 @@ def main() -> int:
         cfg.check_rank(n)
         for name in sorted(SCANS):
             start = time.monotonic()
-            outcome = SCANS[name](n, threads=cfg.effective_threads())
+            outcome = SCANS[name](n)
             elapsed = int((time.monotonic() - start) * 1000)
             report = outcome_report(
                 outcome, {"conjecture": name, "n": n}, elapsed

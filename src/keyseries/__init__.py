@@ -10,6 +10,7 @@ counterexamples.
 
 __version__ = "0.1.0"
 
+from . import bseq, counts, multisets, poly, series
 from .bseq import enum_A, moved_levels, split_A
 from .counts import F_coefficient, approx_coefficient, polytope_point_count
 from .multisets import enum_B, enum_Btilde, enum_C, enum_Ctilde, presentations
@@ -59,4 +60,18 @@ __all__ = [
     "F_coefficient",
     "approx_coefficient",
     "polytope_point_count",
+    "clear_caches",
 ]
+
+
+def clear_caches() -> None:
+    """Empty every memo table in the package: keys, numerators, A/B-tilde
+    sets, level selections and the pi/divided-difference pair tables."""
+    series._KEY_CACHE.clear()
+    series._P_CACHE.clear()
+    bseq._A_CACHE.clear()
+    bseq._A_SET_CACHE.clear()
+    multisets._BTILDE_CACHE.clear()
+    counts._level_selections.cache_clear()
+    poly._pi_pair.cache_clear()
+    poly._dd_pair.cache_clear()

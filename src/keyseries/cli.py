@@ -72,14 +72,14 @@ def _parse_partition(text: str) -> tuple[int, ...]:
 
 
 def _emit(args, text_lines: list[str], json_obj) -> None:
+    payload = canonical_json(json_obj) if args.format == "json" or args.out else None
     if args.format == "json":
-        payload = canonical_json(json_obj)
         sys.stdout.write(payload)
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(json_obj))
+            fh.write(payload)
 
 
 def _input_hashes(args) -> dict:
@@ -214,14 +214,16 @@ def _finish_report(args, command: str, report: dict) -> int:
 
 
 def cmd_verify(args, cfg: EngineConfig) -> int:
+    if args.tdeg is not None and args.suite != "formofkw":
+        raise ValueError(f"--tdeg is read only by the formofkw suite, not {args.suite}")
     n = args.n if args.n is not None else _SUITE_DEFAULT_N[args.suite]
     cfg.check_rank(n)
-    tdeg = args.tdeg if args.tdeg is not None else 4
-    cfg.check_tdeg(tdeg)
-    params = {"suite": args.suite, "n": n, "tdeg": tdeg}
+    params = {"suite": args.suite, "n": n}
     start = time.monotonic()
     if args.suite == "formofkw":
-        checks = suite_formofkw(n, tdeg, two_words=True)
+        params["tdeg"] = args.tdeg if args.tdeg is not None else 4
+        cfg.check_tdeg(params["tdeg"])
+        checks = suite_formofkw(n, params["tdeg"], two_words=True)
         elapsed = int((time.monotonic() - start) * 1000)
         report = checks_report("verify-formofkw", n, params, checks, elapsed)
     elif args.suite == "pxiw1":
@@ -246,10 +248,9 @@ def cmd_verify(args, cfg: EngineConfig) -> int:
 
 def cmd_scan(args, cfg: EngineConfig) -> int:
     cfg.check_rank(args.n)
-    params = {"conjecture": args.conjecture, "n": args.n,
-              "threads": cfg.effective_threads()}
+    params = {"conjecture": args.conjecture, "n": args.n}
     start = time.monotonic()
-    outcome = SCANS[args.conjecture](args.n, threads=cfg.effective_threads())
+    outcome = SCANS[args.conjecture](args.n)
     elapsed = int((time.monotonic() - start) * 1000)
     report = outcome_report(outcome, params, elapsed)
     return _finish_report(args, "scan", report)
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=sorted(_SUITE_DEFAULT_N))
     p.add_argument("--n", type=int, help="symmetric group rank")
-    p.add_argument("--tdeg", type=int, help="series truncation degree")
+    p.add_argument("--tdeg", type=int, help="series truncation degree (formofkw only)")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -1,21 +1,18 @@
-"""Runtime caps and thread policy for the batch commands.
+"""Runtime caps for the batch commands.
 
 An optional config file (plain key=value lines, # comments) sets the sweep
-caps; the KEYSERIES_THREADS environment variable overrides the thread count.
-Requests beyond the caps are refused rather than attempted: factorial sweeps
-and exact series arithmetic grow too fast for a polite failure later.
+caps `max_n` and `max_tdeg`; any other key is an error.  Requests beyond the
+caps are refused rather than attempted: factorial sweeps and exact series
+arithmetic grow too fast for a polite failure later.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
 
 ABSOLUTE_MAX_N = 9
-ENV_THREADS = "KEYSERIES_THREADS"
 
-_KEYS = ("max_n", "max_tdeg", "threads")
+_KEYS = ("max_n", "max_tdeg")
 
 
 class ResourceCapError(Exception):
@@ -26,10 +23,6 @@ class ResourceCapError(Exception):
 class EngineConfig:
     max_n: int = 7
     max_tdeg: int = 8
-    threads: int = 0  # 0: one worker per core
-
-    def effective_threads(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
     def check_rank(self, n: int) -> None:
         if n > ABSOLUTE_MAX_N:
@@ -66,29 +59,14 @@ def parse_config(text: str) -> EngineConfig:
             raise ValueError(
                 f"config line {lineno}: {key} needs an integer, got {val.strip()!r}"
             ) from None
-        if num < 0 or (num == 0 and key != "threads"):
+        if num <= 0:
             raise ValueError(f"config line {lineno}: {key} must be positive")
         values[key] = num
     return EngineConfig(**values)
 
 
-def load_config(
-    path: str | None = None, env: Mapping[str, str] = os.environ
-) -> EngineConfig:
+def load_config(path: str | None = None) -> EngineConfig:
     if path is None:
-        cfg = EngineConfig()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-    raw = env.get(ENV_THREADS)
-    if raw is not None:
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{ENV_THREADS} needs an integer, got {raw!r}"
-            ) from None
-        if threads < 1:
-            raise ValueError(f"{ENV_THREADS} must be >= 1, got {threads}")
-        cfg = replace(cfg, threads=threads)
-    return cfg
+        return EngineConfig()
+    with open(path, encoding="utf-8") as fh:
+        return parse_config(fh.read())

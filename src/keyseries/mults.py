@@ -8,14 +8,18 @@ of freedom, two units with k < l, two units with k = l), verifies the transfer
 rules along weak-order covers, and runs the conjecture scans (presentation
 poset invariance and monotonicity, multiplicity growth under s_i, cubic
 support, lower bounds).
+
+Every check and scan is a function of one permutation w, returning its
+findings and counts, run over all of S_n by the single driver `_sweep` in
+one-line order and in one thread; `_b_keys` walks the two-presentation sets.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
-from .bseq import enum_A
 from .multisets import (
     enum_B,
     enum_Btilde,
@@ -23,7 +27,6 @@ from .multisets import (
     eta_parts,
     presentations,
 )
-from .parallel import ordered_map
 from .permutation import Permutation, all_permutations
 from .poly import SparsePoly, t_pair, x_exps
 from .series import n_factor_product, numerator_P
@@ -105,15 +108,9 @@ def multiplicity3(
 ) -> int:
     if not 1 <= p <= k <= l:
         raise ValueError(f"need 1 <= p <= k <= l, got {(p, k, l)}")
-    tvec = [0] * l
-    for lev in (p, k, l):
-        tvec[lev - 1] += 1
-    return numerator_P(w, tmax=3).coefficient(x=x_exps(tuple(tau)), t=tuple(tvec))
-
-
-def _n_slice_unsigned(w: Permutation, i: int, d: int, tmax: int) -> SparsePoly:
-    sliced = n_factor_product(w, i, tmax=tmax).t_slice(d)
-    return sliced if d % 2 == 0 else -sliced
+    return numerator_P(w, tmax=3).coefficient(
+        x=x_exps(tuple(tau)), t=t_from_levels((p, k, l))
+    )
 
 
 def N_quadratic(w: Permutation, i: int) -> SparsePoly:
@@ -122,7 +119,7 @@ def N_quadratic(w: Permutation, i: int) -> SparsePoly:
     Every term is divisible by x_{i+1}^2 and free of x_i: each moved sequence
     contains i and not i+1, so its s_i image contains i+1 and not i.
     """
-    out = _n_slice_unsigned(w, i, 2, 2)
+    out = n_factor_product(w, i, tmax=2).t_slice(2)
     for (x, _, _), _ in out.exponent_items():
         assert (x[i] if i < len(x) else 0) == 2, (w.one_line(), i, x)
         assert (x[i - 1] if i - 1 < len(x) else 0) == 0, (w.one_line(), i, x)
@@ -197,14 +194,35 @@ class ScanOutcome:
     def ok(self) -> bool:
         return not self.counterexamples
 
-    def merged(self, other: "ScanOutcome") -> "ScanOutcome":
-        stats = dict(self.stats)
-        for key, val in other.stats.items():
-            stats[key] = stats.get(key, 0) + val if isinstance(val, int) else val
-        return ScanOutcome(
-            self.name, max(self.n, other.n),
-            self.counterexamples + other.counterexamples, stats,
-        )
+    def merge(self, counterexamples: list[dict], counts: dict[str, int]) -> None:
+        """Append findings and add counts into stats, in place."""
+        self.counterexamples.extend(counterexamples)
+        for key, val in counts.items():
+            self.stats[key] = self.stats.get(key, 0) + val
+
+
+def _sweep(
+    name: str, n: int, per_w: Callable[[Permutation], tuple[list[dict], dict[str, int]]]
+) -> ScanOutcome:
+    """Run per_w on every w in S_n in one-line order.
+
+    per_w returns the findings for w and its counts; findings keep sweep
+    order and counts are summed into the outcome's stats.
+    """
+    out = ScanOutcome(name, n)
+    for w in all_permutations(n):
+        out.merge(*per_w(w))
+    return out
+
+
+def _b_keys(
+    w: Permutation, n: int, gap: int = 0
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(k, l, eta) for every eta in B_{k,l}(w) with 1 <= k, k + gap <= l <= n."""
+    for k in range(1, n + 1):
+        for l in range(k + gap, n + 1):
+            for eta in enum_B(w, k, l):
+                yield k, l, eta
 
 
 def _fmt_eta(eta: tuple[int, ...]) -> str:
@@ -216,30 +234,23 @@ def _fmt_eta(eta: tuple[int, ...]) -> str:
 
 def check_quadratic_support(n: int) -> ScanOutcome:
     """The quadratic support is exactly the two-presentation sets, positively."""
-    out = ScanOutcome("quadratic_support", n)
-    checked = 0
-    for w in all_permutations(n):
+
+    def one(w: Permutation):
         quad = quadratic_multiplicities(w)
-        expected: set[tuple] = set()
-        for k in range(1, n + 1):
-            for l in range(k, n + 1):
-                for eta in enum_B(w, k, l):
-                    expected.add((k, l, eta))
-        for key, m in quad.items():
-            checked += 1
-            if key not in expected or m < 1:
-                out.counterexamples.append(
-                    {"w": w.one_line(), "key": key, "m": m,
-                     "reason": "negative or outside the two-presentation sets"}
-                )
-        for key in expected:
-            if quad.get(key, 0) < 1:
-                out.counterexamples.append(
-                    {"w": w.one_line(), "key": key, "m": quad.get(key, 0),
-                     "reason": "vanishes on a two-presentation multiset"}
-                )
-    out.stats["terms"] = checked
-    return out
+        expected = set(_b_keys(w, n))
+        ces = [
+            {"w": w.one_line(), "key": key, "m": m,
+             "reason": "negative or outside the two-presentation sets"}
+            for key, m in quad.items() if key not in expected or m < 1
+        ]
+        ces += [
+            {"w": w.one_line(), "key": key, "m": quad.get(key, 0),
+             "reason": "vanishes on a two-presentation multiset"}
+            for key in expected if quad.get(key, 0) < 1
+        ]
+        return ces, {"terms": len(quad)}
+
+    return _sweep("quadratic_support", n, one)
 
 
 def _r_value(k: int, l: int, eta: tuple[int, ...]) -> int:
@@ -249,10 +260,11 @@ def _r_value(k: int, l: int, eta: tuple[int, ...]) -> int:
 
 def check_diff1(n: int) -> ScanOutcome:
     """Slices with one unit of freedom carry multiplicity exactly 1."""
-    out = ScanOutcome("diff1", n)
-    checked = 0
-    for w in all_permutations(n):
+
+    def one(w: Permutation):
         quad = quadratic_multiplicities(w)
+        ces: list[dict] = []
+        checked = 0
         for k in range(1, n + 1):
             for l in range(k, n + 1):
                 for eta in enum_Btilde(w, k, l):
@@ -262,12 +274,13 @@ def check_diff1(n: int) -> ScanOutcome:
                     expect = 1 if eta in enum_B(w, k, l) else 0
                     got = quad.get((k, l, eta), 0)
                     if got != expect:
-                        out.counterexamples.append(
+                        ces.append(
                             {"w": w.one_line(), "k": k, "l": l,
                              "eta": _fmt_eta(eta), "m": got, "expected": expect}
                         )
-    out.stats["multisets"] = checked
-    return out
+        return ces, {"multisets": checked}
+
+    return _sweep("diff1", n, one)
 
 
 def _gamma_positions(eta: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, ...]:
@@ -285,32 +298,32 @@ def _gamma_positions(eta: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, 
 
 def check_diff2(n: int) -> ScanOutcome:
     """Two units of freedom at k < l: the position formula for m."""
-    out = ScanOutcome("diff2", n)
-    checked = 0
-    for w in all_permutations(n):
+
+    def one(w: Permutation):
         quad = quadratic_multiplicities(w)
-        for k in range(1, n + 1):
-            for l in range(k + 1, n + 1):
-                for eta in enum_B(w, k, l):
-                    if _r_value(k, l, eta) != 2:
-                        continue
-                    checked += 1
-                    ps = presentations(w, k, l, eta)
-                    betas = sorted(beta for _, beta in ps.pairs)
-                    a, b = _gamma_positions(eta, betas[0])
-                    cc, d = _gamma_positions(eta, betas[-1])
-                    eps = 1 if b > cc else 0
-                    expect = d - a + 1 - eps * (b - cc)
-                    got = quad.get((k, l, eta), 0)
-                    hi = l - k + 4
-                    if got != expect or not 3 <= got <= hi:
-                        out.counterexamples.append(
-                            {"w": w.one_line(), "k": k, "l": l,
-                             "eta": _fmt_eta(eta), "m": got, "expected": expect,
-                             "range": [3, hi]}
-                        )
-    out.stats["multisets"] = checked
-    return out
+        ces: list[dict] = []
+        checked = 0
+        for k, l, eta in _b_keys(w, n, gap=1):
+            if _r_value(k, l, eta) != 2:
+                continue
+            checked += 1
+            ps = presentations(w, k, l, eta)
+            betas = sorted(beta for _, beta in ps.pairs)
+            a, b = _gamma_positions(eta, betas[0])
+            cc, d = _gamma_positions(eta, betas[-1])
+            eps = 1 if b > cc else 0
+            expect = d - a + 1 - eps * (b - cc)
+            got = quad.get((k, l, eta), 0)
+            hi = l - k + 4
+            if got != expect or not 3 <= got <= hi:
+                ces.append(
+                    {"w": w.one_line(), "k": k, "l": l,
+                     "eta": _fmt_eta(eta), "m": got, "expected": expect,
+                     "range": [3, hi]}
+                )
+        return ces, {"multisets": checked}
+
+    return _sweep("diff2", n, one)
 
 
 _LKETA_PATTERNS = {
@@ -324,17 +337,17 @@ _LKETA_PATTERNS = {
 
 def check_lketa23(n: int) -> ScanOutcome:
     """Two units of freedom at k = l: five position patterns, m in [3, 5]."""
-    out = ScanOutcome("lketa23", n)
-    checked = 0
-    witnessed: dict[str, int] = {}
-    for w in all_permutations(n):
+
+    def one(w: Permutation):
         quad = quadratic_multiplicities(w)
+        ces: list[dict] = []
+        counts = {"multisets": 0}
         for k in range(3, n + 1):
             for eta in enum_B(w, k, k):
                 eta1, eta2 = eta_parts(eta)
                 if len(eta2) != k - 3:
                     continue
-                checked += 1
+                counts["multisets"] += 1
                 ps = presentations(w, k, k, eta)
                 sides = sorted({side for pair in ps.pairs for side in pair})
                 lo = _gamma_positions(eta, sides[0])
@@ -347,7 +360,7 @@ def check_lketa23(n: int) -> ScanOutcome:
                 delta = 1 if cpos > e else 0
                 unified = f - a - eps * (b - d) - delta * (cpos - e)
                 if pattern is None or got != pattern or got != unified or not 3 <= got <= 5:
-                    out.counterexamples.append(
+                    ces.append(
                         {"w": w.one_line(), "k": k, "eta": _fmt_eta(eta),
                          "m": got, "pattern": pattern, "unified": unified,
                          "positions": [list(lo), list(hi)]}
@@ -356,54 +369,61 @@ def check_lketa23(n: int) -> ScanOutcome:
                     tag = "pattern_{}_{}".format(
                         "".join(map(str, lo)), "".join(map(str, hi))
                     )
-                    witnessed[tag] = witnessed.get(tag, 0) + 1
-    out.stats["multisets"] = checked
-    for tag in sorted(witnessed):
-        out.stats[tag] = witnessed[tag]
-    return out
+                    counts[tag] = counts.get(tag, 0) + 1
+        return ces, counts
+
+    return _sweep("lketa23", n, one)
+
+
+def _lowbdr2_one(
+    w: Permutation, n: int, quad: dict[tuple, int]
+) -> tuple[list[dict], dict[str, int]]:
+    """The 2^r - 1 floor on every two-presentation multiset of one w."""
+    ces: list[dict] = []
+    checked = 0
+    for k, l, eta in _b_keys(w, n):
+        checked += 1
+        r = _r_value(k, l, eta)
+        got = quad.get((k, l, eta), 0)
+        if got < 2**r - 1:
+            ces.append(
+                {"w": w.one_line(), "k": k, "l": l,
+                 "eta": _fmt_eta(eta), "m": got, "bound": 2**r - 1}
+            )
+    return ces, {"multisets": checked}
 
 
 def check_lowbdr2(n: int) -> ScanOutcome:
     """On every two-presentation multiset, m is at least 2^r - 1."""
-    out = ScanOutcome("lowbdr2", n)
-    checked = 0
-    for w in all_permutations(n):
-        quad = quadratic_multiplicities(w)
-        for k in range(1, n + 1):
-            for l in range(k, n + 1):
-                for eta in enum_B(w, k, l):
-                    checked += 1
-                    r = _r_value(k, l, eta)
-                    got = quad.get((k, l, eta), 0)
-                    if got < 2**r - 1:
-                        out.counterexamples.append(
-                            {"w": w.one_line(), "k": k, "l": l,
-                             "eta": _fmt_eta(eta), "m": got, "bound": 2**r - 1}
-                        )
-    out.stats["multisets"] = checked
-    return out
+    return _sweep(
+        "lowbdr2", n, lambda w: _lowbdr2_one(w, n, quadratic_multiplicities(w))
+    )
 
 
 # -- transfer rules along weak-order covers -----------------------------------------
 
 
-def _key_closure_quadratic(i: int, *dicts: dict) -> set[tuple]:
+def _key_closure(i: int, cap: int, *dicts: dict) -> set[tuple]:
+    """Keys (levels..., eta) of dicts with the i, i+1 entries of eta
+    redistributed in every way that keeps both counts at most cap."""
     keys: set[tuple] = set()
     for src in dicts:
-        for (k, l, eta) in src:
+        for key in src:
+            eta = key[-1]
             a, b = _pair_counts(eta, i)
-            for a2 in range(min(a + b, 2) + 1):
+            for a2 in range(min(a + b, cap) + 1):
                 b2 = a + b - a2
-                if b2 <= 2:
-                    keys.add((k, l, _rebalance(eta, i, a2, b2)))
+                if b2 <= cap:
+                    keys.add(key[:-1] + (_rebalance(eta, i, a2, b2),))
     return keys
 
 
 def check_multsiw(n: int, cubic: bool = True) -> ScanOutcome:
     """Multiplicities of s_i w from those of w across every cover in weak order."""
-    out = ScanOutcome("multsiw", n)
-    pairs = 0
-    for w in all_permutations(n):
+
+    def one(w: Permutation):
+        ces: list[dict] = []
+        pairs = 0
         quad_w = quadratic_multiplicities(w)
         cub_w = cubic_multiplicities(w) if cubic else {}
         p2 = -numerator_P(w, tmax=2).t_slice(2)
@@ -418,7 +438,7 @@ def check_multsiw(n: int, cubic: bool = True) -> ScanOutcome:
                 (k, l, eta): c
                 for (eta, (k, l), _), c in nfac.t_slice(2).multiset_items()
             }
-            for key in _key_closure_quadratic(i, quad_w, quad_sw, n2):
+            for key in _key_closure(i, 2, quad_w, quad_sw, n2):
                 k, l, eta = key
                 a, b = _pair_counts(eta, i)
                 got = quad_sw.get(key, 0)
@@ -433,7 +453,7 @@ def check_multsiw(n: int, cubic: bool = True) -> ScanOutcome:
                     hi, lo = max(a, b), min(a, b)
                     expect = quad_w.get((k, l, _rebalance(eta, i, hi, lo)), 0)
                 if got != expect:
-                    out.counterexamples.append(
+                    ces.append(
                         {"w": w.one_line(), "i": i, "grade": 2, "key": key,
                          "m": got, "expected": expect}
                     )
@@ -448,19 +468,8 @@ def check_multsiw(n: int, cubic: bool = True) -> ScanOutcome:
             corr11 = xi_var * comp[(1, 0)] * n1
             corr22 = xi_var * xi_var * xip1 * comp[(2, 1)] * n1
             corr21 = xi_var * xi_var * comp[(2, 0)] * n1
-            keys3: set[tuple] = set()
-            for src in (cub_w, cub_sw):
-                for (p, k, l, tau) in src:
-                    a, b = _pair_counts(tau, i)
-                    for a2 in range(min(a + b, 3) + 1):
-                        b2 = a + b - a2
-                        if b2 <= 3:
-                            keys3.add((p, k, l, _rebalance(tau, i, a2, b2)))
-            for (p, k, l, tau) in keys3:
-                tvec = [0] * l
-                for lev in (p, k, l):
-                    tvec[lev - 1] += 1
-                tvec = tuple(tvec)
+            for (p, k, l, tau) in _key_closure(i, 3, cub_w, cub_sw):
+                tvec = t_from_levels((p, k, l))
                 a, b = _pair_counts(tau, i)
                 var = lambda a2, b2: (p, k, l, _rebalance(tau, i, a2, b2))
                 got = cub_sw.get((p, k, l, tau), 0)
@@ -489,12 +498,13 @@ def check_multsiw(n: int, cubic: bool = True) -> ScanOutcome:
                 else:
                     expect = cub_w.get(var(max(a, b), min(a, b)), 0)
                 if got != expect:
-                    out.counterexamples.append(
+                    ces.append(
                         {"w": w.one_line(), "i": i, "grade": 3,
                          "key": (p, k, l, tau), "m": got, "expected": expect}
                     )
-    out.stats["covers"] = pairs
-    return out
+        return ces, {"covers": pairs}
+
+    return _sweep("multsiw", n, one)
 
 
 # -- presentation posets --------------------------------------------------------
@@ -617,33 +627,28 @@ def _order_embeds(
     return backtrack(0)
 
 
-def scan_poset(n: int, threads: int = 1) -> ScanOutcome:
+def scan_poset(n: int) -> ScanOutcome:
     """m is an invariant of the presentation poset and grows under embeddings."""
-    out = ScanOutcome("poset", n)
     buckets: dict[tuple, tuple[int, dict]] = {}
 
-    def one(w: Permutation) -> list[tuple[tuple, int, dict]]:
+    def one(w: Permutation):
         quad = quadratic_multiplicities(w)
-        rows = []
-        for k in range(1, n + 1):
-            for l in range(k, n + 1):
-                for eta in enum_B(w, k, l):
-                    m = quad.get((k, l, eta), 0)
-                    canon = presentation_poset(w, k, l, eta).canonical()
-                    witness = {"w": w.one_line(), "k": k, "l": l,
-                               "eta": _fmt_eta(eta), "m": m}
-                    rows.append((canon, m, witness))
-        return rows
-
-    for rows in ordered_map(one, all_permutations(n), threads):
-        for canon, m, witness in rows:
+        ces: list[dict] = []
+        for k, l, eta in _b_keys(w, n):
+            m = quad.get((k, l, eta), 0)
+            canon = presentation_poset(w, k, l, eta).canonical()
+            witness = {"w": w.one_line(), "k": k, "l": l,
+                       "eta": _fmt_eta(eta), "m": m}
             if canon not in buckets:
                 buckets[canon] = (m, witness)
             elif buckets[canon][0] != m:
-                out.counterexamples.append(
+                ces.append(
                     {"reason": "same poset, different m",
                      "first": buckets[canon][1], "second": witness}
                 )
+        return ces, {}
+
+    out = _sweep("poset", n, one)
     mats = list(buckets)
     for pa, pb in itertools.permutations(mats, 2):
         if len(pa) <= len(pb) and _order_embeds(pa, pb):
@@ -656,11 +661,10 @@ def scan_poset(n: int, threads: int = 1) -> ScanOutcome:
     return out
 
 
-def scan_siinc(n: int, threads: int = 1) -> ScanOutcome:
+def scan_siinc(n: int) -> ScanOutcome:
     """At an ascent i, swapping i for i+1 inside eta cannot lower m."""
-    out = ScanOutcome("siinc", n)
 
-    def one(w: Permutation) -> tuple[list[dict], int]:
+    def one(w: Permutation):
         quad = quadratic_multiplicities(w)
         ces: list[dict] = []
         checked = 0
@@ -678,26 +682,20 @@ def scan_siinc(n: int, threads: int = 1) -> ScanOutcome:
                         {"w": w.one_line(), "i": i, "k": k, "l": l,
                          "eta": _fmt_eta(eta), "m": m, "swapped_m": other}
                     )
-        return ces, checked
+        return ces, {"comparisons": checked}
 
-    total = 0
-    for ces, checked in ordered_map(one, all_permutations(n), threads):
-        out.counterexamples.extend(ces)
-        total += checked
-    out.stats["comparisons"] = total
-    return out
+    return _sweep("siinc", n, one)
 
 
-def scan_formpw3(n: int, threads: int = 1) -> ScanOutcome:
+def scan_formpw3(n: int) -> ScanOutcome:
     """Cubic terms live on the triple-presentation sets and are positive.
 
     Two claims, recorded separately: "support" (every cubic term sits in the
     matching C set) and "positivity" (every C element carries multiplicity
     at least 1).
     """
-    out = ScanOutcome("formpw3", n)
 
-    def one(w: Permutation) -> tuple[list[dict], int, int]:
+    def one(w: Permutation):
         cubic = cubic_multiplicities(w)
         strata = {key[:3] for key in cubic}
         strata.update(itertools.combinations_with_replacement(range(1, n + 1), 3))
@@ -724,38 +722,17 @@ def scan_formpw3(n: int, threads: int = 1) -> ScanOutcome:
                         {"claim": "support", "w": w.one_line(),
                          "levels": (p, k, l), "tau": _fmt_eta(tau), "m": m}
                     )
-        return ces, checked, c_elements
+        return ces, {"terms": checked, "c_elements": c_elements}
 
-    terms = 0
-    c_total = 0
-    for ces, checked, c_elements in ordered_map(one, all_permutations(n), threads):
-        out.counterexamples.extend(ces)
-        terms += checked
-        c_total += c_elements
-    out.stats["terms"] = terms
-    out.stats["c_elements"] = c_total
-    return out
+    return _sweep("formpw3", n, one)
 
 
-def scan_formpw2bound(n: int, threads: int = 1) -> ScanOutcome:
+def scan_formpw2bound(n: int) -> ScanOutcome:
     """Lower bound 2^r - 1 on the quadratic slice plus cover monotonicity."""
-    out = ScanOutcome("formpw2bound", n)
 
-    def one(w: Permutation) -> tuple[list[dict], int]:
+    def one(w: Permutation):
         quad_w = quadratic_multiplicities(w)
-        ces: list[dict] = []
-        checked = 0
-        for k in range(1, n + 1):
-            for l in range(k, n + 1):
-                for eta in enum_B(w, k, l):
-                    checked += 1
-                    r = _r_value(k, l, eta)
-                    got = quad_w.get((k, l, eta), 0)
-                    if got < 2**r - 1:
-                        ces.append(
-                            {"w": w.one_line(), "k": k, "l": l,
-                             "eta": _fmt_eta(eta), "m": got, "bound": 2**r - 1}
-                        )
+        ces, counts = _lowbdr2_one(w, n, quad_w)
         for i in range(1, n):
             if not w.is_ascent(i):
                 continue
@@ -766,14 +743,9 @@ def scan_formpw2bound(n: int, threads: int = 1) -> ScanOutcome:
                         {"w": w.one_line(), "i": i, "key": key,
                          "m": m, "cover_m": quad_sw.get(key, 0)}
                     )
-        return ces, checked
+        return ces, counts
 
-    multisets = 0
-    for ces, checked in ordered_map(one, all_permutations(n), threads):
-        out.counterexamples.extend(ces)
-        multisets += checked
-    out.stats["multisets"] = multisets
-    return out
+    return _sweep("formpw2bound", n, one)
 
 
 CHECKS = {

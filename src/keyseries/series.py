@@ -50,7 +50,6 @@ __all__ = [
     "check_propgen",
     "lascoux_linear_part",
     "suite_pxiw1",
-    "clear_caches",
 ]
 
 
@@ -422,7 +421,3 @@ def suite_pxiw1(group_n: int) -> list[FormCheck]:
         )
     return out
 
-
-def clear_caches() -> None:
-    _KEY_CACHE.clear()
-    _P_CACHE.clear()

@@ -8,7 +8,7 @@ from jsonschema import Draft202012Validator
 
 from keyseries.cli import main
 from keyseries.poly import MAX_EXP
-from keyseries.report import body_digest
+from keyseries.report import body_digest, canonical_json
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 
@@ -218,17 +218,23 @@ def test_repeated_runs_identical_bodies(tmp_path, capsys):
 
 
 def test_threads_do_not_change_bodies(tmp_path, capsys, monkeypatch):
-    digests = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("KEYSERIES_THREADS", threads)
+    # KEYSERIES_THREADS is not read: the whole body, params included, is
+    # byte-identical with and without it.
+    bodies = []
+    for threads in (None, "2"):
+        if threads is None:
+            monkeypatch.delenv("KEYSERIES_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("KEYSERIES_THREADS", threads)
         path = tmp_path / f"t{threads}.json"
         code, _ = run(capsys, "scan", "--conjecture", "siinc", "--n", "4",
                       "--out", str(path))
         assert code == 0
         body = json.loads(path.read_text())
-        body["params"].pop("threads")
-        digests.append(body_digest(body))
-    assert digests[0] == digests[1]
+        body.pop("elapsed_ms")
+        bodies.append(canonical_json(body).encode())
+    assert bodies[0] == bodies[1]
+    assert b"threads" not in bodies[0]
 
 
 def test_resource_caps(tmp_path, capsys):
@@ -254,8 +260,38 @@ def test_exponent_past_field_width_is_resource_error(tmp_path, capsys):
 
 
 def test_bad_threads_env(capsys, monkeypatch):
+    # the variable is not read, so no value of it is an error
     monkeypatch.setenv("KEYSERIES_THREADS", "many")
-    assert run(capsys, "scan", "--conjecture", "siinc", "--n", "3")[0] == 2
+    assert run(capsys, "scan", "--conjecture", "siinc", "--n", "3")[0] == 0
+
+
+def test_threads_config_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("threads=2\n")
+    code = main(["scan", "--conjecture", "siinc", "--n", "3", "--config", str(cfg)])
+    assert code == 2
+    assert "unknown key 'threads'" in capsys.readouterr().err
+
+
+def test_verify_tdeg_only_for_formofkw(tmp_path, capsys):
+    code, _ = run(capsys, "verify", "--suite", "diff1", "--n", "4", "--tdeg", "7")
+    assert code == 2
+    for suite in ("diff1", "formofkw"):
+        path = tmp_path / f"{suite}.json"
+        extra = ["--tdeg", "2"] if suite == "formofkw" else []
+        code, _ = run(capsys, "verify", "--suite", suite, "--n", "3",
+                      "--out", str(path), *extra)
+        assert code == 0
+        params = json.loads(path.read_text())["params"]
+        assert ("tdeg" in params) == (suite == "formofkw")
+    assert params["tdeg"] == 2
+
+
+def test_json_stdout_equals_out_file(tmp_path, capsys):
+    path = tmp_path / "pw.json"
+    assert main(["pw", "--w", "2143", "--tdeg", "2", "--format", "json",
+                 "--out", str(path)]) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()
 
 
 def test_missing_config_file(capsys):

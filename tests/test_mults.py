@@ -223,13 +223,6 @@ def test_pinned_body_digest(name):
     assert body_digest(outcome_report(fn(n), {}, 0)) == digest
 
 
-def test_scan_threads_deterministic():
-    one = scan_formpw3(4, threads=1)
-    two = scan_formpw3(4, threads=2)
-    assert one.counterexamples == two.counterexamples
-    assert one.stats == two.stats
-
-
 @pytest.mark.slow
 def test_scans_at_n5():
     assert scan_siinc(5).ok

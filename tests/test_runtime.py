@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+import keyseries
+from keyseries import bseq, counts, multisets, poly, series
+
 from keyseries.config import (
     ABSOLUTE_MAX_N,
     EngineConfig,
@@ -9,7 +12,7 @@ from keyseries.config import (
     load_config,
     parse_config,
 )
-from keyseries.mults import ScanOutcome, scan_siinc
+from keyseries.mults import ScanOutcome, check_diff1, scan_siinc
 from keyseries.report import (
     body_digest,
     canonical_json,
@@ -22,8 +25,8 @@ from keyseries.series import FormCheck
 
 
 def test_parse_config():
-    cfg = parse_config("max_n = 5\n# comment\nthreads=2\n\nmax_tdeg=6 # inline\n")
-    assert cfg == EngineConfig(max_n=5, max_tdeg=6, threads=2)
+    cfg = parse_config("max_n = 5\n# comment\n\nmax_tdeg=6 # inline\n")
+    assert cfg == EngineConfig(max_n=5, max_tdeg=6)
 
 
 def test_parse_config_defaults():
@@ -33,28 +36,21 @@ def test_parse_config_defaults():
 
 
 @pytest.mark.parametrize("text", [
-    "max_n", "depth=3", "max_n=abc", "max_n=0", "threads=-1", "max_tdeg=2.5",
+    "max_n", "depth=3", "max_n=abc", "max_n=0", "threads=-1", "threads=2",
+    "max_tdeg=2.5",
 ])
 def test_parse_config_rejects(text):
     with pytest.raises(ValueError):
         parse_config(text)
 
 
-def test_load_config_env_override(tmp_path):
+def test_load_config_env_override(tmp_path, monkeypatch):
+    # no environment variable overrides the config file
     path = tmp_path / "caps.cfg"
     path.write_text("max_n=4\n")
-    cfg = load_config(str(path), env={"KEYSERIES_THREADS": "3"})
-    assert cfg.max_n == 4 and cfg.threads == 3
-    assert load_config(None, env={}).threads == 0
-    with pytest.raises(ValueError):
-        load_config(None, env={"KEYSERIES_THREADS": "zero"})
-    with pytest.raises(ValueError):
-        load_config(None, env={"KEYSERIES_THREADS": "0"})
-
-
-def test_effective_threads():
-    assert EngineConfig(threads=2).effective_threads() == 2
-    assert EngineConfig(threads=0).effective_threads() >= 1
+    monkeypatch.setenv("KEYSERIES_THREADS", "zero")
+    assert load_config(str(path)) == EngineConfig(max_n=4)
+    assert load_config(None) == EngineConfig()
 
 
 def test_caps():
@@ -106,12 +102,14 @@ def test_checks_report_collects_failures():
 
 
 def test_scan_outcome_merge():
-    a = ScanOutcome("s", 3, [], {"count": 1})
-    b = ScanOutcome("s", 4, [{"w": "x"}], {"count": 2})
-    merged = a.merged(b)
-    assert merged.n == 4
-    assert merged.stats == {"count": 3}
-    assert not merged.ok and a.ok
+    out = ScanOutcome("s", 3, [], {"count": 1})
+    assert out.ok
+    found = [{"w": "x"}]
+    out.merge(found, {"count": 2, "other": 0})
+    out.merge([{"w": "y"}], {"count": 1})
+    assert out.counterexamples == [{"w": "x"}, {"w": "y"}]
+    assert out.stats == {"count": 4, "other": 0}
+    assert found == [{"w": "x"}] and not out.ok
 
 
 def test_manifest_fields():
@@ -125,3 +123,26 @@ def test_manifest_fields():
     assert hash_text("abc") == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+
+
+def _cache_sizes():
+    return {
+        "series._KEY_CACHE": len(series._KEY_CACHE),
+        "series._P_CACHE": len(series._P_CACHE),
+        "bseq._A_CACHE": len(bseq._A_CACHE),
+        "bseq._A_SET_CACHE": len(bseq._A_SET_CACHE),
+        "multisets._BTILDE_CACHE": len(multisets._BTILDE_CACHE),
+        "counts._level_selections": counts._level_selections.cache_info().currsize,
+        "poly._pi_pair": poly._pi_pair.cache_info().currsize,
+        "poly._dd_pair": poly._dd_pair.cache_info().currsize,
+    }
+
+
+def test_clear_caches_empties_every_cache():
+    check_diff1(3)
+    series.suite_formofkw(3, 2)
+    counts.suite_fcoeff(3, 3)
+    poly.divided_difference(1, poly.SparsePoly.x_var(1))
+    assert all(_cache_sizes().values()), _cache_sizes()
+    keyseries.clear_caches()
+    assert not any(_cache_sizes().values()), _cache_sizes()

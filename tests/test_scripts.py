@@ -1,0 +1,50 @@
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_scan_conjectures_script(tmp_path):
+    proc = run_script("scan_conjectures.py", "--min-n", "3", "--max-n", "3",
+                      "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    names = ("formpw2bound", "formpw3", "poset", "siinc")
+    assert len(lines) == len(names)
+    for name, line in zip(names, lines):
+        path = tmp_path / f"{name}-n3.json"
+        assert re.fullmatch(rf"{name} n=3: ok \(\d+ms\) -> {re.escape(str(path))}", line)
+        report = json.loads(path.read_text())
+        assert report["params"] == {"conjecture": name, "n": 3}
+        assert report["counterexamples"] == []
+
+
+def test_multiplicity_census_script():
+    proc = run_script("multiplicity_census.py", "--n", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "S_3: 3 two-presentation multisets",
+        "floor 2^r-1 tight on 3/3",
+        "",
+        "multiplicity distribution by r:",
+        "  r=1: m=1: 3",
+        "",
+        "multiplicity distribution by presentation count:",
+        "  2 presentations: m=1: 2",
+        "  3 presentations: m=1: 1",
+    ]
