@@ -10,8 +10,8 @@ poset invariance and monotonicity, multiplicity growth under s_i, cubic
 support, lower bounds).
 
 Every check and scan is a function of one permutation w, returning its
-findings and counts, run over all of S_n by the single driver `_sweep` in
-one-line order and in one thread; `_b_keys` walks the two-presentation sets.
+findings and counts, run over all of S_n in one-line order by the single
+driver `_sweep`; `_b_keys` walks the two-presentation sets.
 """
 
 from __future__ import annotations
