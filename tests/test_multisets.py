@@ -3,6 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import keyseries
+from keyseries.bseq import enum_A
+
 from keyseries.multisets import (
     enum_B,
     enum_Btilde,
@@ -228,6 +231,35 @@ def test_C_subset_of_Ctilde():
                         assert max(
                             sum(1 for v in tau if v == u) for u in tau
                         ) <= 3
+
+
+def _C_by_triples(w, p, k, l):
+    # Every triple (alpha, beta, gamma) at levels (l, k, p); tau is kept when
+    # each of its three partial sums lands in the matching B for some triple.
+    b_kl = set(enum_B(w, k, l))
+    b_pl = set(enum_B(w, p, l))
+    b_pk = set(enum_B(w, p, k))
+    flags = {}
+    for alpha in enum_A(w, l):
+        for beta in enum_A(w, k):
+            for gamma in enum_A(w, p):
+                f = flags.setdefault(sum_seqs(alpha, beta, gamma), [False] * 3)
+                f[0] |= sum_seqs(alpha, beta) in b_kl
+                f[1] |= sum_seqs(alpha, gamma) in b_pl
+                f[2] |= sum_seqs(beta, gamma) in b_pk
+    return tuple(sorted(tau for tau, f in flags.items() if all(f)))
+
+
+def test_enum_C_matches_triple_enumeration():
+    # The second call of each stratum is answered from the memo table.
+    keyseries.clear_caches()
+    for n in (4, 5):
+        levels = list(itertools.combinations_with_replacement(range(1, n + 1), 3))
+        for w in all_permutations(n):
+            for p, k, l in levels:
+                expected = _C_by_triples(w, p, k, l)
+                assert enum_C(w, p, k, l) == expected, (w.one_line(), p, k, l)
+                assert enum_C(w, p, k, l) == expected, (w.one_line(), p, k, l)
 
 
 def test_level_ordering_enforced():

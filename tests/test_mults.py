@@ -233,3 +233,16 @@ def test_scans_at_n5():
     for ce in out.counterexamples:
         claims[ce["claim"]] = claims.get(ce["claim"], 0) + 1
     assert claims == {"support": 1240, "positivity": 1992}
+
+
+@pytest.mark.slow
+def test_formpw3_n6_body_pinned():
+    # The whole S6 report body: every finding in sweep order and every stat.
+    out = scan_formpw3(6)
+    claims = {}
+    for ce in out.counterexamples:
+        claims[ce["claim"]] = claims.get(ce["claim"], 0) + 1
+    assert claims == {"support": 44028, "positivity": 65460}
+    assert body_digest(outcome_report(out, {}, 0)) == (
+        "a196e14aaa791b98b2f98c86782f99baf0b2f5e4d6e7cb6aca764b3e734b1f47"
+    )
