@@ -65,13 +65,15 @@ __all__ = [
 
 
 def clear_caches() -> None:
-    """Empty every memo table in the package: keys, numerators, A/B-tilde
-    sets, level selections and the pi/divided-difference pair tables."""
+    """Empty every memo table in the package: keys, numerators, the A, B-tilde,
+    B and C sets, level selections and the pi/divided-difference pair tables."""
     series._KEY_CACHE.clear()
     series._P_CACHE.clear()
     bseq._A_CACHE.clear()
     bseq._A_SET_CACHE.clear()
     multisets._BTILDE_CACHE.clear()
+    multisets._B_CACHE.clear()
+    multisets._C_CACHE.clear()
     counts._level_selections.cache_clear()
     poly._pi_pair.cache_clear()
     poly._dd_pair.cache_clear()

@@ -7,6 +7,13 @@ distinguished subset B when it has at least two essentially distinct
 presentations (unordered when k = l).  The cheap membership criterion
 |eta_2| < k - [k = l] is used everywhere fast paths matter and is verified
 against direct double enumeration by the test suite.
+
+A triple sum tau of levels p <= k <= l lies in C_{p,k,l} when each of its
+three partial sums can land in the matching B.  Each member of B is itself a
+pair sum, so C_{p,k,l} is the intersection of the three sum sets
+B_{k,l} + A_p, B_{p,l} + A_k and B_{p,k} + A_l, which is how ``enum_C``
+builds it.  B and C, like B-tilde, depend on w only through the bounds
+``w_upper(w, m)`` of their levels and are memoised on them.
 """
 
 from __future__ import annotations
@@ -86,7 +93,10 @@ def _contains(eta: EtaMultiSet, sub: EtaMultiSet) -> bool:
     return all(any(v == u for u in it) for v in sub)
 
 
-_BTILDE_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[EtaMultiSet, ...]] = {}
+# Keyed by the bounds w_upper(w, m) of the levels involved, smallest level first.
+_BTILDE_CACHE: dict[tuple[tuple[int, ...], ...], tuple[EtaMultiSet, ...]] = {}
+_B_CACHE: dict[tuple[tuple[int, ...], ...], tuple[EtaMultiSet, ...]] = {}
+_C_CACHE: dict[tuple[tuple[int, ...], ...], tuple[EtaMultiSet, ...]] = {}
 
 
 def enum_Btilde(w: Permutation, k: int, l: int) -> tuple[EtaMultiSet, ...]:
@@ -127,13 +137,16 @@ def is_in_B(w: Permutation, k: int, l: int, eta: EtaMultiSet, direct: bool = Fal
 def enum_B(w: Permutation, k: int, l: int) -> tuple[EtaMultiSet, ...]:
     """The members of ``enum_Btilde`` with at least two essentially distinct
     presentations, via the cheap criterion."""
-    delta = 1 if k == l else 0
-    out = []
-    for eta in enum_Btilde(w, k, l):
-        _, eta2 = eta_parts(eta)
-        if len(eta2) < k - delta:
-            out.append(eta)
-    return tuple(out)
+    if not 1 <= k <= l:
+        raise ValueError(f"need 1 <= k <= l, got k={k}, l={l}")
+    key = (w_upper(w, k), w_upper(w, l))
+    cached = _B_CACHE.get(key)
+    if cached is None:
+        delta = 1 if k == l else 0
+        cached = _B_CACHE[key] = tuple(
+            eta for eta in enum_Btilde(w, k, l) if len(eta_parts(eta)[1]) < k - delta
+        )
+    return cached
 
 
 def restricted_A(w: Permutation, m: int, eta: EtaMultiSet) -> tuple[AscSeq, ...]:
@@ -299,30 +312,23 @@ def enum_C(w: Permutation, p: int, k: int, l: int) -> tuple[EtaMultiSet, ...]:
     """Triple sums each of whose three partial sums lands in the matching B.
 
     The three requirements may be witnessed by different presentations of the
-    same tau; flags accumulate over all triples.
+    same tau.  Every member of B is itself a sum, so tau qualifies exactly
+    when it lies in each of B_{k,l} + A_p, B_{p,l} + A_k and B_{p,k} + A_l;
+    the result is that intersection, sorted.
     """
     if not 1 <= p <= k <= l:
         raise ValueError(f"need 1 <= p <= k <= l, got {(p, k, l)}")
-    b_kl = frozenset(enum_B(w, k, l))
-    b_pl = frozenset(enum_B(w, p, l))
-    b_pk = frozenset(enum_B(w, p, k))
-    flags: dict[EtaMultiSet, list[bool]] = {}
-    for alpha in enum_A(w, l):
-        for beta in enum_A(w, k):
-            ab = sum_seqs(alpha, beta)
-            ab_in = ab in b_kl
-            for gamma in enum_A(w, p):
-                tau = sum_seqs(ab, gamma)
-                f = flags.get(tau)
-                if f is None:
-                    f = flags[tau] = [False, False, False]
-                if ab_in:
-                    f[0] = True
-                if not f[1] and sum_seqs(alpha, gamma) in b_pl:
-                    f[1] = True
-                if not f[2] and sum_seqs(beta, gamma) in b_pk:
-                    f[2] = True
-    return tuple(sorted(tau for tau, f in flags.items() if all(f)))
+    key = (w_upper(w, p), w_upper(w, k), w_upper(w, l))
+    cached = _C_CACHE.get(key)
+    if cached is not None:
+        return cached
+    common = set.intersection(*(
+        {tuple(sorted(eta + gamma)) for eta in enum_B(w, a, b) for gamma in enum_A(w, m)}
+        for a, b, m in ((k, l, p), (p, l, k), (p, k, l))
+    ))
+    result = tuple(sorted(common))
+    _C_CACHE[key] = result
+    return result
 
 
 def parse_multiset(text: str) -> EtaMultiSet:

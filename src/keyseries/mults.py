@@ -696,31 +696,33 @@ def scan_formpw3(n: int) -> ScanOutcome:
     """
 
     def one(w: Permutation):
-        cubic = cubic_multiplicities(w)
-        strata = {key[:3] for key in cubic}
+        # each stratum's cubic terms, in the slice's term order
+        by_stratum: dict[tuple[int, int, int], dict[tuple[int, ...], int]] = {}
+        for (p, k, l, tau), m in cubic_multiplicities(w).items():
+            by_stratum.setdefault((p, k, l), {})[tau] = m
+        strata = set(by_stratum)
         strata.update(itertools.combinations_with_replacement(range(1, n + 1), 3))
         ces: list[dict] = []
         checked = 0
         c_elements = 0
-        for p, k, l in sorted(strata):
-            cset = frozenset(enum_C(w, p, k, l))
-            c_elements += len(cset)
-            for tau in sorted(cset):
-                checked += 1
-                m = cubic.get((p, k, l, tau), 0)
+        for levels in sorted(strata):
+            cs = enum_C(w, *levels)
+            terms = by_stratum.get(levels, {})
+            c_elements += len(cs)
+            checked += len(cs) + len(terms)
+            for tau in cs:
+                m = terms.get(tau, 0)
                 if m < 1:
                     ces.append(
                         {"claim": "positivity", "w": w.one_line(),
-                         "levels": (p, k, l), "tau": _fmt_eta(tau), "m": m}
+                         "levels": levels, "tau": _fmt_eta(tau), "m": m}
                     )
-            for (pp, kk, ll, tau), m in cubic.items():
-                if (pp, kk, ll) != (p, k, l):
-                    continue
-                checked += 1
+            cset = frozenset(cs)
+            for tau, m in terms.items():
                 if tau not in cset:
                     ces.append(
                         {"claim": "support", "w": w.one_line(),
-                         "levels": (p, k, l), "tau": _fmt_eta(tau), "m": m}
+                         "levels": levels, "tau": _fmt_eta(tau), "m": m}
                     )
         return ces, {"terms": checked, "c_elements": c_elements}
 

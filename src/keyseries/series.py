@@ -238,11 +238,14 @@ def series_Kw_direct(
     t^lam, so this is the series truncated past total T-degree D."""
     if n < 1:
         raise ValueError(f"block count must be >= 1, got {n}")
-    total = SparsePoly.zero()
+    # A key polynomial has no T part and each lam its own t^lam, so shifting
+    # every term by the packed t^lam gives distinct keys: one dict holds all.
+    terms: dict[int, int] = {}
     for lam in partitions(D, n):
-        poly = _key_poly(lam, w, xi_mode)
-        total = total + poly * SparsePoly.term(t=t_exps(lam))
-    return total
+        (shift,) = SparsePoly.term(t=t_exps(lam)).terms
+        for key, c in _key_poly(lam, w, xi_mode).terms.items():
+            terms[key + shift] = c
+    return SparsePoly(terms, _trusted=True)
 
 
 @dataclass(frozen=True)

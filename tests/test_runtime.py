@@ -1,9 +1,12 @@
+import importlib
 import json
+import pkgutil
+import re
 
 import pytest
 
 import keyseries
-from keyseries import bseq, counts, multisets, poly, series
+from keyseries import counts, poly, series
 
 from keyseries.config import (
     ABSOLUTE_MAX_N,
@@ -126,16 +129,18 @@ def test_manifest_fields():
 
 
 def _cache_sizes():
-    return {
-        "series._KEY_CACHE": len(series._KEY_CACHE),
-        "series._P_CACHE": len(series._P_CACHE),
-        "bseq._A_CACHE": len(bseq._A_CACHE),
-        "bseq._A_SET_CACHE": len(bseq._A_SET_CACHE),
-        "multisets._BTILDE_CACHE": len(multisets._BTILDE_CACHE),
-        "counts._level_selections": counts._level_selections.cache_info().currsize,
-        "poly._pi_pair": poly._pi_pair.cache_info().currsize,
-        "poly._dd_pair": poly._dd_pair.cache_info().currsize,
-    }
+    # Found by name, not listed: every module-level `_*_CACHE` dict and every
+    # lru_cache defined in a keyseries module.
+    sizes = {}
+    for info in pkgutil.iter_modules(keyseries.__path__):
+        module = importlib.import_module(f"keyseries.{info.name}")
+        for name, obj in vars(module).items():
+            label = f"{info.name}.{name}"
+            if re.fullmatch(r"_\w+_CACHE", name) and isinstance(obj, dict):
+                sizes[label] = len(obj)
+            elif hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                sizes[label] = obj.cache_info().currsize
+    return sizes
 
 
 def test_clear_caches_empties_every_cache():
@@ -143,6 +148,10 @@ def test_clear_caches_empties_every_cache():
     series.suite_formofkw(3, 2)
     counts.suite_fcoeff(3, 3)
     poly.divided_difference(1, poly.SparsePoly.x_var(1))
-    assert all(_cache_sizes().values()), _cache_sizes()
+    keyseries.enum_C(keyseries.parse_permutation("4123"), 1, 2, 3)
+    sizes = _cache_sizes()
+    assert {"multisets._B_CACHE", "multisets._C_CACHE", "counts._level_selections",
+            "poly._pi_pair"} <= set(sizes), sorted(sizes)
+    assert all(sizes.values()), sizes
     keyseries.clear_caches()
     assert not any(_cache_sizes().values()), _cache_sizes()

@@ -34,6 +34,29 @@ def test_scan_conjectures_script(tmp_path):
         assert report["counterexamples"] == []
 
 
+def test_scan_conjectures_bad_config_exits_2(tmp_path):
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("threads=2\n")
+    out_dir = tmp_path / "reports"
+    proc = run_script("scan_conjectures.py", "--config", str(cfg),
+                      "--out-dir", str(out_dir))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: config line 1: unknown key 'threads'"]
+    assert not out_dir.exists()
+
+
+def test_scan_conjectures_capped_rank_exits_3(tmp_path):
+    out_dir = tmp_path / "reports"
+    proc = run_script("scan_conjectures.py", "--min-n", "10", "--max-n", "10",
+                      "--out-dir", str(out_dir))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource cap: "), proc.stderr
+    assert not out_dir.exists()
+
+
 def test_multiplicity_census_script():
     proc = run_script("multiplicity_census.py", "--n", "3")
     assert proc.returncode == 0, proc.stderr
