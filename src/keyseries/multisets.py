@@ -51,7 +51,7 @@ EtaMultiSet = tuple[int, ...]
 
 
 def sum_seqs(*seqs: AscSeq) -> EtaMultiSet:
-    """Multiset union of strictly increasing sequences, as a sorted tuple."""
+    """Multiset union of sorted sequences or multisets, as a sorted tuple."""
     merged: list[int] = []
     for s in seqs:
         merged.extend(s)
@@ -323,7 +323,7 @@ def enum_C(w: Permutation, p: int, k: int, l: int) -> tuple[EtaMultiSet, ...]:
     if cached is not None:
         return cached
     common = set.intersection(*(
-        {tuple(sorted(eta + gamma)) for eta in enum_B(w, a, b) for gamma in enum_A(w, m)}
+        {sum_seqs(eta, gamma) for eta in enum_B(w, a, b) for gamma in enum_A(w, m)}
         for a, b, m in ((k, l, p), (p, l, k), (p, k, l))
     ))
     result = tuple(sorted(common))

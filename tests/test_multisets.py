@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 import keyseries
 from keyseries.bseq import enum_A
-
 from keyseries.multisets import (
     enum_B,
     enum_Btilde,
