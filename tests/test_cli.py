@@ -121,6 +121,37 @@ def test_verify_clean_suite(capsys):
     assert out.startswith("verify-diff1 n=4: 0 counterexample(s)")
 
 
+# Report bodies of the verify suites whose checks are pass/fail per
+# permutation, pinned so that a rewrite of their sweep keeps every finding,
+# its order and every stat.
+VERIFY_PINS = {
+    "formofkw-n4": (
+        ("formofkw", "--n", "4"),
+        "d0cc3f22c32cf89a91a68127b08129f0f3f439ffc6bdb2f6bca2873e8d702148"),
+    "pxiw1-n4": (
+        ("pxiw1", "--n", "4"),
+        "0edf05c7b99bc270a59d49ab5f982a641a6c5dad5c89a146b65a57f184bb028f"),
+    "fcoeff-n3": (
+        ("fcoeff", "--n", "3"),
+        "196cb92e31046546131d711ff648b39122d529b031db8121d699ad3a9ee9481b"),
+    "formofkw-n5-tdeg4": (
+        ("formofkw", "--n", "5", "--tdeg", "4"),
+        "4491c2745139d20f482686c4eb6ea66b4e9ae1cc550ef1a692754abb713eaca2"),
+}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=[pytest.mark.slow] if "n5" in name else [])
+    for name in VERIFY_PINS
+])
+def test_verify_body_pinned(tmp_path, capsys, name):
+    argv, digest = VERIFY_PINS[name]
+    path = tmp_path / "report.json"
+    code, _ = run(capsys, "verify", "--suite", *argv, "--out", str(path))
+    assert code == 0
+    assert body_digest(json.loads(path.read_text())) == digest
+
+
 def test_verify_unknown_suite(capsys):
     assert run(capsys, "verify", "--suite", "nope")[0] == 2
 
