@@ -1,48 +1,30 @@
 #!/usr/bin/env python3
-"""Run every verification suite at its default tier, one summary line each."""
+"""Run every verification suite at its defaults, one summary line each.
+
+The suites, their order and their default parameters come from
+`keyseries.cli.VERIFY_SUITES`, the table `keyseries verify` reads.
+Exits 1 if any suite fails, 0 otherwise.
+"""
 
 from __future__ import annotations
 
 import sys
 import time
 
-from keyseries.counts import suite_fcoeff
-from keyseries.mults import (
-    check_diff1,
-    check_diff2,
-    check_lketa23,
-    check_lowbdr2,
-    check_multsiw,
-)
-from keyseries.series import suite_formofkw, suite_pxiw1
-
-TIERS = [
-    ("formofkw S4 D=5", lambda: suite_formofkw(4, 5, two_words=True)),
-    ("pxiw1 S4", lambda: suite_pxiw1(4)),
-    ("diff1 S5", lambda: check_diff1(5)),
-    ("diff2 S5", lambda: check_diff2(5)),
-    ("lketa23 S6", lambda: check_lketa23(6)),
-    ("bounds S5", lambda: check_lowbdr2(5)),
-    ("multsiw S4", lambda: check_multsiw(4)),
-    ("fcoeff S3", lambda: suite_fcoeff(3)),
-]
+from keyseries.cli import VERIFY_SUITES, run_suite, suite_params
 
 
 def main() -> int:
     failures = 0
-    for label, run in TIERS:
+    for name in VERIFY_SUITES:
+        params = suite_params(name)
         start = time.monotonic()
-        result = run()
+        outcome = run_suite(params)
         elapsed = time.monotonic() - start
-        if isinstance(result, list):  # per-permutation checks
-            bad = [c for c in result if not c.ok]
-            ok = not bad
-            detail = f"{len(result) - len(bad)}/{len(result)} checks"
-        else:
-            ok = result.ok
-            detail = " ".join(f"{k}={v}" for k, v in sorted(result.stats.items()))
-        print(f"{'PASS' if ok else 'FAIL'} {label}: {detail} ({elapsed:.1f}s)")
-        failures += not ok
+        args = " ".join(f"{k}={v}" for k, v in params.items() if k != "suite")
+        stats = " ".join(f"{k}={v}" for k, v in sorted(outcome.stats.items()))
+        print(f"{'PASS' if outcome.ok else 'FAIL'} {name} {args}: {stats} ({elapsed:.1f}s)")
+        failures += not outcome.ok
     return 1 if failures else 0
 
 

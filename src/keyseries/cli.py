@@ -23,14 +23,8 @@ from .mults import (
     check_lowbdr2,
     check_multsiw,
 )
-from .permutation import Permutation, parse_permutation
-from .report import (
-    canonical_json,
-    checks_report,
-    hash_file,
-    make_manifest,
-    outcome_report,
-)
+from .permutation import Permutation, ScanOutcome, parse_permutation
+from .report import canonical_json, hash_file, make_manifest, outcome_report
 from .series import (
     key_by_composition,
     key_polynomial,
@@ -45,16 +39,40 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-_SUITE_DEFAULT_N = {
-    "formofkw": 4,
-    "diff1": 5,
-    "diff2": 5,
-    "lketa23": 6,
-    "bounds": 5,
-    "multsiw": 4,
-    "pxiw1": 4,
-    "fcoeff": 3,
+# The verify suites, the one list of them: name -> (function, default rank,
+# the further arguments it takes after the rank, by name, with their
+# defaults).  `verify`, scripts/verify_all.py (in this order) and the tests
+# read it.
+VERIFY_SUITES = {
+    "formofkw": (suite_formofkw, 4, {"tdeg": 4}),
+    "pxiw1": (suite_pxiw1, 4, {}),
+    "diff1": (check_diff1, 5, {}),
+    "diff2": (check_diff2, 5, {}),
+    "lketa23": (check_lketa23, 6, {}),
+    "bounds": (check_lowbdr2, 5, {}),
+    "multsiw": (check_multsiw, 4, {}),
+    "fcoeff": (suite_fcoeff, 3, {}),
 }
+# Suites are called through this plain dict, never through a table row, so
+# that a tracer that rebinds module-level dict values (perfbench/spans.py)
+# sees every suite call.
+_SUITE_FUNCTIONS = {name: row[0] for name, row in VERIFY_SUITES.items()}
+
+
+def suite_params(name: str) -> dict:
+    """Report params of the verify suite `name` at its defaults."""
+    _, n, extra = VERIFY_SUITES[name]
+    return {"suite": name, "n": n, **extra}
+
+
+def run_suite(params: dict) -> ScanOutcome:
+    """Run the verify suite params["suite"] at rank params["n"], passing its
+    further arguments from params in table order."""
+    name = params["suite"]
+    extra = [params[key] for key in VERIFY_SUITES[name][2]]
+    outcome = _SUITE_FUNCTIONS[name](params["n"], *extra)
+    outcome.name = "verify-" + name
+    return outcome
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -214,36 +232,20 @@ def _finish_report(args, command: str, report: dict) -> int:
 
 
 def cmd_verify(args, cfg: EngineConfig) -> int:
-    if args.tdeg is not None and args.suite != "formofkw":
-        raise ValueError(f"--tdeg is read only by the formofkw suite, not {args.suite}")
-    n = args.n if args.n is not None else _SUITE_DEFAULT_N[args.suite]
-    cfg.check_rank(n)
-    params = {"suite": args.suite, "n": n}
-    start = time.monotonic()
-    if args.suite == "formofkw":
-        params["tdeg"] = args.tdeg if args.tdeg is not None else 4
+    params = suite_params(args.suite)
+    if args.tdeg is not None:
+        if "tdeg" not in params:
+            raise ValueError(f"--tdeg is read only by the formofkw suite, not {args.suite}")
+        params["tdeg"] = args.tdeg
+    if args.n is not None:
+        params["n"] = args.n
+    cfg.check_rank(params["n"])
+    if "tdeg" in params:
         cfg.check_tdeg(params["tdeg"])
-        checks = suite_formofkw(n, params["tdeg"], two_words=True)
-        elapsed = int((time.monotonic() - start) * 1000)
-        report = checks_report("verify-formofkw", n, params, checks, elapsed)
-    elif args.suite == "pxiw1":
-        checks = suite_pxiw1(n)
-        elapsed = int((time.monotonic() - start) * 1000)
-        report = checks_report("verify-pxiw1", n, params, checks, elapsed)
-    else:
-        runner = {
-            "diff1": check_diff1,
-            "diff2": check_diff2,
-            "lketa23": check_lketa23,
-            "bounds": check_lowbdr2,
-            "multsiw": check_multsiw,
-            "fcoeff": suite_fcoeff,
-        }[args.suite]
-        outcome = runner(n)
-        outcome.name = "verify-" + args.suite
-        elapsed = int((time.monotonic() - start) * 1000)
-        report = outcome_report(outcome, params, elapsed)
-    return _finish_report(args, "verify", report)
+    start = time.monotonic()
+    outcome = run_suite(params)
+    elapsed = int((time.monotonic() - start) * 1000)
+    return _finish_report(args, "verify", outcome_report(outcome, params, elapsed))
 
 
 def cmd_scan(args, cfg: EngineConfig) -> int:
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sets)
 
     p = subs.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(_SUITE_DEFAULT_N))
+    p.add_argument("--suite", required=True, choices=sorted(VERIFY_SUITES))
     p.add_argument("--n", type=int, help="symmetric group rank")
     p.add_argument("--tdeg", type=int, help="series truncation degree (formofkw only)")
     common(p)

@@ -16,8 +16,8 @@ from itertools import combinations_with_replacement
 
 from .bseq import enum_A
 from .multisets import EtaMultiSet, format_multiset, sum_seqs
-from .mults import ScanOutcome, cubic_multiplicities, quadratic_multiplicities
-from .permutation import Permutation, all_permutations
+from .mults import cubic_multiplicities, quadratic_multiplicities
+from .permutation import Permutation, ScanOutcome, sweep
 from .poly import SparsePoly, series_inverse_product, x_exps
 from .series import _trim_partition, key_polynomial, partitions, t_exps
 
@@ -239,17 +239,18 @@ def approximation_report(
 
 def suite_fcoeff(group_n: int = 3, max_weight: int = 6) -> ScanOutcome:
     """Counts agree with the series oracle, exhaustively at desk scale."""
-    out = ScanOutcome("fcoeff", group_n)
-    blocks = 0
-    coeffs = 0
-    for w in all_permutations(group_n):
+
+    def one(w: Permutation):
+        ces: list[dict] = []
+        blocks = 0
+        coeffs = 0
         for lam in partitions(max_weight, max_weight):
             if sum(lam) > max_weight:
                 continue
             blocks += 1
             block = F_block_series(lam, w)
             if F_polynomial(lam, w) != block:
-                out.counterexamples.append(
+                ces.append(
                     {"w": w.one_line(), "lambda": list(lam),
                      "detail": "enumeration disagrees with series block"}
                 )
@@ -258,17 +259,17 @@ def suite_fcoeff(group_n: int = 3, max_weight: int = 6) -> ScanOutcome:
                 coeffs += 1
                 got = F_coefficient(lam, w, mu)
                 if got != c:
-                    out.counterexamples.append(
+                    ces.append(
                         {"w": w.one_line(), "lambda": list(lam),
                          "mu": format_multiset(mu), "count": got, "series": c}
                     )
             infeasible = tuple(sorted((group_n + 2,) * max(sum(lam), 1)))
             if F_coefficient(lam, w, infeasible) != 0:
-                out.counterexamples.append(
+                ces.append(
                     {"w": w.one_line(), "lambda": list(lam),
                      "mu": format_multiset(infeasible),
                      "detail": "nonzero on an infeasible monomial"}
                 )
-    out.stats["blocks"] = blocks
-    out.stats["coefficients"] = coeffs
-    return out
+        return ces, {"blocks": blocks, "coefficients": coeffs}
+
+    return sweep("fcoeff", group_n, one)

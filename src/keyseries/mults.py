@@ -11,14 +11,17 @@ support, lower bounds).
 
 Every check and scan is a function of one permutation w, returning its
 findings and counts, run over all of S_n in one-line order by the single
-driver `_sweep`; `_b_keys` walks the two-presentation sets.
+driver `sweep`.  `sweep` and `ScanOutcome` live in `permutation`, next to
+`all_permutations`, so that `series` and `counts` run their suites with them
+too; they are re-exported here.  `_b_keys` walks the two-presentation sets.
+The verify suites are listed once, in `cli.VERIFY_SUITES`.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 from .multisets import (
     enum_B,
@@ -27,7 +30,7 @@ from .multisets import (
     eta_parts,
     presentations,
 )
-from .permutation import Permutation, all_permutations
+from .permutation import Permutation, ScanOutcome, sweep
 from .poly import SparsePoly, t_pair, x_exps
 from .series import n_factor_product, numerator_P
 
@@ -41,6 +44,7 @@ __all__ = [
     "N_quadratic",
     "decompose_quadratic",
     "ScanOutcome",
+    "sweep",
     "check_quadratic_support",
     "check_diff1",
     "check_diff2",
@@ -54,7 +58,6 @@ __all__ = [
     "scan_formpw3",
     "scan_formpw2bound",
     "SCANS",
-    "CHECKS",
 ]
 
 
@@ -183,38 +186,6 @@ def _rebalance(eta: tuple[int, ...], i: int, a: int, b: int) -> tuple[int, ...]:
     return tuple(sorted(rest + [i] * a + [i + 1] * b))
 
 
-@dataclass
-class ScanOutcome:
-    name: str
-    n: int
-    counterexamples: list[dict] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-    def merge(self, counterexamples: list[dict], counts: dict[str, int]) -> None:
-        """Append findings and add counts into stats, in place."""
-        self.counterexamples.extend(counterexamples)
-        for key, val in counts.items():
-            self.stats[key] = self.stats.get(key, 0) + val
-
-
-def _sweep(
-    name: str, n: int, per_w: Callable[[Permutation], tuple[list[dict], dict[str, int]]]
-) -> ScanOutcome:
-    """Run per_w on every w in S_n in one-line order.
-
-    per_w returns the findings for w and its counts; findings keep sweep
-    order and counts are summed into the outcome's stats.
-    """
-    out = ScanOutcome(name, n)
-    for w in all_permutations(n):
-        out.merge(*per_w(w))
-    return out
-
-
 def _b_keys(
     w: Permutation, n: int, gap: int = 0
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
@@ -250,7 +221,7 @@ def check_quadratic_support(n: int) -> ScanOutcome:
         ]
         return ces, {"terms": len(quad)}
 
-    return _sweep("quadratic_support", n, one)
+    return sweep("quadratic_support", n, one)
 
 
 def _r_value(k: int, l: int, eta: tuple[int, ...]) -> int:
@@ -280,7 +251,7 @@ def check_diff1(n: int) -> ScanOutcome:
                         )
         return ces, {"multisets": checked}
 
-    return _sweep("diff1", n, one)
+    return sweep("diff1", n, one)
 
 
 def _gamma_positions(eta: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, ...]:
@@ -323,7 +294,7 @@ def check_diff2(n: int) -> ScanOutcome:
                 )
         return ces, {"multisets": checked}
 
-    return _sweep("diff2", n, one)
+    return sweep("diff2", n, one)
 
 
 _LKETA_PATTERNS = {
@@ -372,7 +343,7 @@ def check_lketa23(n: int) -> ScanOutcome:
                     counts[tag] = counts.get(tag, 0) + 1
         return ces, counts
 
-    return _sweep("lketa23", n, one)
+    return sweep("lketa23", n, one)
 
 
 def _lowbdr2_one(
@@ -395,7 +366,7 @@ def _lowbdr2_one(
 
 def check_lowbdr2(n: int) -> ScanOutcome:
     """On every two-presentation multiset, m is at least 2^r - 1."""
-    return _sweep(
+    return sweep(
         "lowbdr2", n, lambda w: _lowbdr2_one(w, n, quadratic_multiplicities(w))
     )
 
@@ -418,14 +389,14 @@ def _key_closure(i: int, cap: int, *dicts: dict) -> set[tuple]:
     return keys
 
 
-def check_multsiw(n: int, cubic: bool = True) -> ScanOutcome:
+def check_multsiw(n: int) -> ScanOutcome:
     """Multiplicities of s_i w from those of w across every cover in weak order."""
 
     def one(w: Permutation):
         ces: list[dict] = []
         pairs = 0
         quad_w = quadratic_multiplicities(w)
-        cub_w = cubic_multiplicities(w) if cubic else {}
+        cub_w = cubic_multiplicities(w)
         p2 = -numerator_P(w, tmax=2).t_slice(2)
         for i in range(1, n):
             if not w.is_ascent(i):
@@ -433,7 +404,7 @@ def check_multsiw(n: int, cubic: bool = True) -> ScanOutcome:
             pairs += 1
             sw = w.left_mul_s(i)
             quad_sw = quadratic_multiplicities(sw)
-            nfac = n_factor_product(w, i, tmax=3 if cubic else 2)
+            nfac = n_factor_product(w, i, tmax=3)
             n2 = {
                 (k, l, eta): c
                 for (eta, (k, l), _), c in nfac.t_slice(2).multiset_items()
@@ -457,8 +428,6 @@ def check_multsiw(n: int, cubic: bool = True) -> ScanOutcome:
                         {"w": w.one_line(), "i": i, "grade": 2, "key": key,
                          "m": got, "expected": expect}
                     )
-            if not cubic:
-                continue
             cub_sw = cubic_multiplicities(sw)
             n1 = -nfac.t_slice(1)
             n3 = -nfac.t_slice(3)
@@ -504,7 +473,7 @@ def check_multsiw(n: int, cubic: bool = True) -> ScanOutcome:
                     )
         return ces, {"covers": pairs}
 
-    return _sweep("multsiw", n, one)
+    return sweep("multsiw", n, one)
 
 
 # -- presentation posets --------------------------------------------------------
@@ -648,7 +617,7 @@ def scan_poset(n: int) -> ScanOutcome:
                 )
         return ces, {}
 
-    out = _sweep("poset", n, one)
+    out = sweep("poset", n, one)
     mats = list(buckets)
     for pa, pb in itertools.permutations(mats, 2):
         if len(pa) <= len(pb) and _order_embeds(pa, pb):
@@ -684,7 +653,7 @@ def scan_siinc(n: int) -> ScanOutcome:
                     )
         return ces, {"comparisons": checked}
 
-    return _sweep("siinc", n, one)
+    return sweep("siinc", n, one)
 
 
 def scan_formpw3(n: int) -> ScanOutcome:
@@ -726,7 +695,7 @@ def scan_formpw3(n: int) -> ScanOutcome:
                     )
         return ces, {"terms": checked, "c_elements": c_elements}
 
-    return _sweep("formpw3", n, one)
+    return sweep("formpw3", n, one)
 
 
 def scan_formpw2bound(n: int) -> ScanOutcome:
@@ -747,17 +716,8 @@ def scan_formpw2bound(n: int) -> ScanOutcome:
                     )
         return ces, counts
 
-    return _sweep("formpw2bound", n, one)
+    return sweep("formpw2bound", n, one)
 
-
-CHECKS = {
-    "quadratic_support": check_quadratic_support,
-    "diff1": check_diff1,
-    "diff2": check_diff2,
-    "lketa23": check_lketa23,
-    "lowbdr2": check_lowbdr2,
-    "multsiw": check_multsiw,
-}
 
 SCANS = {
     "poset": scan_poset,

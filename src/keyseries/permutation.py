@@ -4,17 +4,24 @@ Simple transpositions act by *left* multiplication: ``s_i * w`` swaps the
 values i and i+1 wherever they sit in the one-line word.  Two permutations
 that differ only by trailing fixed points compare equal, so S_n sits inside
 S_{n+1} transparently; ``n`` remembers the rank an object was built with.
+
+``sweep`` is the one loop over a whole S_n: it runs a function of one
+permutation on every w in one-line order and gathers the findings and counts
+into a ``ScanOutcome``.  Every check, scan and verify suite is run by it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, field
 
 __all__ = [
     "Permutation",
     "all_permutations",
     "parse_permutation",
+    "ScanOutcome",
+    "sweep",
 ]
 
 
@@ -186,6 +193,38 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         raise ValueError(f"rank must be >= 1, got {n}")
     for vals in itertools.permutations(range(1, n + 1)):
         yield Permutation(vals)
+
+
+@dataclass
+class ScanOutcome:
+    name: str
+    n: int
+    counterexamples: list[dict] = field(default_factory=list)
+    stats: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.counterexamples
+
+    def merge(self, counterexamples: list[dict], counts: dict[str, int]) -> None:
+        """Append findings and add counts into stats, in place."""
+        self.counterexamples.extend(counterexamples)
+        for key, val in counts.items():
+            self.stats[key] = self.stats.get(key, 0) + val
+
+
+def sweep(
+    name: str, n: int, per_w: Callable[[Permutation], tuple[list[dict], dict[str, int]]]
+) -> ScanOutcome:
+    """Run per_w on every w in S_n in one-line order.
+
+    per_w returns the findings for w and its counts; findings keep sweep
+    order and counts are summed into the outcome's stats.
+    """
+    out = ScanOutcome(name, n)
+    for w in all_permutations(n):
+        out.merge(*per_w(w))
+    return out
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -11,10 +11,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable
 
-from .mults import ScanOutcome
-from .series import FormCheck
+from .permutation import ScanOutcome
 
 VOLATILE_FIELDS = ("elapsed_ms", "timestamp")
 
@@ -36,24 +34,6 @@ def outcome_report(outcome: ScanOutcome, params: dict, elapsed_ms: int) -> dict:
         "params": params,
         "counterexamples": outcome.counterexamples,
         "stats": outcome.stats,
-        "elapsed_ms": elapsed_ms,
-    }
-
-
-def checks_report(
-    name: str, n: int, params: dict, checks: Iterable[FormCheck], elapsed_ms: int
-) -> dict:
-    """Shape a list of pass/fail checks like a scan report."""
-    checks = list(checks)
-    counterexamples = [
-        {"w": c.w, "detail": c.detail or "mismatch"} for c in checks if not c.ok
-    ]
-    return {
-        "scan": name,
-        "n": n,
-        "params": params,
-        "counterexamples": counterexamples,
-        "stats": {"checks": len(checks), "failed": len(counterexamples)},
         "elapsed_ms": elapsed_ms,
     }
 

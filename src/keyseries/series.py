@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .bseq import enum_A, moved_levels, si_image, split_A
-from .permutation import Permutation, all_permutations
+from .permutation import Permutation, ScanOutcome, all_permutations, sweep
 from .poly import (
     Monomial,
     SparsePoly,
@@ -292,48 +292,52 @@ def verify_form(
     )
 
 
-def suite_formofkw(
-    group_n: int,
-    D: int,
-    xi_mode: bool = False,
-    two_words: bool = False,
-) -> list[FormCheck]:
-    """Run verify_form over the whole symmetric group on group_n letters."""
-    out = []
-    for w in all_permutations(group_n):
-        words = None
-        if two_words:
-            first = w.reduced_word()
-            second = w.reduced_word_alt()
-            words = [first] if first == second else [first, second]
-        out.append(verify_form(w, n=group_n, D=D, xi_mode=xi_mode, words=words))
-    return out
+def _check_findings(
+    w: Permutation, failures: list[str], checks: int = 1
+) -> tuple[list[dict], dict[str, int]]:
+    """Sweep findings {"w", "detail"} for the failed checks of one w, and the
+    counts of checks run and failed."""
+    found = [{"w": w.one_line(), "detail": detail} for detail in failures]
+    return found, {"checks": checks, "failed": len(found)}
+
+
+def suite_formofkw(group_n: int, D: int, xi_mode: bool = False) -> ScanOutcome:
+    """Run verify_form over the whole symmetric group on group_n letters,
+    recomputing P_w along both greedy reduced words of each w."""
+
+    def one(w: Permutation):
+        first, second = w.reduced_word(), w.reduced_word_alt()
+        words = [first] if first == second else [first, second]
+        check = verify_form(w, n=group_n, D=D, xi_mode=xi_mode, words=words)
+        return _check_findings(w, [] if check.ok else [check.detail])
+
+    return sweep("formofkw", group_n, one)
 
 
 # -- operator identities on truncated series -----------------------------------
 
 
-def check_piiKw(group_n: int, D: int, xi_mode: bool = False) -> list[FormCheck]:
+def check_piiKw(group_n: int, D: int, xi_mode: bool = False) -> ScanOutcome:
     """pi_i maps the series of w to the series of s_i w at ascents and fixes it
     at descents; checked for every w and i on the truncated series."""
-    series = {
-        w.core: series_Kw_direct(w, group_n, D, xi_mode)
-        for w in all_permutations(group_n)
-    }
+    series: dict[tuple[int, ...], SparsePoly] = {}
+
+    def series_of(v: Permutation) -> SparsePoly:
+        if v.core not in series:
+            series[v.core] = series_Kw_direct(v, group_n, D, xi_mode)
+        return series[v.core]
+
     op = pi_xi if xi_mode else pi
-    out = []
-    for w in all_permutations(group_n):
+
+    def one(w: Permutation):
+        failures = []
         for i in range(1, group_n):
             target = w.left_mul_s(i) if w.is_ascent(i) else w
-            got = op(i, series[w.core])
-            ok = got == series[target.core]
-            out.append(
-                FormCheck(
-                    w.one_line(), group_n, D, xi_mode, ok,
-                    "" if ok else f"pi_{i} image is not the series of {target.one_line()}",
-                )
-            )
-    return out
+            if op(i, series_of(w)) != series_of(target):
+                failures.append(f"pi_{i} image is not the series of {target.one_line()}")
+        return _check_findings(w, failures, checks=group_n - 1)
+
+    return sweep("piiKw", group_n, one)
 
 
 def check_propgen(group_n: int, D: int) -> list[FormCheck]:
@@ -412,15 +416,13 @@ def lascoux_linear_part(w: Permutation, method: str = "closed") -> SparsePoly:
     return SparsePoly(total)
 
 
-def suite_pxiw1(group_n: int) -> list[FormCheck]:
-    out = []
-    for w in all_permutations(group_n):
-        ok = lascoux_linear_part(w, "closed") == lascoux_linear_part(w, "induction")
-        out.append(
-            FormCheck(
-                w.one_line(), group_n, 1, True, ok,
-                "" if ok else "closed xi-linear slice disagrees with induction",
-            )
-        )
-    return out
+def suite_pxiw1(group_n: int) -> ScanOutcome:
+    """The closed xi-linear slice equals the inductive one for every w in S_n."""
 
+    def one(w: Permutation):
+        ok = lascoux_linear_part(w, "closed") == lascoux_linear_part(w, "induction")
+        return _check_findings(
+            w, [] if ok else ["closed xi-linear slice disagrees with induction"]
+        )
+
+    return sweep("pxiw1", group_n, one)

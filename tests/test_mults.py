@@ -2,9 +2,9 @@ import hashlib
 
 import pytest
 
+from keyseries.cli import VERIFY_SUITES
 from keyseries.multisets import enum_B, parse_multiset
 from keyseries.mults import (
-    CHECKS,
     SCANS,
     check_diff1,
     check_diff2,
@@ -149,9 +149,9 @@ def test_poset_canonical_invariant_under_relabeling():
 
 def test_scan_registry():
     assert set(SCANS) == {"poset", "siinc", "formpw3", "formpw2bound"}
-    assert set(CHECKS) == {
-        "quadratic_support", "diff1", "diff2", "lketa23", "lowbdr2", "multsiw",
-    }
+    assert list(VERIFY_SUITES) == [
+        "formofkw", "pxiw1", "diff1", "diff2", "lketa23", "bounds", "multsiw", "fcoeff",
+    ]
 
 
 def test_scans_clean_at_n4():
@@ -195,6 +195,15 @@ def test_formpw3_n5_findings_in_pinned_order():
     digest = hashlib.sha256(canonical_json(ces).encode()).hexdigest()
     assert digest == "dca2e87691810ab5fed54a5c9c052a90ad0d19463d4e1c29ce58c72ae98f4825"
 
+
+CHECKS = {
+    "quadratic_support": check_quadratic_support,
+    "diff1": check_diff1,
+    "diff2": check_diff2,
+    "lketa23": check_lketa23,
+    "lowbdr2": check_lowbdr2,
+    "multsiw": check_multsiw,
+}
 
 # Report bodies of every check and scan, pinned so that a rewrite of the sweep
 # keeps each finding, its order and every stat.  lketa23 has nothing to check

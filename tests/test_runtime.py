@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import pkgutil
@@ -7,6 +8,7 @@ import pytest
 
 import keyseries
 from keyseries import counts, poly, series
+from keyseries.cli import main
 
 from keyseries.config import (
     ABSOLUTE_MAX_N,
@@ -19,12 +21,10 @@ from keyseries.mults import ScanOutcome, check_diff1, scan_siinc
 from keyseries.report import (
     body_digest,
     canonical_json,
-    checks_report,
     hash_text,
     make_manifest,
     outcome_report,
 )
-from keyseries.series import FormCheck
 
 
 def test_parse_config():
@@ -94,14 +94,23 @@ def test_outcome_report_shape():
     assert report["elapsed_ms"] == 12
 
 
-def test_checks_report_collects_failures():
-    checks = [
-        FormCheck("123", 3, 4, False, True),
-        FormCheck("321", 3, 4, False, False, "numerator differs"),
-    ]
-    report = checks_report("verify-x", 3, {}, checks, 1)
-    assert report["stats"] == {"checks": 2, "failed": 1}
-    assert report["counterexamples"] == [{"w": "321", "detail": "numerator differs"}]
+def test_failed_form_check_becomes_finding(monkeypatch, capsys):
+    real = series.verify_form
+
+    def fail_on_231(w, **kwargs):
+        check = real(w, **kwargs)
+        if w.one_line() == "231":
+            return dataclasses.replace(check, ok=False, detail="numerator differs")
+        return check
+
+    monkeypatch.setattr(series, "verify_form", fail_on_231)
+    code = main(["verify", "--suite", "formofkw", "--n", "3", "--tdeg", "2",
+                 "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["scan"] == "verify-formofkw"
+    assert report["counterexamples"] == [{"w": "231", "detail": "numerator differs"}]
+    assert report["stats"] == {"checks": 6, "failed": 1}
 
 
 def test_scan_outcome_merge():

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from keyseries.cli import VERIFY_SUITES
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -71,3 +73,13 @@ def test_multiplicity_census_script():
         "  2 presentations: m=1: 2",
         "  3 presentations: m=1: 1",
     ]
+
+
+def test_verify_all_script():
+    proc = run_script("verify_all.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(VERIFY_SUITES)
+    for name, line in zip(VERIFY_SUITES, lines):
+        n = VERIFY_SUITES[name][1]
+        assert re.fullmatch(rf"PASS {name} n={n}( tdeg=4)?: .+ \(\d+\.\ds\)", line), line

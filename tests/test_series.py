@@ -159,8 +159,9 @@ def test_series_inverse_product_is_inverse():
 
 def test_verify_form_small():
     for n, D in ((3, 4), (4, 3)):
-        for check in suite_formofkw(n, D, two_words=True):
-            assert check.ok, check
+        out = suite_formofkw(n, D)
+        assert out.ok, out.counterexamples
+        assert out.stats == {"checks": [6, 24][n - 3], "failed": 0}
 
 
 def test_verify_form_single():
@@ -170,13 +171,15 @@ def test_verify_form_single():
 
 
 def test_verify_form_xi_mode():
-    for check in suite_formofkw(3, 3, xi_mode=True, two_words=True):
-        assert check.ok, check
+    out = suite_formofkw(3, 3, xi_mode=True)
+    assert out.ok, out.counterexamples
+    assert out.stats == {"checks": 6, "failed": 0}
 
 
 def test_pi_transport_on_series():
-    for check in check_piiKw(3, 3):
-        assert check.ok, check
+    out = check_piiKw(3, 3)
+    assert out.ok, out.counterexamples
+    assert out.stats == {"checks": 12, "failed": 0}
 
 
 def test_epsilon_algebra_identity():
@@ -205,8 +208,9 @@ def test_lascoux_homogeneous_with_negative_xi_degree():
 
 
 def test_xi_linear_slice_closed_form():
-    for check in suite_pxiw1(4):
-        assert check.ok, check
+    out = suite_pxiw1(4)
+    assert out.ok, out.counterexamples
+    assert out.stats == {"checks": 24, "failed": 0}
 
 
 def test_xi_linear_slice_shape():
