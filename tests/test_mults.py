@@ -26,6 +26,7 @@ from keyseries.mults import (
 )
 from keyseries.permutation import all_permutations, parse_permutation
 from keyseries.report import body_digest, canonical_json, outcome_report
+from keyseries.series import numerator_P
 
 W = parse_permutation("42531")
 
@@ -68,6 +69,40 @@ def test_cubic_table_matches_single_lookups():
     for (p, k, l, tau), m in cubic.items():
         assert m == multiplicity3(w, p, k, l, tau)
         assert 1 <= p <= k <= l
+
+
+def _decoded_slice(poly, grade, sign):
+    """A T-slice decoded term by term, in term order: {(levels..., eta): sign * c}."""
+    return {
+        levels + (eta,): sign * c
+        for (eta, levels, _), c in poly.t_slice(grade).multiset_items()
+    }
+
+
+def _assert_view_matches(view, expected, n):
+    assert len(view) == len(expected)
+    assert list(view.items()) == list(expected.items())
+    # every key, and every key with the i, i+1 entries of eta redistributed,
+    # most of which have no term
+    queries = set(expected)
+    for *levels, eta in expected:
+        for i in range(1, n):
+            pair = eta.count(i) + eta.count(i + 1)
+            rest = [v for v in eta if v not in (i, i + 1)]
+            for a in range(pair + 1):
+                moved = tuple(sorted(rest + [i] * a + [i + 1] * (pair - a)))
+                queries.add((*levels, moved))
+    for key in queries:
+        assert view.get(key, 0) == expected.get(key, 0), key
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_multiplicity_tables_match_decoded_slices(n):
+    for w in all_permutations(n):
+        _assert_view_matches(
+            quadratic_multiplicities(w), _decoded_slice(numerator_P(w, tmax=2), 2, -1), n)
+        _assert_view_matches(
+            cubic_multiplicities(w), _decoded_slice(numerator_P(w, tmax=3), 3, 1), n)
 
 
 def test_quadratic_support_s4():
@@ -115,14 +150,6 @@ def test_diff2_s6():
 @pytest.mark.slow
 def test_lowbdr2_s6():
     assert check_lowbdr2(6).ok
-
-
-@pytest.mark.slow
-def test_lketa23_s7():
-    out = check_lketa23(7)
-    assert out.ok
-    patterns = {k: v for k, v in out.stats.items() if k.startswith("pattern_")}
-    assert len(patterns) == 5
 
 
 @pytest.mark.slow
@@ -230,6 +257,18 @@ def test_pinned_body_digest(name):
     n, digest = PINNED_BODIES[name]
     fn = {**CHECKS, **SCANS}[name]
     assert body_digest(outcome_report(fn(n), {}, 0)) == digest
+
+
+@pytest.mark.slow
+def test_lketa23_s7():
+    # the whole S7 report body, pinned like the bodies above
+    out = check_lketa23(7)
+    assert out.ok
+    patterns = {k: v for k, v in out.stats.items() if k.startswith("pattern_")}
+    assert len(patterns) == 5
+    assert body_digest(outcome_report(out, {}, 0)) == (
+        "d53ed34de14473a45ab4a7225d995c6694af3bce60d20f5b7a144cd341f1f7eb"
+    )
 
 
 @pytest.mark.slow
