@@ -10,6 +10,10 @@ counterexamples.
 
 __version__ = "0.1.0"
 
+import importlib
+import pkgutil
+import re
+
 from . import bseq, counts, multisets, poly, series
 from .bseq import enum_A, moved_levels, split_A
 from .counts import F_coefficient, approx_coefficient, polytope_point_count
@@ -60,20 +64,37 @@ __all__ = [
     "F_coefficient",
     "approx_coefficient",
     "polytope_point_count",
+    "cache_stats",
     "clear_caches",
 ]
 
 
+def _memo_tables():
+    """(label, table) for every memo table in the package, found by name, not
+    listed: each module-level `_*_CACHE` dict and each lru_cache defined in a
+    keyseries module, labelled `module.name`."""
+    for info in pkgutil.iter_modules(__path__):
+        module = importlib.import_module(f"{__name__}.{info.name}")
+        for name, obj in vars(module).items():
+            if re.fullmatch(r"_\w+_CACHE", name) and isinstance(obj, dict):
+                yield f"{info.name}.{name}", obj
+            elif hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                yield f"{info.name}.{name}", obj
+
+
+def cache_stats() -> dict[str, int]:
+    """Entries held per memo table: keys, numerators, the A, B-tilde, B and C
+    sets, level selections and the pi/divided-difference pair tables."""
+    return {
+        label: table.cache_info().currsize if hasattr(table, "cache_info") else len(table)
+        for label, table in _memo_tables()
+    }
+
+
 def clear_caches() -> None:
-    """Empty every memo table in the package: keys, numerators, the A, B-tilde,
-    B and C sets, level selections and the pi/divided-difference pair tables."""
-    series._KEY_CACHE.clear()
-    series._P_CACHE.clear()
-    bseq._A_CACHE.clear()
-    bseq._A_SET_CACHE.clear()
-    multisets._BTILDE_CACHE.clear()
-    multisets._B_CACHE.clear()
-    multisets._C_CACHE.clear()
-    counts._level_selections.cache_clear()
-    poly._pi_pair.cache_clear()
-    poly._dd_pair.cache_clear()
+    """Empty every memo table that `cache_stats` reports."""
+    for _, table in _memo_tables():
+        if hasattr(table, "cache_clear"):
+            table.cache_clear()
+        else:
+            table.clear()

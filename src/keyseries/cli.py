@@ -1,18 +1,20 @@
 """Command line surface: polynomials, set listings, verification, scans.
 
 Exit codes: 0 success, 1 mathematical counterexample or mismatch, 2 usage
-error, 3 resource cap exceeded.
+error, 3 resource cap exceeded, 4 a structural invariant failed (a bug).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 import time
 
 from . import __version__
 from .bseq import enum_A, format_seq
-from .config import EngineConfig, ResourceCapError, load_config
+from .config import EngineConfig, InvariantError, ResourceCapError, load_config
 from .counts import suite_fcoeff
 from .multisets import enum_B, enum_C, format_multiset
 from .mults import (
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INVARIANT = 4
 
 # The verify suites, the one list of them: name -> (function, default rank,
 # the further arguments it takes after the rank, by name, with their
@@ -89,34 +92,48 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     return lam
 
 
-def _emit(args, text_lines: list[str], json_obj) -> None:
+def _write_files(files: dict[str, str]) -> None:
+    """Write each text to a temp file beside its path, then rename all into
+    place: a failure on the way leaves every path as it was."""
+    pending: list[tuple[str, str]] = []
+    try:
+        for path, text in files.items():
+            tmp = f"{path}.tmp{os.getpid()}"
+            pending.append((tmp, path))
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        while pending:
+            os.replace(*pending[0])
+            pending.pop(0)
+    finally:
+        for tmp, _ in pending:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def _emit(args, text_lines: list[str], json_obj, command: str, params: dict,
+          summary: dict, status: int) -> int:
+    """Print the result; with --out also write its JSON and a manifest, both
+    encoded before either file is touched.  Returns status."""
     payload = canonical_json(json_obj) if args.format == "json" or args.out else None
+    files = {}
+    if args.out:
+        manifest = make_manifest(
+            command=command,
+            params=params,
+            version=__version__,
+            input_hashes={"config": hash_file(args.config)} if args.config else {},
+            result_summary=summary,
+            exit_status=status,
+        )
+        files = {args.out: payload,
+                 args.out + ".manifest.json": canonical_json(manifest.to_json_obj())}
     if args.format == "json":
         sys.stdout.write(payload)
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-
-
-def _input_hashes(args) -> dict:
-    return {"config": hash_file(args.config)} if args.config else {}
-
-
-def _write_manifest(args, command: str, params: dict, summary: dict, status: int) -> None:
-    if not args.out:
-        return
-    manifest = make_manifest(
-        command=command,
-        params=params,
-        version=__version__,
-        input_hashes=_input_hashes(args),
-        result_summary=summary,
-        exit_status=status,
-    )
-    with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(manifest.to_json_obj()))
+    _write_files(files)
+    return status
 
 
 def cmd_key(args, cfg: EngineConfig) -> int:
@@ -144,9 +161,7 @@ def cmd_key(args, cfg: EngineConfig) -> int:
     text = poly.to_text()
     obj = {"command": "key", "params": params, "polynomial": poly.to_json_obj(),
            "text": text}
-    _emit(args, [text], obj)
-    _write_manifest(args, "key", params, {"terms": len(poly.terms)}, EXIT_OK)
-    return EXIT_OK
+    return _emit(args, [text], obj, "key", params, {"terms": len(poly.terms)}, EXIT_OK)
 
 
 def cmd_pw(args, cfg: EngineConfig) -> int:
@@ -172,9 +187,7 @@ def cmd_pw(args, cfg: EngineConfig) -> int:
     text = poly.to_text()
     obj = {"command": "pw", "params": params, "polynomial": poly.to_json_obj(),
            "text": text}
-    _emit(args, [text], obj)
-    _write_manifest(args, "pw", params, {"terms": len(poly.terms)}, EXIT_OK)
-    return EXIT_OK
+    return _emit(args, [text], obj, "pw", params, {"terms": len(poly.terms)}, EXIT_OK)
 
 
 def cmd_sets(args, cfg: EngineConfig) -> int:
@@ -201,9 +214,7 @@ def cmd_sets(args, cfg: EngineConfig) -> int:
     params = {"w": w.one_line(), "set": which, "levels": list(levels)}
     obj = {"command": "sets", "params": params, "elements": elements,
            "size": len(elements)}
-    _emit(args, elements, obj)
-    _write_manifest(args, "sets", params, {"size": len(elements)}, EXIT_OK)
-    return EXIT_OK
+    return _emit(args, elements, obj, "sets", params, {"size": len(elements)}, EXIT_OK)
 
 
 def _report_lines(report: dict) -> list[str]:
@@ -222,13 +233,11 @@ def _report_lines(report: dict) -> list[str]:
 
 def _finish_report(args, command: str, report: dict) -> int:
     status = EXIT_OK if not report["counterexamples"] else EXIT_FINDING
-    _emit(args, _report_lines(report), report)
-    _write_manifest(
-        args, command, report["params"],
+    return _emit(
+        args, _report_lines(report), report, command, report["params"],
         {"counterexamples": len(report["counterexamples"]), "stats": report["stats"]},
         status,
     )
-    return status
 
 
 def cmd_verify(args, cfg: EngineConfig) -> int:
@@ -324,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except InvariantError as exc:
+        print(f"invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,7 +3,8 @@
 An optional config file (plain key=value lines, # comments) sets the sweep
 caps `max_n` and `max_tdeg`; any other key is an error.  Requests beyond the
 caps are refused rather than attempted: factorial sweeps and exact series
-arithmetic grow too fast for a polite failure later.
+arithmetic grow too fast for a polite failure later.  The package's two
+error types live here too.
 """
 
 from __future__ import annotations
@@ -17,6 +18,13 @@ _KEYS = ("max_n", "max_tdeg")
 
 class ResourceCapError(Exception):
     """A request exceeded a configured or absolute resource cap."""
+
+
+class InvariantError(Exception):
+    """A structural invariant of the computation failed: a bug, not bad input.
+
+    Raised by explicit checks, never by ``assert``, so it holds under ``-O``.
+    """
 
 
 @dataclass(frozen=True)

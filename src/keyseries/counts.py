@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 
 from .bseq import enum_A
 from .multisets import EtaMultiSet, format_multiset, sum_seqs
-from .mults import cubic_multiplicities, quadratic_multiplicities
+from .mults import MultView, cubic_multiplicities, quadratic_multiplicities
 from .permutation import Permutation, ScanOutcome, sweep
 from .poly import SparsePoly, series_inverse_product, x_exps
 from .series import _trim_partition, key_polynomial, partitions, t_exps
@@ -255,7 +255,7 @@ def suite_fcoeff(group_n: int = 3, max_weight: int = 6) -> ScanOutcome:
                      "detail": "enumeration disagrees with series block"}
                 )
                 continue
-            for (mu, _, _), c in block.multiset_items():
+            for (mu,), c in MultView(block, 0).items():
                 coeffs += 1
                 got = F_coefficient(lam, w, mu)
                 if got != c:

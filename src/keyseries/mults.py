@@ -2,19 +2,22 @@
 
 The T-quadratic part of P_w is a sum of -m_eta x^eta T_k T_l with m_eta >= 1
 exactly on the multiset sums admitting two essentially distinct presentations;
-the T-cubic part enters with + sign.  This module extracts those
-multiplicities, evaluates the closed formulas for the small slices (one unit
-of freedom, two units with k < l, two units with k = l), verifies the transfer
-rules along weak-order covers, and runs the conjecture scans (presentation
-poset invariance and monotonicity, multiplicity growth under s_i, cubic
-support, lower bounds).
+the T-cubic part enters with + sign.  This module reads those multiplicities,
+evaluates the closed formulas for the small slices (one unit of freedom, two
+units with k < l, two units with k = l), verifies the transfer rules along
+weak-order covers, and runs the conjecture scans (presentation poset
+invariance and monotonicity, multiplicity growth under s_i, cubic support,
+lower bounds).
 
-Every check and scan is a function of one permutation w, returning its
-findings and counts, run over all of S_n in one-line order by the single
-driver `sweep`.  `sweep` and `ScanOutcome` live in `permutation`, next to
-`all_permutations`, so that `series` and `counts` run their suites with them
-too; they are re-exported here.  `_b_keys` walks the two-presentation sets.
-The verify suites are listed once, in `cli.VERIFY_SUITES`.
+The multiplicity tables are packed views, `MultView`: a lookup packs its key
+and reads the numerator's terms, and only iteration decodes the slice, lazily
+and in term order.  `check_lketa23` builds its rows (B set, presentations,
+position patterns) once per bound w_upper(w, k), in strata local to one sweep.
+
+Every check and scan is a function of one permutation w, run over S_n in
+one-line order by `sweep`, which lives in `permutation` with `ScanOutcome`
+and is re-exported here.  The verify suites are listed once, in
+`cli.VERIFY_SUITES`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+from .bseq import w_upper
+from .config import InvariantError
 from .multisets import (
     enum_B,
     enum_Btilde,
@@ -31,12 +36,12 @@ from .multisets import (
     presentations,
 )
 from .permutation import Permutation, ScanOutcome, sweep
-from .poly import SparsePoly, t_pair, x_exps
+from .poly import SparsePoly, x_exps
 from .series import n_factor_product, numerator_P
 
 __all__ = [
-    "levels_from_t",
     "t_from_levels",
+    "MultView",
     "multiplicity2",
     "multiplicity3",
     "quadratic_multiplicities",
@@ -61,49 +66,62 @@ __all__ = [
 ]
 
 
-def levels_from_t(t: tuple[int, ...]) -> tuple[int, ...]:
-    """T-exponent tuple to a sorted tuple of levels with multiplicity."""
-    out: list[int] = []
-    for l, e in enumerate(t, start=1):
-        out.extend([l] * e)
-    return tuple(out)
+# T-exponents of a level multiset, (2, 3) -> (0, 1, 1): counted as x_exps counts
+t_from_levels = x_exps
 
 
-def t_from_levels(levels: tuple[int, ...]) -> tuple[int, ...]:
-    vec = [0] * max(levels)
-    for l in levels:
-        vec[l - 1] += 1
-    return tuple(vec)
+# -- multiplicity tables ---------------------------------------------------------
 
 
-# -- multiplicity extraction ---------------------------------------------------
+class MultView:
+    """Read-only table of the T-degree `grade` slice of a xi-free polynomial,
+    times `sign`, keyed (levels..., eta) with sorted index multisets: (k, l,
+    eta) at grade 2, (p, k, l, tau) at grade 3, (mu,) at grade 0.  `get`
+    packs its key and reads the terms; `items`, `keys` and `len` decode the
+    slice lazily, in its term order."""
+
+    __slots__ = ("poly", "grade", "sign")
+
+    def __init__(self, poly: SparsePoly, grade: int, sign: int = 1):
+        self.poly, self.grade, self.sign = poly, grade, sign
+
+    def get(self, key: tuple, default: int = 0) -> int:
+        if len(key) != self.grade + 1:
+            return default
+        c = self.poly.coefficient(x=x_exps(key[-1]), t=t_from_levels(key[:-1]))
+        return self.sign * c if c else default
+
+    def items(self) -> Iterator[tuple[tuple, int]]:
+        for (eta, levels, _), c in self.poly.t_slice(self.grade).multiset_items():
+            yield levels + (eta,), self.sign * c
+
+    def keys(self) -> Iterator[tuple]:
+        return (key for key, _ in self.items())
+
+    __iter__ = keys
+
+    def __len__(self) -> int:
+        return len(self.poly.t_slice(self.grade).terms)
 
 
-def quadratic_multiplicities(w: Permutation) -> dict[tuple, int]:
-    """All nonzero m with keys (k, l, eta), from the T-quadratic slice of P_w.
+def quadratic_multiplicities(w: Permutation) -> MultView:
+    """m with keys (k, l, eta), from the T-quadratic slice of P_w.
 
-    The slice carries a global minus sign, so the stored values are positive
+    The slice carries a global minus sign, so the values are positive
     whenever the structure theory says they should be.
     """
-    out: dict[tuple, int] = {}
-    for (eta, (k, l), _), c in numerator_P(w, tmax=2).t_slice(2).multiset_items():
-        out[(k, l, eta)] = -c
-    return out
+    return MultView(numerator_P(w, tmax=2), 2, -1)
 
 
-def cubic_multiplicities(w: Permutation) -> dict[tuple, int]:
-    """All nonzero m with keys (p, k, l, tau), from the T-cubic slice of P_w."""
-    out: dict[tuple, int] = {}
-    for (tau, (p, k, l), _), c in numerator_P(w, tmax=3).t_slice(3).multiset_items():
-        out[(p, k, l, tau)] = c
-    return out
+def cubic_multiplicities(w: Permutation) -> MultView:
+    """m with keys (p, k, l, tau), from the T-cubic slice of P_w."""
+    return MultView(numerator_P(w, tmax=3), 3)
 
 
 def multiplicity2(w: Permutation, k: int, l: int, eta: tuple[int, ...]) -> int:
     if not 1 <= k <= l:
         raise ValueError(f"need 1 <= k <= l, got {(k, l)}")
-    coeff = numerator_P(w, tmax=2).coefficient(x=x_exps(tuple(eta)), t=t_pair(k, l))
-    return -coeff
+    return quadratic_multiplicities(w).get((k, l, tuple(eta)))
 
 
 def multiplicity3(
@@ -111,9 +129,7 @@ def multiplicity3(
 ) -> int:
     if not 1 <= p <= k <= l:
         raise ValueError(f"need 1 <= p <= k <= l, got {(p, k, l)}")
-    return numerator_P(w, tmax=3).coefficient(
-        x=x_exps(tuple(tau)), t=t_from_levels((p, k, l))
-    )
+    return cubic_multiplicities(w).get((p, k, l, tuple(tau)))
 
 
 def N_quadratic(w: Permutation, i: int) -> SparsePoly:
@@ -123,9 +139,8 @@ def N_quadratic(w: Permutation, i: int) -> SparsePoly:
     contains i and not i+1, so its s_i image contains i+1 and not i.
     """
     out = n_factor_product(w, i, tmax=2).t_slice(2)
-    for (x, _, _), _ in out.exponent_items():
-        assert (x[i] if i < len(x) else 0) == 2, (w.one_line(), i, x)
-        assert (x[i - 1] if i - 1 < len(x) else 0) == 0, (w.one_line(), i, x)
+    if not set(out.pair_components(i)) <= {(0, 2)}:
+        raise InvariantError(f"N_quadratic({w.one_line()}, {i}) has a term off x_{i + 1}^2")
     return out
 
 
@@ -136,12 +151,8 @@ def _pair_basis(i: int, a: int, b: int) -> SparsePoly:
     """Basis element for the decomposition: pure x_i^a x_{i+1}^b when a >= b,
     x_i^a x_{i+1}^a times the complete homogeneous part of degree b - a when
     a < b; exactly the pi_i images of the pure monomials."""
-    if a >= b:
-        vec = [0] * (i + 1)
-        vec[i - 1], vec[i] = a, b
-        return SparsePoly.term(x=tuple(vec))
     total = SparsePoly.zero()
-    for u in range(b - a + 1):
+    for u in range(max(b - a, 0) + 1):
         vec = [0] * (i + 1)
         vec[i - 1], vec[i] = a + u, b - u
         total = total + SparsePoly.term(x=tuple(vec))
@@ -152,25 +163,19 @@ def decompose_quadratic(f: SparsePoly, i: int) -> dict[tuple[int, int], SparsePo
     """Write f (pair degrees at most 2) over the nine-element pair basis.
 
     Returns components free of x_i and x_{i+1}; the expansion over
-    _pair_basis reconstructs f, which is asserted.
+    _pair_basis reconstructs f, which is checked.
     """
     parts = f.pair_components(i)
-    c = {(a, b): parts.get((a, b), SparsePoly.zero()) for a in range(3) for b in range(3)}
-    comp = {
-        (0, 0): c[(0, 0)],
-        (0, 1): c[(0, 1)],
-        (0, 2): c[(0, 2)],
-        (1, 2): c[(1, 2)],
-        (1, 0): c[(1, 0)] - c[(0, 1)],
-        (2, 0): c[(2, 0)] - c[(0, 2)],
-        (1, 1): c[(1, 1)] - c[(0, 2)],
-        (2, 1): c[(2, 1)] - c[(1, 2)],
-        (2, 2): c[(2, 2)],
-    }
+    comp = {(a, b): parts.get((a, b), SparsePoly.zero()) for a in range(3) for b in range(3)}
+    # each basis element with a < b also holds pure monomials: take its share off them
+    for pure, basis in (((1, 0), (0, 1)), ((2, 0), (0, 2)),
+                        ((1, 1), (0, 2)), ((2, 1), (1, 2))):
+        comp[pure] = comp[pure] - comp[basis]
     rebuilt = SparsePoly.zero()
     for (a, b), part in comp.items():
         rebuilt = rebuilt + part * _pair_basis(i, a, b)
-    assert rebuilt == f, "pair degrees above 2 cannot be decomposed here"
+    if rebuilt != f:
+        raise InvariantError("pair degrees above 2 cannot be decomposed here")
     return comp
 
 
@@ -306,30 +311,44 @@ _LKETA_PATTERNS = {
 }
 
 
+def _lketa23_rows(w: Permutation, k: int) -> list[tuple]:
+    """(eta, lo, hi, pattern, unified, tag) for each eta in B_{k,k}(w) with
+    |eta_2| = k - 3; all of it depends on w only through w_upper(w, k)."""
+    rows = []
+    for eta in enum_B(w, k, k):
+        if len(eta_parts(eta)[1]) != k - 3:
+            continue
+        ps = presentations(w, k, k, eta)
+        sides = sorted({side for pair in ps.pairs for side in pair})
+        lo = _gamma_positions(eta, sides[0])
+        hi = _gamma_positions(eta, sides[-1])
+        pattern = _LKETA_PATTERNS.get((frozenset(lo), frozenset(hi)))
+        a, b, cpos = lo
+        d, e, f = hi
+        eps = 1 if b > d else 0
+        delta = 1 if cpos > e else 0
+        unified = f - a - eps * (b - d) - delta * (cpos - e)
+        tag = "pattern_{}_{}".format("".join(map(str, lo)), "".join(map(str, hi)))
+        rows.append((eta, lo, hi, pattern, unified, tag))
+    return rows
+
+
 def check_lketa23(n: int) -> ScanOutcome:
     """Two units of freedom at k = l: five position patterns, m in [3, 5]."""
+    # w_upper(w, k) -> _lketa23_rows(w, k), held for this sweep only
+    strata: dict[tuple[int, ...], list[tuple]] = {}
 
     def one(w: Permutation):
         quad = quadratic_multiplicities(w)
         ces: list[dict] = []
         counts = {"multisets": 0}
         for k in range(3, n + 1):
-            for eta in enum_B(w, k, k):
-                eta1, eta2 = eta_parts(eta)
-                if len(eta2) != k - 3:
-                    continue
+            bound = w_upper(w, k)
+            if bound not in strata:
+                strata[bound] = _lketa23_rows(w, k)
+            for eta, lo, hi, pattern, unified, tag in strata[bound]:
                 counts["multisets"] += 1
-                ps = presentations(w, k, k, eta)
-                sides = sorted({side for pair in ps.pairs for side in pair})
-                lo = _gamma_positions(eta, sides[0])
-                hi = _gamma_positions(eta, sides[-1])
                 got = quad.get((k, k, eta), 0)
-                pattern = _LKETA_PATTERNS.get((frozenset(lo), frozenset(hi)))
-                a, b, cpos = lo
-                d, e, f = hi
-                eps = 1 if b > d else 0
-                delta = 1 if cpos > e else 0
-                unified = f - a - eps * (b - d) - delta * (cpos - e)
                 if pattern is None or got != pattern or got != unified or not 3 <= got <= 5:
                     ces.append(
                         {"w": w.one_line(), "k": k, "eta": _fmt_eta(eta),
@@ -337,9 +356,6 @@ def check_lketa23(n: int) -> ScanOutcome:
                          "positions": [list(lo), list(hi)]}
                     )
                 else:
-                    tag = "pattern_{}_{}".format(
-                        "".join(map(str, lo)), "".join(map(str, hi))
-                    )
                     counts[tag] = counts.get(tag, 0) + 1
         return ces, counts
 
@@ -347,7 +363,7 @@ def check_lketa23(n: int) -> ScanOutcome:
 
 
 def _lowbdr2_one(
-    w: Permutation, n: int, quad: dict[tuple, int]
+    w: Permutation, n: int, quad: MultView
 ) -> tuple[list[dict], dict[str, int]]:
     """The 2^r - 1 floor on every two-presentation multiset of one w."""
     ces: list[dict] = []
@@ -374,11 +390,11 @@ def check_lowbdr2(n: int) -> ScanOutcome:
 # -- transfer rules along weak-order covers -----------------------------------------
 
 
-def _key_closure(i: int, cap: int, *dicts: dict) -> set[tuple]:
-    """Keys (levels..., eta) of dicts with the i, i+1 entries of eta
+def _key_closure(i: int, cap: int, *views: MultView) -> set[tuple]:
+    """Keys (levels..., eta) of the views with the i, i+1 entries of eta
     redistributed in every way that keeps both counts at most cap."""
     keys: set[tuple] = set()
-    for src in dicts:
+    for src in views:
         for key in src:
             eta = key[-1]
             a, b = _pair_counts(eta, i)
@@ -405,10 +421,7 @@ def check_multsiw(n: int) -> ScanOutcome:
             sw = w.left_mul_s(i)
             quad_sw = quadratic_multiplicities(sw)
             nfac = n_factor_product(w, i, tmax=3)
-            n2 = {
-                (k, l, eta): c
-                for (eta, (k, l), _), c in nfac.t_slice(2).multiset_items()
-            }
+            n2 = MultView(nfac, 2)
             for key in _key_closure(i, 2, quad_w, quad_sw, n2):
                 k, l, eta = key
                 a, b = _pair_counts(eta, i)
@@ -421,8 +434,7 @@ def check_multsiw(n: int) -> ScanOutcome:
                         + n2.get((k, l, _rebalance(eta, i, 0, 2)), 0)
                     )
                 else:
-                    hi, lo = max(a, b), min(a, b)
-                    expect = quad_w.get((k, l, _rebalance(eta, i, hi, lo)), 0)
+                    expect = quad_w.get((k, l, _rebalance(eta, i, max(a, b), min(a, b))), 0)
                 if got != expect:
                     ces.append(
                         {"w": w.one_line(), "i": i, "grade": 2, "key": key,
@@ -430,15 +442,14 @@ def check_multsiw(n: int) -> ScanOutcome:
                     )
             cub_sw = cubic_multiplicities(sw)
             n1 = -nfac.t_slice(1)
-            n3 = -nfac.t_slice(3)
+            n3 = MultView(nfac, 3, -1)
             comp = decompose_quadratic(p2, i)
             xi_var = SparsePoly.x_var(i)
             xip1 = SparsePoly.x_var(i + 1)
-            corr11 = xi_var * comp[(1, 0)] * n1
-            corr22 = xi_var * xi_var * xip1 * comp[(2, 1)] * n1
-            corr21 = xi_var * xi_var * comp[(2, 0)] * n1
+            corr11 = MultView(xi_var * comp[(1, 0)] * n1, 3)
+            corr22 = MultView(xi_var * xi_var * xip1 * comp[(2, 1)] * n1, 3)
+            corr21 = MultView(xi_var * xi_var * comp[(2, 0)] * n1, 3)
             for (p, k, l, tau) in _key_closure(i, 3, cub_w, cub_sw):
-                tvec = t_from_levels((p, k, l))
                 a, b = _pair_counts(tau, i)
                 var = lambda a2, b2: (p, k, l, _rebalance(tau, i, a2, b2))
                 got = cub_sw.get((p, k, l, tau), 0)
@@ -447,22 +458,22 @@ def check_multsiw(n: int) -> ScanOutcome:
                         cub_w.get((p, k, l, tau), 0)
                         + cub_w.get(var(2, 0), 0)
                         - cub_w.get(var(0, 2), 0)
-                        + corr11.coefficient(x=x_exps(tau), t=tvec)
+                        + corr11.get((p, k, l, tau))
                     )
                 elif (a, b) == (2, 2):
                     expect = (
                         cub_w.get((p, k, l, tau), 0)
                         + cub_w.get(var(3, 1), 0)
                         - cub_w.get(var(1, 3), 0)
-                        + corr22.coefficient(x=x_exps(tau), t=tvec)
+                        + corr22.get((p, k, l, tau))
                     )
                 elif {a, b} == {1, 2}:
                     expect = (
                         cub_w.get(var(2, 1), 0)
                         + cub_w.get(var(3, 0), 0)
                         - cub_w.get(var(0, 3), 0)
-                        + corr21.coefficient(x=x_exps(_rebalance(tau, i, 2, 1)), t=tvec)
-                        + n3.coefficient(x=x_exps(_rebalance(tau, i, 0, 3)), t=tvec)
+                        + corr21.get(var(2, 1))
+                        + n3.get(var(0, 3))
                     )
                 else:
                     expect = cub_w.get(var(max(a, b), min(a, b)), 0)
@@ -541,59 +552,37 @@ def _canonical_order_matrix(
             break
         colors = nxt
     order = sorted(range(size), key=lambda i: (repr(colors[i]), i))
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and repr(colors[groups[-1][0]]) == repr(colors[idx]):
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    best = None
-    for arrangement in itertools.product(
-        *(itertools.permutations(g) for g in groups)
-    ):
-        perm = [i for grp in arrangement for i in grp]
-        mat = tuple(tuple(leq[perm[i]][perm[j]] for j in range(size)) for i in range(size))
-        if best is None or mat < best:
-            best = mat
-    assert best is not None
-    return best
+    groups = [list(g) for _, g in itertools.groupby(order, key=lambda i: repr(colors[i]))]
+    perms = (
+        [i for grp in arrangement for i in grp]
+        for arrangement in itertools.product(*(itertools.permutations(g) for g in groups))
+    )
+    return min(
+        tuple(tuple(leq[perm[i]][perm[j]] for j in range(size)) for i in range(size))
+        for perm in perms
+    )
 
 
 def _order_embeds(
     small: tuple[tuple[bool, ...], ...], big: tuple[tuple[bool, ...], ...]
 ) -> bool:
     """Injective map preserving comparability and incomparability both ways."""
-    ns, nb = len(small), len(big)
-    if ns > nb:
-        return False
-    assigned: list[int] = []
-    used = [False] * nb
 
-    def backtrack(idx: int) -> bool:
-        if idx == ns:
+    def extend(assigned: tuple[int, ...]) -> bool:
+        """Whether the images assigned to the first elements of small extend."""
+        idx = len(assigned)
+        if idx == len(small):
             return True
-        for cand in range(nb):
-            if used[cand]:
-                continue
-            ok = True
-            for prev in range(idx):
-                img = assigned[prev]
-                if (
-                    small[idx][prev] != big[cand][img]
-                    or small[prev][idx] != big[img][cand]
-                ):
-                    ok = False
-                    break
-            if ok:
-                used[cand] = True
-                assigned.append(cand)
-                if backtrack(idx + 1):
-                    return True
-                assigned.pop()
-                used[cand] = False
-        return False
+        return any(
+            extend(assigned + (cand,))
+            for cand in range(len(big))
+            if cand not in assigned and all(
+                small[idx][prev] == big[cand][img] and small[prev][idx] == big[img][cand]
+                for prev, img in enumerate(assigned)
+            )
+        )
 
-    return backtrack(0)
+    return len(small) <= len(big) and extend(())
 
 
 def scan_poset(n: int) -> ScanOutcome:
@@ -635,16 +624,17 @@ def scan_siinc(n: int) -> ScanOutcome:
 
     def one(w: Permutation):
         quad = quadratic_multiplicities(w)
+        entries = list(quad.items())  # decoded once, read at every ascent
         ces: list[dict] = []
         checked = 0
         for i in range(1, n):
             if not w.is_ascent(i):
                 continue
-            for (k, l, eta), m in quad.items():
-                if _pair_counts(eta, i) not in ((0, 1), (0, 2), (1, 2)):
+            for (k, l, eta), m in entries:
+                a, b = _pair_counts(eta, i)
+                if (a, b) not in ((0, 1), (0, 2), (1, 2)):
                     continue
                 checked += 1
-                a, b = _pair_counts(eta, i)
                 other = quad.get((k, l, _rebalance(eta, i, b, a)), 0)
                 if m > other:
                     ces.append(
@@ -703,16 +693,18 @@ def scan_formpw2bound(n: int) -> ScanOutcome:
 
     def one(w: Permutation):
         quad_w = quadratic_multiplicities(w)
+        entries = list(quad_w.items())  # decoded once, read at every ascent
         ces, counts = _lowbdr2_one(w, n, quad_w)
         for i in range(1, n):
             if not w.is_ascent(i):
                 continue
             quad_sw = quadratic_multiplicities(w.left_mul_s(i))
-            for key, m in quad_w.items():
-                if quad_sw.get(key, 0) < m:
+            for key, m in entries:
+                cover = quad_sw.get(key, 0)
+                if cover < m:
                     ces.append(
                         {"w": w.one_line(), "i": i, "key": key,
-                         "m": m, "cover_m": quad_sw.get(key, 0)}
+                         "m": m, "cover_m": cover}
                     )
         return ces, counts
 

@@ -267,6 +267,11 @@ class SparsePoly:
         return SparsePoly({k: c for k, c in self.terms.items() if lo <= k < hi},
                           _trusted=True)
 
+    def count_below(self, d: int) -> int:
+        """Number of terms of total T-degree below d, counted without a copy."""
+        limit = d << TD_SHIFT
+        return sum(k < limit for k in self.terms)
+
     def t_truncate(self, tmax: int | None) -> "SparsePoly":
         if tmax is None:
             return self

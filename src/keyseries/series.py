@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .bseq import enum_A, moved_levels, si_image, split_A
+from .config import InvariantError
 from .permutation import Permutation, ScanOutcome, all_permutations, sweep
 from .poly import (
     Monomial,
@@ -186,9 +187,10 @@ def numerator_P(
         prior = numerator_P(v, xi_mode, tmax)
         staged = prior.mul_trunc(n_factor_product(v, i, tmax), tmax)
         out = pi_xi(i, staged) if xi_mode else pi(i, staged)
-    assert out.t_slice(0) == SparsePoly.one(), w.one_line()
-    if not xi_mode and (tmax is None or tmax >= 1):
-        assert not out.t_slice(1), w.one_line()
+    # constant term 1, no other T-free term and, outside xi mode, no T-linear one
+    low = 1 if xi_mode else 2
+    if out.coefficient() != 1 or out.count_below(low) != 1:
+        raise InvariantError(f"P_{w.one_line()} has a wrong term of T-degree below {low}")
     _P_CACHE[key] = out
     return out
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,11 +7,13 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+from keyseries import cli
 from keyseries.cli import main
 from keyseries.poly import MAX_EXP
 from keyseries.report import body_digest, canonical_json
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def load_schema(name):
@@ -223,6 +226,48 @@ def test_out_writes_report_and_manifest(tmp_path, capsys):
     assert manifest["command"] == "scan"
     assert manifest["exit_status"] == 0
     assert manifest["result_summary"]["counterexamples"] == 0
+
+
+@pytest.mark.parametrize("failure", ["manifest", "write"])
+def test_failed_out_leaves_no_file(tmp_path, capsys, monkeypatch, failure):
+    # The encoder fails after the report is encoded: on the manifest, or by
+    # handing back text the file encoding rejects, which fails mid-write.
+    real = cli.canonical_json
+    calls = []
+
+    def encoder(obj):
+        calls.append(obj)
+        if failure == "manifest" and len(calls) == 2:
+            raise ValueError("cannot encode the manifest")
+        return real(obj) + ("\ud800" if failure == "write" else "")
+
+    monkeypatch.setattr(cli, "canonical_json", encoder)
+    code = main(["scan", "--conjecture", "siinc", "--n", "3",
+                 "--out", str(tmp_path / "rep.json")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_invariant_failure_exits_4_under_O():
+    # A numerator step that leaves a T-linear term breaks an invariant of P_w.
+    # Under -O, where assert statements vanish, it still ends in exit 4.
+    code = (
+        "import sys\n"
+        "from keyseries import cli, series\n"
+        "from keyseries.poly import SparsePoly\n"
+        "real = series.pi\n"
+        "series.pi = lambda i, f: real(i, f) + SparsePoly.term(x=(1,), t=(1,))\n"
+        "sys.exit(cli.main(['pw', '--w', '21', '--tdeg', '2']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("invariant failed: P_21 ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_manifest_hashes_config_input(tmp_path, capsys):

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from keyseries.cli import VERIFY_SUITES
+from keyseries.config import InvariantError
 from keyseries.multisets import enum_B, parse_multiset
 from keyseries.mults import (
     SCANS,
@@ -12,8 +13,10 @@ from keyseries.mults import (
     check_lowbdr2,
     check_multsiw,
     check_quadratic_support,
+    MultView,
+    N_quadratic,
     cubic_multiplicities,
-    levels_from_t,
+    decompose_quadratic,
     multiplicity2,
     multiplicity3,
     presentation_poset,
@@ -25,8 +28,9 @@ from keyseries.mults import (
     t_from_levels,
 )
 from keyseries.permutation import all_permutations, parse_permutation
+from keyseries.poly import SparsePoly
 from keyseries.report import body_digest, canonical_json, outcome_report
-from keyseries.series import numerator_P
+from keyseries.series import n_factor_product, numerator_P
 
 W = parse_permutation("42531")
 
@@ -34,8 +38,6 @@ W = parse_permutation("42531")
 def test_level_codecs():
     assert t_from_levels((2, 3)) == (0, 1, 1)
     assert t_from_levels((3, 3)) == (0, 0, 2)
-    assert levels_from_t((0, 1, 1)) == (2, 3)
-    assert levels_from_t((0, 0, 2)) == (3, 3)
 
 
 def test_multiplicity2_golden():
@@ -103,6 +105,38 @@ def test_multiplicity_tables_match_decoded_slices(n):
             quadratic_multiplicities(w), _decoded_slice(numerator_P(w, tmax=2), 2, -1), n)
         _assert_view_matches(
             cubic_multiplicities(w), _decoded_slice(numerator_P(w, tmax=3), 3, 1), n)
+        for i in range(1, n):
+            if w.is_ascent(i):
+                # check_multsiw's table of the cover factor product
+                nfac = n_factor_product(w, i, tmax=3)
+                _assert_view_matches(MultView(nfac, 2), _decoded_slice(nfac, 2, 1), n)
+
+
+def test_view_lookups_outside_the_slice():
+    quad = quadratic_multiplicities(W)
+    assert quad.get((2, 3, parse_multiset("12345"))) == 3
+    assert quad.get((2, 3, parse_multiset("12345")), None) == 3
+    assert quad.get((2, 3, parse_multiset("11334")), None) is None
+    # a key with the wrong number of levels or an index past x9 has no term
+    assert quad.get((2, parse_multiset("12345"))) == 0
+    assert quad.get((1, 2, 3, parse_multiset("12345"))) == 0
+    assert quad.get((2, 3, (1, 2, 3, 4, 10))) == 0
+
+
+def test_n_quadratic_is_pure_in_the_pair():
+    for w in all_permutations(4):
+        for i in range(1, 4):
+            if w.is_ascent(i):
+                got = N_quadratic(w, i)
+                assert got == n_factor_product(w, i, tmax=2).t_slice(2)
+                assert set(got.pair_components(i)) <= {(0, 2)}
+
+
+def test_decompose_quadratic_rejects_pair_degree_three():
+    x1, x2 = SparsePoly.x_var(1), SparsePoly.x_var(2)
+    assert decompose_quadratic(x1 * x1 * x2 * x2, 1)[(2, 2)] == SparsePoly.one()
+    with pytest.raises(InvariantError):
+        decompose_quadratic(x1 ** 3, 1)
 
 
 def test_quadratic_support_s4():

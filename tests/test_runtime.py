@@ -1,8 +1,5 @@
 import dataclasses
-import importlib
 import json
-import pkgutil
-import re
 
 import pytest
 
@@ -137,30 +134,18 @@ def test_manifest_fields():
     )
 
 
-def _cache_sizes():
-    # Found by name, not listed: every module-level `_*_CACHE` dict and every
-    # lru_cache defined in a keyseries module.
-    sizes = {}
-    for info in pkgutil.iter_modules(keyseries.__path__):
-        module = importlib.import_module(f"keyseries.{info.name}")
-        for name, obj in vars(module).items():
-            label = f"{info.name}.{name}"
-            if re.fullmatch(r"_\w+_CACHE", name) and isinstance(obj, dict):
-                sizes[label] = len(obj)
-            elif hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
-                sizes[label] = obj.cache_info().currsize
-    return sizes
-
-
 def test_clear_caches_empties_every_cache():
     check_diff1(3)
     series.suite_formofkw(3, 2)
     counts.suite_fcoeff(3, 3)
     poly.divided_difference(1, poly.SparsePoly.x_var(1))
     keyseries.enum_C(keyseries.parse_permutation("4123"), 1, 2, 3)
-    sizes = _cache_sizes()
-    assert {"multisets._B_CACHE", "multisets._C_CACHE", "counts._level_selections",
-            "poly._pi_pair"} <= set(sizes), sorted(sizes)
+    sizes = keyseries.cache_stats()
+    assert sorted(sizes) == [
+        "bseq._A_CACHE", "bseq._A_SET_CACHE", "counts._level_selections",
+        "multisets._BTILDE_CACHE", "multisets._B_CACHE", "multisets._C_CACHE",
+        "poly._dd_pair", "poly._pi_pair", "series._KEY_CACHE", "series._P_CACHE",
+    ]
     assert all(sizes.values()), sizes
     keyseries.clear_caches()
-    assert not any(_cache_sizes().values()), _cache_sizes()
+    assert not any(keyseries.cache_stats().values()), keyseries.cache_stats()
