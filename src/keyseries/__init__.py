@@ -10,11 +10,9 @@ counterexamples.
 
 __version__ = "0.1.0"
 
-import importlib
-import pkgutil
 import re
+import sys
 
-from . import bseq, counts, multisets, poly, series
 from .bseq import enum_A, moved_levels, split_A
 from .counts import F_coefficient, approx_coefficient, polytope_point_count
 from .multisets import enum_B, enum_Btilde, enum_C, enum_Ctilde, presentations
@@ -72,14 +70,15 @@ __all__ = [
 def _memo_tables():
     """(label, table) for every memo table in the package, found by name, not
     listed: each module-level `_*_CACHE` dict and each lru_cache defined in a
-    keyseries module, labelled `module.name`."""
-    for info in pkgutil.iter_modules(__path__):
-        module = importlib.import_module(f"{__name__}.{info.name}")
-        for name, obj in vars(module).items():
+    keyseries module, labelled `module.name`.  Only imported modules are
+    read, as a module never imported holds nothing."""
+    prefix = f"{__name__}."
+    for modname in sorted(m for m in sys.modules if m.startswith(prefix)):
+        for name, obj in vars(sys.modules[modname]).items():
             if re.fullmatch(r"_\w+_CACHE", name) and isinstance(obj, dict):
-                yield f"{info.name}.{name}", obj
-            elif hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
-                yield f"{info.name}.{name}", obj
+                yield f"{modname[len(prefix):]}.{name}", obj
+            elif hasattr(obj, "cache_info") and obj.__module__ == modname:
+                yield f"{modname[len(prefix):]}.{name}", obj
 
 
 def cache_stats() -> dict[str, int]:
