@@ -7,14 +7,14 @@ from keyseries.config import InvariantError
 from keyseries.multisets import enum_B, parse_multiset
 from keyseries.mults import (
     SCANS,
+    MultView,
+    N_quadratic,
     check_diff1,
     check_diff2,
     check_lketa23,
     check_lowbdr2,
     check_multsiw,
     check_quadratic_support,
-    MultView,
-    N_quadratic,
     cubic_multiplicities,
     decompose_quadratic,
     multiplicity2,
