@@ -1,7 +1,8 @@
 """Command line surface: polynomials, set listings, verification, scans.
 
 Exit codes: 0 success, 1 mathematical counterexample or mismatch, 2 usage
-error, 3 resource cap exceeded, 4 a structural invariant failed (a bug).
+error, 3 resource cap exceeded or memory exhausted, 4 a structural invariant
+failed or the recursion limit was hit (a bug), 130 interrupted.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
+EXIT_INTERRUPT = 130
 
 # The verify suites, the one list of them: name -> (function, default rank,
 # the further arguments it takes after the rank, by name, with their
@@ -333,9 +335,15 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except InvariantError as exc:
+    except MemoryError:
+        print("resource cap: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (InvariantError, RecursionError) as exc:
         print(f"invariant failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

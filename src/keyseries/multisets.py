@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .bseq import AscSeq, enum_A, enum_A_set, w_upper
+from .config import InvariantError
 from .permutation import Permutation
 
 __all__ = [
@@ -165,7 +166,8 @@ def restricted_max(w: Permutation, m: int, eta: EtaMultiSet) -> AscSeq | None:
     """The entrywise maximum of ``restricted_A``; None when the set is empty.
 
     A unique maximum always exists when the set is non-empty; this is checked
-    and a violation raises (it would falsify an upstream structural fact).
+    and a violation raises ``InvariantError`` (it would falsify an upstream
+    structural fact).
     """
     cands = restricted_A(w, m, eta)
     if not cands:
@@ -173,7 +175,7 @@ def restricted_max(w: Permutation, m: int, eta: EtaMultiSet) -> AscSeq | None:
     best = max(cands)
     for alpha in cands:
         if any(a > b for a, b in zip(alpha, best)):
-            raise AssertionError(
+            raise InvariantError(
                 f"no entrywise maximum among {cands} (lex max {best} fails)"
             )
     return best
@@ -214,7 +216,7 @@ def extremal_presentation(
     beta_min_ok = beta_min in enum_A_set(w, k)
     alpha_min_ok = alpha_min in enum_A_set(w, l)
     if beta_min_ok != alpha_min_ok:
-        raise AssertionError(
+        raise InvariantError(
             f"complement membership disagrees for {eta}: "
             f"beta_min {beta_min} vs alpha_min {alpha_min}"
         )

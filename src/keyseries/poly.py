@@ -21,6 +21,9 @@ The isobaric operators act on the x variables only:
 
 all implemented by grouping terms over their (x_i, x_{i+1})-free part and
 adding packed closed one-pair formulas, so no rational division ever happens.
+
+``series_quotient`` divides by a product of binomials 1 - c*m truncated past a
+total T-degree, one pass per factor, never building the product's inverse.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .config import ResourceCapError
 
 __all__ = [
     "FIELD_BITS", "MAX_EXP", "NVARS", "Monomial", "SparsePoly", "divided_difference",
-    "pi", "pi_xi", "pi_word", "series_inverse_product", "x_exps", "x_multiset", "t_pair",
+    "pi", "pi_xi", "pi_word", "series_inverse_product", "series_quotient", "x_exps",
+    "x_multiset", "t_pair",
 ]
 
 # (x exponents, T exponents, xi exponent); tuple index 0 holds x_1 / T_1, no trailing zeros.
@@ -519,33 +523,47 @@ def pi_word(word: Iterable[int], f: SparsePoly, xi_mode: bool = False) -> Sparse
     return f
 
 
-# -- truncated geometric products -------------------------------------------
+# -- truncated quotients ------------------------------------------------------
 
 
-def series_inverse_product(factors: Iterable[SparsePoly | Monomial], D: int) -> SparsePoly:
-    """prod over factors m of 1/(1 - m), truncated past total T-degree D.
+def series_quotient(f: SparsePoly, factors: Iterable[SparsePoly], D: int) -> SparsePoly:
+    """f / prod over factors (1 - c*m), truncated past total T-degree D.
 
-    Every factor must be a single monomial of T-degree >= 1 (otherwise the
-    truncation would not determine the expansion).
+    Every factor c*m must be a single monomial of T-degree >= 1 (otherwise the
+    truncation would not determine the expansion).  Dividing by one factor needs
+    no product: g = f + c*m*g, filled in ascending T-degree (Knuth, TAOCP vol. 2,
+    section 4.7), one dict update per term.
     """
     if D < 0:
         raise ValueError(f"truncation degree must be >= 0, got {D}")
-    result = SparsePoly.one()
+    # a term past T-degree MAX_EXP + 1 is never formed: one there already overflows
+    levels: list[dict[int, int]] = [{} for _ in range(min(D, MAX_EXP + 1) + 1)]
+    for k, c in f.terms.items():
+        if k >> TD_SHIFT < len(levels):
+            levels[k >> TD_SHIFT][k] = c
     for fac in factors:
-        if isinstance(fac, SparsePoly):
-            if len(fac.terms) != 1:
-                raise ValueError(f"factor is not a monomial: {fac!r}")
-            ((key, coeff),) = fac.terms.items()
-        else:
-            key, coeff = _pack(fac[0], fac[1], 0), 1
-        td = key >> TD_SHIFT
+        if len(fac.terms) != 1:
+            raise ValueError(f"factor is not a monomial: {fac!r}")
+        ((m, coeff),) = fac.terms.items()
+        td = m >> TD_SHIFT
         if td < 1:
             raise ValueError(f"factor monomial has no T part: {fac!r}")
-        geom: dict[int, int] = {0: 1}
-        gk, gc = 0, 1
-        for _ in range(D // td):
-            gk, gc = gk + key, gc * coeff
-            _checked(gk)
-            geom[gk] = gc
-        result = result.mul_trunc(SparsePoly(geom, _trusted=True), D)
-    return result
+        for src, dst in zip(levels, levels[td:]):
+            # a source key with a field past MAX_EXP could carry into the next field
+            _checked(reduce(or_, src, 0))
+            get = dst.get
+            for k, c in src.items():
+                k += m
+                s = get(k, 0) + coeff * c
+                if s:
+                    dst[k] = s
+                else:
+                    del dst[k]
+    out = {k: c for level in levels for k, c in level.items()}
+    _checked(reduce(or_, out, 0))
+    return SparsePoly(out, _trusted=True)
+
+
+def series_inverse_product(factors: Iterable[SparsePoly], D: int) -> SparsePoly:
+    """prod over factors of 1/(1 - m), truncated past total T-degree D."""
+    return series_quotient(SparsePoly.one(), factors, D)

@@ -27,7 +27,7 @@ from .poly import (
     SparsePoly,
     pi,
     pi_xi,
-    series_inverse_product,
+    series_quotient,
     x_exps,
 )
 
@@ -269,6 +269,8 @@ def verify_form(
 ) -> FormCheck:
     """Compare the truncated series against P_w over the denominator product.
 
+    The closed form is P_w divided by each factor 1 - x^alpha T_l of the
+    denominator in turn (``series_quotient``), truncated past T-degree D.
     With ``words`` given, P_w is recomputed along each word and all results
     must agree before the comparison runs.
     """
@@ -283,7 +285,7 @@ def verify_form(
                     w.one_line(), n, D, xi_mode, False,
                     f"numerator differs along word {tuple(word)}",
                 )
-    closed = p.mul_trunc(series_inverse_product(denominator_factors(w, n), D), D)
+    closed = series_quotient(p, denominator_factors(w, n), D)
     direct = series_Kw_direct(w, n, D, xi_mode=xi_mode)
     if closed == direct:
         return FormCheck(w.one_line(), n, D, xi_mode, True)

@@ -270,6 +270,43 @@ def test_invariant_failure_exits_4_under_O():
     assert "Traceback" not in proc.stderr
 
 
+def test_presentation_invariant_exits_4_under_O():
+    # Two entrywise-incomparable restricted candidates have no maximum, which
+    # the presentation interval needs; verify diff2 reaches it via presentations
+    # from rank 5 on (at rank 4 no multiset has two units of freedom).
+    code = (
+        "import sys\n"
+        "from keyseries import cli, multisets\n"
+        "multisets.restricted_A = lambda w, m, eta: (\n"
+        "    tuple(range(1, m)) + (m + 2,), tuple(range(2, m + 2)))\n"
+        "sys.exit(cli.main(['verify', '--suite', 'diff2', '--n', '5']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("invariant failed: no entrywise maximum")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("exc, status", [(MemoryError, 3), (RecursionError, 4),
+                                         (KeyboardInterrupt, 130)])
+def test_fatal_errors_exit_codes(tmp_path, capsys, monkeypatch, exc, status):
+    def fail(args, cfg):
+        raise exc()
+
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    code = main(["verify", "--suite", "pxiw1", "--n", "3",
+                 "--out", str(tmp_path / "rep.json")])
+    assert code == status
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_hashes_config_input(tmp_path, capsys):
     cfg = tmp_path / "caps.cfg"
     cfg.write_text("max_n=6\n")

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import keyseries
+from keyseries import multisets
 from keyseries.bseq import enum_A
+from keyseries.config import InvariantError
 from keyseries.multisets import (
     enum_B,
     enum_Btilde,
@@ -110,6 +112,19 @@ def test_extremal_golden():
     assert ext.in_Btilde
     gone = extremal_presentation(W, 2, 3, parse_multiset("33445"))
     assert gone is None or not gone.in_Btilde
+
+
+def test_extremal_invariants_raise(monkeypatch):
+    # Both are structural facts, so a violation is an InvariantError, not an assert.
+    eta = parse_multiset("12345")
+    real = multisets.enum_A_set
+    monkeypatch.setattr(multisets, "enum_A_set",
+                        lambda w, m: frozenset() if m == 3 else real(w, m))
+    with pytest.raises(InvariantError, match="complement membership"):
+        extremal_presentation(W, 2, 3, eta)
+    monkeypatch.setattr(multisets, "restricted_A", lambda w, m, eta: ((1, 4), (2, 3)))
+    with pytest.raises(InvariantError, match="no entrywise maximum"):
+        restricted_max(W, 2, eta)
 
 
 def test_extremal_containments():

@@ -4,10 +4,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from keyseries.config import ResourceCapError
 from keyseries.permutation import all_permutations
+from keyseries.series import denominator_factors, numerator_P
 from keyseries.poly import (
     MAX_EXP,
     NVARS,
@@ -17,6 +18,7 @@ from keyseries.poly import (
     pi_word,
     pi_xi,
     series_inverse_product,
+    series_quotient,
     t_pair,
     x_exps,
     x_multiset,
@@ -89,8 +91,11 @@ def test_overflow_raises_under_optimize():
     code = (
         "from keyseries.config import ResourceCapError\n"
         "from keyseries.poly import MAX_EXP, SparsePoly\n"
+        "from keyseries.poly import series_quotient\n"
+        "f = SparsePoly.term(x=(MAX_EXP - 1,)) - 3 * SparsePoly.term(x=(0, 2), t=(1,))\n"
         "for make in (lambda: SparsePoly.term(x=(MAX_EXP + 1,)),\n"
-        "             lambda: SparsePoly.term(x=(MAX_EXP,)) * SparsePoly.x_var(1)):\n"
+        "             lambda: SparsePoly.term(x=(MAX_EXP,)) * SparsePoly.x_var(1),\n"
+        "             lambda: series_quotient(f, [SparsePoly.term(x=(1,), t=(1,))], 2)):\n"
         "    try:\n"
         "        make()\n"
         "    except ResourceCapError:\n"
@@ -101,7 +106,7 @@ def test_overflow_raises_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised", "raised"]
+    assert proc.stdout.split() == ["raised", "raised", "raised"]
 
 
 def test_arithmetic():
@@ -217,3 +222,57 @@ def test_word_independence(p):
             continue
         assert pi_word(first, p) == pi_word(second, p)
         assert pi_word(first, p, xi_mode=True) == pi_word(second, p, xi_mode=True)
+
+
+def chain_inverse(factors, D):
+    """prod over factors c*m of 1/(1 - c*m) to T-degree D, as a chain of
+    truncated products of geometric series: the oracle for series_quotient."""
+    result = SparsePoly.one()
+    for fac in factors:
+        geom = power = SparsePoly.one()
+        for _ in range(D // fac.t_degree()):
+            power = power * fac
+            geom = geom + power
+        result = result.mul_trunc(geom, D)
+    return result
+
+
+@pytest.mark.parametrize("n", [4, pytest.param(5, marks=pytest.mark.slow)])
+def test_series_quotient_matches_chain_inverse(n):
+    for w in all_permutations(n):
+        factors = denominator_factors(w, n)
+        for D in range(5):
+            inverse = chain_inverse(factors, D)
+            for xi_mode in (False, True):
+                p = numerator_P(w, xi_mode=xi_mode, tmax=D)
+                assert series_quotient(p, factors, D) == p.mul_trunc(inverse, D), (w, D)
+
+
+factor_terms = st.builds(
+    lambda c, x, t: SparsePoly.term(coeff=c, x=tuple(x), t=tuple(t)),
+    st.sampled_from([1, 1, -1, -2, 3]),
+    st.lists(st.integers(0, 2), max_size=3),
+    st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(lambda t: 1 <= sum(t) <= 3),
+)
+
+
+@given(f=polys, ms=st.lists(factor_terms, max_size=4), D=st.integers(0, 5))
+@example(f=SparsePoly.parse("1 - 2*x2*T1 + x1*xi*T2"),
+         ms=[SparsePoly.parse("-2*x1*T1"), SparsePoly.parse("x2*T1*T2"),
+             SparsePoly.parse("3*x1*T3^3")], D=5)
+def test_series_quotient_roundtrip(f, ms, D):
+    denominator = SparsePoly.one()
+    for m in ms:
+        denominator = denominator.mul_trunc(1 - m, D)
+    assert series_quotient(f, ms, D).mul_trunc(denominator, D) == f.t_truncate(D)
+
+
+def test_series_quotient_rejects():
+    x1, t1 = SparsePoly.x_var(1), SparsePoly.t_block(1)
+    with pytest.raises(ValueError, match="not a monomial"):
+        series_quotient(SparsePoly.one(), [x1 * t1 + t1], 2)
+    with pytest.raises(ValueError, match="no T part"):
+        series_quotient(SparsePoly.one(), [x1], 2)
+    with pytest.raises(ValueError, match=">= 0"):
+        series_quotient(SparsePoly.one(), [x1 * t1], -1)
+    assert series_quotient(x1, [x1 * t1], 2) == x1 + x1 * x1 * t1 + x1 ** 3 * t1 * t1

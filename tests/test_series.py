@@ -1,7 +1,7 @@
 import pytest
 
 from keyseries.permutation import Permutation, all_permutations, parse_permutation
-from keyseries.poly import SparsePoly, pi_word, x_exps
+from keyseries.poly import SparsePoly, pi_word, series_inverse_product, x_exps
 from keyseries.series import (
     check_piiKw,
     check_propgen,
@@ -14,7 +14,6 @@ from keyseries.series import (
     numerator_P_along,
     partitions,
     series_Kw_direct,
-    series_inverse_product,
     suite_formofkw,
     suite_pxiw1,
     t_exps,
