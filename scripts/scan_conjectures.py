@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Run all conjecture scans over a range of ranks and save the reports.
 
-Exits 1 when any scan records a finding, 2 on a bad config or output
-directory and 3 when a rank exceeds the caps, matching the CLI convention;
-the reports land one file per (conjecture, n) in the output directory.
+Exits 1 when any scan records a finding, 2 on a bad config, an empty rank
+range or a bad output directory and 3 when a rank exceeds the caps, matching
+the CLI convention.  Each scan runs through `keyseries.cli.run_check`, as
+`keyseries scan` does, and its report lands, written atomically, in one file
+per (conjecture, n) in the output directory.
 """
 
 from __future__ import annotations
@@ -11,12 +13,31 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
-from keyseries.cli import EXIT_FINDING, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE
-from keyseries.config import ResourceCapError, load_config
-from keyseries.mults import SCANS
-from keyseries.report import canonical_json, outcome_report
+from keyseries import cli
+from keyseries.config import load_config
+from keyseries.report import canonical_json
+
+
+def run(args) -> int:
+    cfg = load_config(args.config)
+    if args.min_n > args.max_n:
+        raise ValueError(f"--min-n {args.min_n} is above --max-n {args.max_n}")
+    ranks = range(args.min_n, args.max_n + 1)
+    for n in ranks:
+        cfg.check_rank(n)
+    os.makedirs(args.out_dir, exist_ok=True)
+    findings = 0
+    for n in ranks:
+        for name in sorted(cli.check_names("scan")):
+            report = cli.run_check(name, n, cfg)
+            path = os.path.join(args.out_dir, f"{name}-n{n}.json")
+            cli._write_files({path: canonical_json(report)})
+            ces = report["counterexamples"]
+            tag = f"{len(ces)} finding(s)" if ces else "ok"
+            print(f"{name} n={n}: {tag} ({report['elapsed_ms']}ms) -> {path}")
+            findings += len(ces)
+    return cli.EXIT_FINDING if findings else cli.EXIT_OK
 
 
 def main() -> int:
@@ -25,35 +46,7 @@ def main() -> int:
     ap.add_argument("--max-n", type=int, default=4)
     ap.add_argument("--out-dir", default="scan-reports")
     ap.add_argument("--config")
-    args = ap.parse_args()
-
-    try:
-        cfg = load_config(args.config)
-        for n in range(args.min_n, args.max_n + 1):
-            cfg.check_rank(n)
-        os.makedirs(args.out_dir, exist_ok=True)
-    except ResourceCapError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    findings = 0
-    for n in range(args.min_n, args.max_n + 1):
-        for name in sorted(SCANS):
-            start = time.monotonic()
-            outcome = SCANS[name](n)
-            elapsed = int((time.monotonic() - start) * 1000)
-            report = outcome_report(
-                outcome, {"conjecture": name, "n": n}, elapsed
-            )
-            path = os.path.join(args.out_dir, f"{name}-n{n}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(report))
-            tag = "ok" if outcome.ok else f"{len(outcome.counterexamples)} finding(s)"
-            print(f"{name} n={n}: {tag} ({elapsed}ms) -> {path}")
-            findings += len(outcome.counterexamples)
-    return EXIT_FINDING if findings else EXIT_OK
+    return cli.guarded(run, ap.parse_args())
 
 
 if __name__ == "__main__":

@@ -1,5 +1,10 @@
 """Command line surface: polynomials, set listings, verification, scans.
 
+`verify` and `scan` are one command over one table, `CHECKS`: each row names
+the subcommand that runs it, and `run_check` runs any row and builds its
+report, for the CLI and the scripts alike.  A verify suite that checks
+nothing at the requested rank is a usage error.
+
 Exit codes: 0 success, 1 mathematical counterexample or mismatch, 2 usage
 error, 3 resource cap exceeded or memory exhausted, 4 a structural invariant
 failed or the recursion limit was hit (a bug), 130 interrupted.
@@ -19,14 +24,17 @@ from .config import EngineConfig, InvariantError, ResourceCapError, load_config
 from .counts import suite_fcoeff
 from .multisets import enum_B, enum_C, format_multiset
 from .mults import (
-    SCANS,
     check_diff1,
     check_diff2,
     check_lketa23,
     check_lowbdr2,
     check_multsiw,
+    scan_formpw2bound,
+    scan_formpw3,
+    scan_poset,
+    scan_siinc,
 )
-from .permutation import Permutation, ScanOutcome, parse_permutation
+from .permutation import parse_permutation
 from .report import canonical_json, hash_file, make_manifest, outcome_report
 from .series import (
     key_by_composition,
@@ -44,40 +52,66 @@ EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
 EXIT_INTERRUPT = 130
 
-# The verify suites, the one list of them: name -> (function, default rank,
-# the further arguments it takes after the rank, by name, with their
-# defaults).  `verify`, scripts/verify_all.py (in this order) and the tests
-# read it.
-VERIFY_SUITES = {
-    "formofkw": (suite_formofkw, 4, {"tdeg": 4}),
-    "pxiw1": (suite_pxiw1, 4, {}),
-    "diff1": (check_diff1, 5, {}),
-    "diff2": (check_diff2, 5, {}),
-    "lketa23": (check_lketa23, 6, {}),
-    "bounds": (check_lowbdr2, 5, {}),
-    "multsiw": (check_multsiw, 4, {}),
-    "fcoeff": (suite_fcoeff, 3, {}),
+# Every check, the one list of them: name -> (subcommand, function, default
+# rank, the further arguments it takes after the rank, by name, with their
+# defaults).  The verify suites run the proved laws, the scans the open
+# questions; rank 4 is the least at which every scan compares something.
+# `verify`, `scan`, both scripts and the tests read it, and
+# scripts/verify_all.py runs the suites in table order.
+CHECKS = {
+    "formofkw": ("verify", suite_formofkw, 4, {"tdeg": 4}),
+    "pxiw1": ("verify", suite_pxiw1, 4, {}),
+    "diff1": ("verify", check_diff1, 5, {}),
+    "diff2": ("verify", check_diff2, 5, {}),
+    "lketa23": ("verify", check_lketa23, 6, {}),
+    "bounds": ("verify", check_lowbdr2, 5, {}),
+    "multsiw": ("verify", check_multsiw, 4, {}),
+    "fcoeff": ("verify", suite_fcoeff, 3, {}),
+    "poset": ("scan", scan_poset, 4, {}),
+    "siinc": ("scan", scan_siinc, 4, {}),
+    "formpw3": ("scan", scan_formpw3, 4, {}),
+    "formpw2bound": ("scan", scan_formpw2bound, 4, {}),
 }
-# Suites are called through this plain dict, never through a table row, so
+# Checks are called through this plain dict, never through a table row, so
 # that a tracer that rebinds module-level dict values (perfbench/spans.py)
-# sees every suite call.
-_SUITE_FUNCTIONS = {name: row[0] for name, row in VERIFY_SUITES.items()}
+# sees every check call.
+_CHECK_FUNCTIONS = {name: row[1] for name, row in CHECKS.items()}
+# subcommand -> (the option and params key naming the check, the report name
+# prefix, the help line)
+_SUBCOMMANDS = {
+    "verify": ("suite", "verify-", "run a verification suite"),
+    "scan": ("conjecture", "", "scan a conjecture for counterexamples"),
+}
 
 
-def suite_params(name: str) -> dict:
-    """Report params of the verify suite `name` at its defaults."""
-    _, n, extra = VERIFY_SUITES[name]
-    return {"suite": name, "n": n, **extra}
+def check_names(command: str) -> list[str]:
+    """Names of the checks run by the subcommand `command`, in table order."""
+    return [name for name, row in CHECKS.items() if row[0] == command]
 
 
-def run_suite(params: dict) -> ScanOutcome:
-    """Run the verify suite params["suite"] at rank params["n"], passing its
-    further arguments from params in table order."""
-    name = params["suite"]
-    extra = [params[key] for key in VERIFY_SUITES[name][2]]
-    outcome = _SUITE_FUNCTIONS[name](params["n"], *extra)
-    outcome.name = "verify-" + name
-    return outcome
+def run_check(name: str, n: int | None = None, cfg: EngineConfig = EngineConfig(),
+              **extra) -> dict:
+    """Report of the check `name` at rank n (default: its table rank), with
+    its further arguments taken from extra or the table defaults.
+
+    Arguments the check does not read, and a verify suite that checks nothing
+    at n (every count in its stats is 0), are usage errors (ValueError)."""
+    command, _, default_n, further = CHECKS[name]
+    for key in extra:
+        if key not in further:
+            raise ValueError(f"--{key} is not read by {command} {name}")
+    label, prefix, _ = _SUBCOMMANDS[command]
+    params = {label: name, "n": default_n if n is None else n, **further, **extra}
+    cfg.check_rank(params["n"])
+    if "tdeg" in params:
+        cfg.check_tdeg(params["tdeg"])
+    start = time.monotonic()
+    outcome = _CHECK_FUNCTIONS[name](params["n"], *(params[k] for k in further))
+    elapsed = int((time.monotonic() - start) * 1000)
+    if command == "verify" and not any(outcome.stats.values()):
+        raise ValueError(f"verify {name} checks nothing at n={params['n']}")
+    outcome.name = prefix + name
+    return outcome_report(outcome, params, elapsed)
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -113,23 +147,22 @@ def _write_files(files: dict[str, str]) -> None:
                 os.unlink(tmp)
 
 
-def _emit(args, text_lines: list[str], json_obj, command: str, params: dict,
-          summary: dict, status: int) -> int:
-    """Print the result; with --out also write its JSON and a manifest, both
-    encoded before either file is touched.  Returns status."""
+def _emit(args, text_lines: list[str], json_obj: dict, summary: dict, status: int) -> int:
+    """Print the result; with --out also write its JSON and a manifest of the
+    subcommand and the result's params, both encoded before either file is
+    touched.  Returns status."""
     payload = canonical_json(json_obj) if args.format == "json" or args.out else None
     files = {}
     if args.out:
         manifest = make_manifest(
-            command=command,
-            params=params,
+            command=args.command,
+            params=json_obj["params"],
             version=__version__,
             input_hashes={"config": hash_file(args.config)} if args.config else {},
             result_summary=summary,
             exit_status=status,
         )
-        files = {args.out: payload,
-                 args.out + ".manifest.json": canonical_json(manifest.to_json_obj())}
+        files = {args.out: payload, args.out + ".manifest.json": canonical_json(manifest)}
     if args.format == "json":
         sys.stdout.write(payload)
     else:
@@ -163,7 +196,7 @@ def cmd_key(args, cfg: EngineConfig) -> int:
     text = poly.to_text()
     obj = {"command": "key", "params": params, "polynomial": poly.to_json_obj(),
            "text": text}
-    return _emit(args, [text], obj, "key", params, {"terms": len(poly.terms)}, EXIT_OK)
+    return _emit(args, [text], obj, {"terms": len(poly.terms)}, EXIT_OK)
 
 
 def cmd_pw(args, cfg: EngineConfig) -> int:
@@ -189,7 +222,7 @@ def cmd_pw(args, cfg: EngineConfig) -> int:
     text = poly.to_text()
     obj = {"command": "pw", "params": params, "polynomial": poly.to_json_obj(),
            "text": text}
-    return _emit(args, [text], obj, "pw", params, {"terms": len(poly.terms)}, EXIT_OK)
+    return _emit(args, [text], obj, {"terms": len(poly.terms)}, EXIT_OK)
 
 
 def cmd_sets(args, cfg: EngineConfig) -> int:
@@ -216,7 +249,7 @@ def cmd_sets(args, cfg: EngineConfig) -> int:
     params = {"w": w.one_line(), "set": which, "levels": list(levels)}
     obj = {"command": "sets", "params": params, "elements": elements,
            "size": len(elements)}
-    return _emit(args, elements, obj, "sets", params, {"size": len(elements)}, EXIT_OK)
+    return _emit(args, elements, obj, {"size": len(elements)}, EXIT_OK)
 
 
 def _report_lines(report: dict) -> list[str]:
@@ -233,40 +266,13 @@ def _report_lines(report: dict) -> list[str]:
     return lines
 
 
-def _finish_report(args, command: str, report: dict) -> int:
+def cmd_check(args, cfg: EngineConfig) -> int:
+    extra = {key: value for row in CHECKS.values() for key in row[3]
+             if (value := getattr(args, key, None)) is not None}
+    report = run_check(args.name, args.n, cfg, **extra)
     status = EXIT_OK if not report["counterexamples"] else EXIT_FINDING
-    return _emit(
-        args, _report_lines(report), report, command, report["params"],
-        {"counterexamples": len(report["counterexamples"]), "stats": report["stats"]},
-        status,
-    )
-
-
-def cmd_verify(args, cfg: EngineConfig) -> int:
-    params = suite_params(args.suite)
-    if args.tdeg is not None:
-        if "tdeg" not in params:
-            raise ValueError(f"--tdeg is read only by the formofkw suite, not {args.suite}")
-        params["tdeg"] = args.tdeg
-    if args.n is not None:
-        params["n"] = args.n
-    cfg.check_rank(params["n"])
-    if "tdeg" in params:
-        cfg.check_tdeg(params["tdeg"])
-    start = time.monotonic()
-    outcome = run_suite(params)
-    elapsed = int((time.monotonic() - start) * 1000)
-    return _finish_report(args, "verify", outcome_report(outcome, params, elapsed))
-
-
-def cmd_scan(args, cfg: EngineConfig) -> int:
-    cfg.check_rank(args.n)
-    params = {"conjecture": args.conjecture, "n": args.n}
-    start = time.monotonic()
-    outcome = SCANS[args.conjecture](args.n)
-    elapsed = int((time.monotonic() - start) * 1000)
-    report = outcome_report(outcome, params, elapsed)
-    return _finish_report(args, "scan", report)
+    summary = {"counterexamples": len(report["counterexamples"]), "stats": report["stats"]}
+    return _emit(args, _report_lines(report), report, summary, status)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,31 +313,26 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_sets)
 
-    p = subs.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(VERIFY_SUITES))
-    p.add_argument("--n", type=int, help="symmetric group rank")
-    p.add_argument("--tdeg", type=int, help="series truncation degree (formofkw only)")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = subs.add_parser("scan", help="scan a conjecture for counterexamples")
-    p.add_argument("--conjecture", required=True, choices=sorted(SCANS))
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_scan)
+    for command, (label, _, text) in _SUBCOMMANDS.items():
+        names = check_names(command)
+        p = subs.add_parser(command, help=text)
+        p.add_argument(f"--{label}", dest="name", required=True, choices=sorted(names))
+        p.add_argument("--n", type=int, help="symmetric group rank (default: the check's)")
+        for name in names:
+            for key, default in CHECKS[name][3].items():
+                p.add_argument(f"--{key}", type=int,
+                               help=f"read by {name} only (default {default})")
+        common(p)
+        p.set_defaults(func=cmd_check)
 
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def guarded(run, *args) -> int:
+    """run(*args), its failures each ending in one stderr line and the exit
+    code of the module docstring; the CLI and the scripts run through it."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        cfg = load_config(args.config)
-        return args.func(args, cfg)
+        return run(*args)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -347,6 +348,15 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return guarded(lambda: args.func(args, load_config(args.config)))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,7 +10,6 @@ graded slices of the numerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -22,7 +21,6 @@ from .poly import SparsePoly, series_inverse_product, x_exps
 from .series import _trim_partition, key_polynomial, partitions, t_exps
 
 __all__ = [
-    "SelectionCount",
     "F_coefficient",
     "F_polynomial",
     "F_block_series",
@@ -31,16 +29,6 @@ __all__ = [
     "approximation_report",
     "suite_fcoeff",
 ]
-
-
-@dataclass(frozen=True)
-class SelectionCount:
-    """One counted coefficient: lam and mu pin the block and the monomial."""
-
-    lam: tuple[int, ...]
-    w: Permutation
-    mu: EtaMultiSet
-    count: int
 
 
 def _mu_counter(mu: EtaMultiSet) -> list[int]:

@@ -16,8 +16,8 @@ position patterns) once per bound w_upper(w, k), in strata local to one sweep.
 
 Every check and scan is a function of one permutation w, run over S_n in
 one-line order by `sweep`, which lives in `permutation` with `ScanOutcome`
-and is re-exported here.  The verify suites are listed once, in
-`cli.VERIFY_SUITES`.
+and is re-exported here.  The checks and scans are listed once, with the
+subcommand that runs each, in `cli.CHECKS`.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ __all__ = [
     "scan_siinc",
     "scan_formpw3",
     "scan_formpw2bound",
-    "SCANS",
 ]
 
 
@@ -710,10 +709,3 @@ def scan_formpw2bound(n: int) -> ScanOutcome:
 
     return sweep("formpw2bound", n, one)
 
-
-SCANS = {
-    "poset": scan_poset,
-    "siinc": scan_siinc,
-    "formpw3": scan_formpw3,
-    "formpw2bound": scan_formpw2bound,
-}

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .permutation import ScanOutcome
@@ -47,28 +46,6 @@ def hash_file(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    params: dict
-    version: str
-    timestamp: str
-    input_hashes: dict
-    result_summary: dict
-    exit_status: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "input_hashes": self.input_hashes,
-            "result_summary": self.result_summary,
-            "exit_status": self.exit_status,
-        }
-
-
 def make_manifest(
     command: str,
     params: dict,
@@ -76,13 +53,13 @@ def make_manifest(
     input_hashes: dict,
     result_summary: dict,
     exit_status: int,
-) -> RunManifest:
-    return RunManifest(
-        command=command,
-        params=params,
-        version=version,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        input_hashes=input_hashes,
-        result_summary=result_summary,
-        exit_status=exit_status,
-    )
+) -> dict:
+    return {
+        "command": command,
+        "params": params,
+        "version": version,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "input_hashes": input_hashes,
+        "result_summary": result_summary,
+        "exit_status": exit_status,
+    }

@@ -159,6 +159,33 @@ def test_verify_unknown_suite(capsys):
     assert run(capsys, "verify", "--suite", "nope")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [("diff2", "--n", "4"), ("lketa23", "--n", "5")])
+def test_verify_that_checks_nothing_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "rep.json"
+    code = main(["verify", "--suite", *argv, "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: verify {argv[0]} checks nothing at n={argv[2]}\n"
+    assert list(tmp_path.iterdir()) == []
+    code, out = run(capsys, "verify", "--suite", "diff2", "--n", "5")
+    assert code == 0 and out.startswith("verify-diff2 n=5: 0 counterexample(s)")
+
+
+def test_checks_run_under_their_own_subcommand(capsys):
+    assert run(capsys, "verify", "--suite", "siinc", "--n", "4")[0] == 2
+    assert run(capsys, "scan", "--conjecture", "diff1", "--n", "4")[0] == 2
+    assert run(capsys, "scan", "--conjecture", "siinc", "--n", "4", "--tdeg", "2")[0] == 2
+
+
+def test_scan_default_rank(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    code, out = run(capsys, "scan", "--conjecture", "siinc", "--out", str(path))
+    assert code == 0
+    assert out.startswith("siinc n=4: 0 counterexample(s) [comparisons=14]")
+    assert json.loads(path.read_text())["params"] == {"conjecture": "siinc", "n": 4}
+
+
 def test_scan_clean(capsys):
     code, out = run(capsys, "scan", "--conjecture", "siinc", "--n", "3")
     assert code == 0
@@ -297,7 +324,7 @@ def test_fatal_errors_exit_codes(tmp_path, capsys, monkeypatch, exc, status):
     def fail(args, cfg):
         raise exc()
 
-    monkeypatch.setattr(cli, "cmd_verify", fail)
+    monkeypatch.setattr(cli, "cmd_check", fail)
     code = main(["verify", "--suite", "pxiw1", "--n", "3",
                  "--out", str(tmp_path / "rep.json")])
     assert code == status

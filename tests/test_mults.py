@@ -2,11 +2,10 @@ import hashlib
 
 import pytest
 
-from keyseries.cli import VERIFY_SUITES
+from keyseries.cli import CHECKS, check_names
 from keyseries.config import InvariantError
 from keyseries.multisets import enum_B, parse_multiset
 from keyseries.mults import (
-    SCANS,
     MultView,
     N_quadratic,
     check_diff1,
@@ -209,10 +208,17 @@ def test_poset_canonical_invariant_under_relabeling():
 
 
 def test_scan_registry():
-    assert set(SCANS) == {"poset", "siinc", "formpw3", "formpw2bound"}
-    assert list(VERIFY_SUITES) == [
+    assert check_names("verify") == [
         "formofkw", "pxiw1", "diff1", "diff2", "lketa23", "bounds", "multsiw", "fcoeff",
     ]
+    assert check_names("scan") == ["poset", "siinc", "formpw3", "formpw2bound"]
+    assert list(CHECKS) == check_names("verify") + check_names("scan")
+    assert CHECKS["siinc"][1:] == (scan_siinc, 4, {})
+    # rank 4 is the least at which every scan compares something
+    for name in check_names("scan"):
+        assert CHECKS[name][2] == 4
+        assert any(CHECKS[name][1](4).stats.values())
+    assert not CHECKS["siinc"][1](3).stats["comparisons"]
 
 
 def test_scans_clean_at_n4():
@@ -222,8 +228,8 @@ def test_scans_clean_at_n4():
 
 
 def test_scans_clean_at_n3():
-    for scan in SCANS.values():
-        assert scan(3).ok
+    for name in check_names("scan"):
+        assert CHECKS[name][1](3).ok
 
 
 def test_formpw3_findings_recorded_at_n4():
@@ -257,13 +263,16 @@ def test_formpw3_n5_findings_in_pinned_order():
     assert digest == "dca2e87691810ab5fed54a5c9c052a90ad0d19463d4e1c29ce58c72ae98f4825"
 
 
-CHECKS = {
+# The functions behind the pinned bodies: six checks, check_quadratic_support
+# test-only among them, and the four scans of the table.
+PINNED_FUNCTIONS = {
     "quadratic_support": check_quadratic_support,
     "diff1": check_diff1,
     "diff2": check_diff2,
     "lketa23": check_lketa23,
     "lowbdr2": check_lowbdr2,
     "multsiw": check_multsiw,
+    **{name: CHECKS[name][1] for name in check_names("scan")},
 }
 
 # Report bodies of every check and scan, pinned so that a rewrite of the sweep
@@ -287,9 +296,9 @@ PINNED_BODIES = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_BODIES))
 def test_pinned_body_digest(name):
-    assert sorted(PINNED_BODIES) == sorted({**CHECKS, **SCANS})
+    assert sorted(PINNED_BODIES) == sorted(PINNED_FUNCTIONS)
     n, digest = PINNED_BODIES[name]
-    fn = {**CHECKS, **SCANS}[name]
+    fn = PINNED_FUNCTIONS[name]
     assert body_digest(outcome_report(fn(n), {}, 0)) == digest
 
 

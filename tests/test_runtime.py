@@ -122,8 +122,7 @@ def test_scan_outcome_merge():
 
 
 def test_manifest_fields():
-    manifest = make_manifest("scan", {"n": 3}, "0.1.0", {}, {"k": 1}, 0)
-    obj = manifest.to_json_obj()
+    obj = make_manifest("scan", {"n": 3}, "0.1.0", {}, {"k": 1}, 0)
     assert sorted(obj) == [
         "command", "exit_status", "input_hashes", "params",
         "result_summary", "timestamp", "version",

@@ -5,7 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from keyseries.cli import VERIFY_SUITES
+from keyseries.cli import CHECKS, check_names, main
+from keyseries.report import body_digest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,7 +27,8 @@ def test_scan_conjectures_script(tmp_path):
                       "--out-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    names = ("formpw2bound", "formpw3", "poset", "siinc")
+    names = sorted(check_names("scan"))
+    assert names == ["formpw2bound", "formpw3", "poset", "siinc"]
     assert len(lines) == len(names)
     for name, line in zip(names, lines):
         path = tmp_path / f"{name}-n3.json"
@@ -59,6 +61,32 @@ def test_scan_conjectures_capped_rank_exits_3(tmp_path):
     assert not out_dir.exists()
 
 
+def test_scan_conjectures_empty_range_exits_2(tmp_path):
+    out_dir = tmp_path / "reports"
+    proc = run_script("scan_conjectures.py", "--min-n", "5", "--max-n", "3",
+                      "--out-dir", str(out_dir))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: --min-n 5 is above --max-n 3"]
+    assert not out_dir.exists()
+
+
+def test_scan_conjectures_report_matches_cli(tmp_path, capsys):
+    # the script and `scan --out` run the same path: same body, and the
+    # script leaves no temp file beside its reports
+    proc = run_script("scan_conjectures.py", "--min-n", "4", "--max-n", "4",
+                      "--out-dir", str(tmp_path / "reports"))
+    assert proc.returncode == 1, proc.stderr
+    names = sorted(check_names("scan"))
+    assert sorted(p.name for p in (tmp_path / "reports").iterdir()) == [
+        f"{name}-n4.json" for name in names]
+    out = tmp_path / "cli.json"
+    assert main(["scan", "--conjecture", "formpw3", "--n", "4", "--out", str(out)]) == 1
+    capsys.readouterr()
+    script_report = json.loads((tmp_path / "reports" / "formpw3-n4.json").read_text())
+    assert body_digest(script_report) == body_digest(json.loads(out.read_text()))
+
+
 def test_multiplicity_census_script():
     proc = run_script("multiplicity_census.py", "--n", "3")
     assert proc.returncode == 0, proc.stderr
@@ -79,7 +107,7 @@ def test_verify_all_script():
     proc = run_script("verify_all.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == len(VERIFY_SUITES)
-    for name, line in zip(VERIFY_SUITES, lines):
-        n = VERIFY_SUITES[name][1]
+    assert len(lines) == len(check_names("verify"))
+    for name, line in zip(check_names("verify"), lines):
+        n = CHECKS[name][2]
         assert re.fullmatch(rf"PASS {name} n={n}( tdeg=4)?: .+ \(\d+\.\ds\)", line), line
