@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -153,6 +154,32 @@ def test_verify_body_pinned(tmp_path, capsys, name):
     code, _ = run(capsys, "verify", "--suite", *argv, "--out", str(path))
     assert code == 0
     assert body_digest(json.loads(path.read_text())) == digest
+
+
+# The --format json stdout of single answers, pinned byte for byte, so that
+# a rewrite of the rendering or the encoder keeps every answer.
+ANSWER_PINS = {
+    "pw-52341-tdeg3": (
+        ("pw", "--w", "52341", "--tdeg", "3"),
+        "a18710e3f784a59127723fad122a3671eafe41a4be397a6d07f52cbe3b4cf599"),
+    "pw-3412-xi-tdeg2": (
+        ("pw", "--w", "3412", "--xi", "--tdeg", "2"),
+        "e6195c0b71c889330c8bc3e3901cdaf873faf9e5c9b84498a3a2e264e85fae70"),
+    "key-3412-311-xi": (
+        ("key", "--w", "3412", "--lambda", "3,1,1", "--xi"),
+        "035280f66b8daadc0c766c7c6753ba963a026caa7f955bdaa7609cb80352aec0"),
+    "sets-4123-C123": (
+        ("sets", "--w", "4123", "--C", "1,2,3"),
+        "298c1e0fe34d4e984561bc5cf65742a122dfde35e374df861aeca396981f5cc5"),
+}
+
+
+@pytest.mark.parametrize("name", list(ANSWER_PINS))
+def test_answer_json_pinned(capsys, name):
+    argv, digest = ANSWER_PINS[name]
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_unknown_suite(capsys):
