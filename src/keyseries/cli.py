@@ -193,9 +193,8 @@ def cmd_key(args, cfg: EngineConfig) -> int:
         cfg.check_tdeg(max(nu, default=0))
         poly = key_by_composition(nu, xi_mode=args.xi)
         params = {"nu": list(nu), "xi": args.xi}
-    text = poly.to_text()
-    obj = {"command": "key", "params": params, "polynomial": poly.to_json_obj(),
-           "text": text}
+    text, poly_obj = poly.render()
+    obj = {"command": "key", "params": params, "polynomial": poly_obj, "text": text}
     return _emit(args, [text], obj, {"terms": len(poly.terms)}, EXIT_OK)
 
 
@@ -219,9 +218,8 @@ def cmd_pw(args, cfg: EngineConfig) -> int:
         poly = poly.t_slice(args.grade)
     params = {"w": w.one_line(), "xi": args.xi, "grade": args.grade,
               "tdeg": args.tdeg}
-    text = poly.to_text()
-    obj = {"command": "pw", "params": params, "polynomial": poly.to_json_obj(),
-           "text": text}
+    text, poly_obj = poly.render()
+    obj = {"command": "pw", "params": params, "polynomial": poly_obj, "text": text}
     return _emit(args, [text], obj, {"terms": len(poly.terms)}, EXIT_OK)
 
 

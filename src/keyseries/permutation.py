@@ -113,9 +113,6 @@ class Permutation:
             if core[a] > core[b]
         )
 
-    def is_identity(self) -> bool:
-        return not self.core
-
     def is_ascent(self, i: int) -> bool:
         """True iff l(s_i w) = l(w) + 1, i.e. iff i sits before i+1 in w.
 

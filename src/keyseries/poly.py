@@ -11,7 +11,8 @@ keeps each field's top bit clear: a sum of two keys never carries between
 fields, and a product, exponent or variable index that does not fit raises
 ``ResourceCapError``, never wraps.  The public surface speaks exponent tuples
 ``(x, t, xi)``; ``exponent_items`` and ``multiset_items`` decode each distinct
-x-part and T-part once per call.
+x-part and T-part once per call, and ``render`` gives the text and JSON forms
+from one sorted pass that renders each distinct part once.
 
 The isobaric operators act on the x variables only:
 
@@ -105,9 +106,40 @@ def _unpack_multiset(part: int) -> tuple[int, ...]:
     return out
 
 
-def _sort_info(part: int) -> tuple:
+def _part_view(part: int, name: str) -> tuple[tuple[int, ...], str, dict[str, int]]:
+    """An x-part or T-part (name "x" or "T") as its exponent tuple, its text
+    factors ("x1*x3^2", "" for no variable) and its JSON exponent dict."""
     exps = _unpack(part)
-    return exps, sum(exps), tuple(-e for e in exps)
+    used = [(str(i), e) for i, e in enumerate(exps, start=1) if e]
+    return (exps, "*".join([name + i if e == 1 else f"{name}{i}^{e}" for i, e in used]),
+            dict(used))
+
+
+def _graded_key(exps: tuple[int, ...]) -> tuple:
+    """Sort key of a part: total degree, then dominance-descending."""
+    return sum(exps), tuple(-e for e in exps)
+
+
+def _text(rows) -> str:
+    """The text form of _graded_rows."""
+    chunks: list[str] = []
+    for (_, xtext, _), (_, ttext, _), xi, c in rows:
+        factors = [f for f in (xtext, ttext) if f]
+        if xi:
+            factors.append("xi" if xi == 1 else f"xi^{xi}")
+        mag = abs(c)
+        body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
+        if not chunks:
+            chunks.append(body if c > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(chunks) if chunks else "0"
+
+
+def _json_obj(rows) -> dict:
+    """The JSON object of _graded_rows; no two terms share a dict."""
+    return {"terms": [{"coeff": c, "x": dict(xv[2]), "T": dict(tv[2]), "xi": xi}
+                      for xv, tv, xi, c in rows]}
 
 
 def x_exps(eta: tuple[int, ...]) -> tuple[int, ...]:
@@ -343,46 +375,48 @@ class SparsePoly:
 
     # -- presentation -----------------------------------------------------
 
+    def _graded_rows(self) -> list[tuple[tuple, tuple, int, int]]:
+        """Terms in graded order as (x view, T view, xi, coeff), each view an
+        ``_part_view``.  One pass decodes and renders each distinct x-part and
+        each distinct T-part once, in separate memos (x1 and T1 are the same
+        part integer), and ranks them so that a term's sort key is one int."""
+        ranked = []
+        for shift, name in ((0, "x"), (T_SHIFT, "T")):
+            views = {p: _part_view(p, name) for p in {(k >> shift) & _PART for k in self.terms}}
+            order = sorted(views, key=lambda p: _graded_key(views[p][0]))
+            ranked.append({p: (rank, views[p]) for rank, p in enumerate(order)})
+        xs, ts = ranked
+        rows = []
+        for k, c in self.terms.items():
+            xrank, xview = xs[k & _PART]
+            trank, tview = ts[(k >> T_SHIFT) & _PART]
+            xi = (k >> XI_SHIFT) & _FIELD
+            rows.append(((xi << 64) | (trank << 32) | xrank, xview, tview, xi, c))
+        rows.sort()  # the int keys are distinct, so no view is ever compared
+        return [row[1:] for row in rows]
+
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Graded order, dominance-descending within a degree (x1 before x2)."""
-        rows = sorted(
-            ((xi, ts, tneg, xs, xneg), (x, t, xi), c)
-            for ((x, xs, xneg), (t, ts, tneg), xi), c in self._decoded(_sort_info)
-        )
-        return [(m, c) for _, m, c in rows]
+        """Terms as ((x, t, xi), coeff) in graded order: by xi degree, then
+        T-part, then x-part, each part by total degree and dominance-descending
+        within it (x1 before x2); the order of to_text and to_json_obj."""
+        return [((xv[0], tv[0], xi), c) for xv, tv, xi, c in self._graded_rows()]
 
     def __repr__(self) -> str:
         return f"SparsePoly({self.to_text()})"
 
+    def render(self) -> tuple[str, dict]:
+        """(to_text(), to_json_obj()) from one sorted pass over the terms."""
+        rows = self._graded_rows()
+        return _text(rows), _json_obj(rows)
+
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks: list[str] = []
-        for (x, t, xi), c in self.sorted_terms():
-            factors = [
-                f"{v}{i}" if e == 1 else f"{v}{i}^{e}"
-                for v, exps in (("x", x), ("T", t))
-                for i, e in enumerate(exps, start=1)
-                if e
-            ]
-            if xi:
-                factors.append("xi" if xi == 1 else f"xi^{xi}")
-            mag = abs(c)
-            body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
+        """The canonical text form, terms in sorted_terms order."""
+        return _text(self._graded_rows())
 
     def to_json_obj(self) -> dict:
-        return {"terms": [
-            {"coeff": c,
-             "x": {str(i): e for i, e in enumerate(x, start=1) if e},
-             "T": {str(l): e for l, e in enumerate(t, start=1) if e},
-             "xi": xi}
-            for (x, t, xi), c in self.sorted_terms()
-        ]}
+        """{"terms": [...]}, one fresh {"coeff", "x", "T", "xi"} dict per term
+        in sorted_terms order, exponents keyed by variable index."""
+        return _json_obj(self._graded_rows())
 
     @staticmethod
     def _accumulate(out: dict[int, int], xd: dict, td: dict, xi: int, coeff: int) -> None:

@@ -3,21 +3,81 @@
 Report bodies are reproducible across runs: keys are sorted, counterexample
 lists come in scan order, and the wall-clock fields (elapsed_ms here, the
 manifest timestamp) are the only parts excluded from the determinism digest.
+
+``canonical_json`` encodes exactly the types reports hold: dicts with ``str``
+keys (emitted in sorted order), lists and tuples, ``str``, ``int``, ``True``,
+``False`` and ``None``; any other value, a float or a set for one, or a
+non-``str`` key raises ``TypeError``.  Its text is byte-identical to
+``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`` plus a
+newline, but built in one recursive pass that appends one joined string per
+dict or list item, since ``json.dumps`` with an indent runs its pure-Python
+encoder.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from datetime import datetime, timezone
+from itertools import repeat
+from json.encoder import encode_basestring
 
 from .permutation import ScanOutcome
 
 VOLATILE_FIELDS = ("elapsed_ms", "timestamp")
 
 
+def _scalar(obj) -> str | None:
+    """The JSON text of a scalar, None for a dict, list or tuple."""
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (dict, list, tuple)):
+        return None
+    raise TypeError(f"canonical_json cannot encode {type(obj).__name__}")
+
+
+def _encode(obj, out: list[str], newline: str) -> None:
+    """Append the text of the dict, list or tuple obj, nested at newline."""
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        out.append("{}" if is_dict else "[]")
+        return
+    # encode_basestring raises TypeError on a key that is not a str
+    items = ([(encode_basestring(key) + ": ", obj[key]) for key in sorted(obj)] if is_dict
+             else zip(repeat(""), obj))
+    inner = newline + "  "
+    sep = ("{" if is_dict else "[") + inner
+    for label, value in items:
+        cls = type(value)
+        if cls is str:
+            out.append(sep + label + encode_basestring(value))
+        elif cls is int:
+            out.append(sep + label + repr(value))
+        elif cls is dict or cls is list or (text := _scalar(value)) is None:
+            out.append(sep + label)
+            _encode(value, out, inner)
+        else:
+            out.append(sep + label + text)
+        sep = "," + inner
+    out.append(newline + ("}" if is_dict else "]"))
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The report text of obj; see the module docstring for its contract."""
+    text = _scalar(obj)
+    if text is not None:
+        return text + "\n"
+    out: list[str] = []
+    _encode(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def body_digest(obj: dict) -> str:
@@ -35,10 +95,6 @@ def outcome_report(outcome: ScanOutcome, params: dict, elapsed_ms: int) -> dict:
         "stats": outcome.stats,
         "elapsed_ms": elapsed_ms,
     }
-
-
-def hash_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def hash_file(path: str) -> str:

@@ -153,6 +153,37 @@ def test_json_roundtrip(p):
     assert SparsePoly.from_json_obj(p.to_json_obj()) == p
 
 
+@given(polys)
+def test_sorted_terms_graded_order(p):
+    # xi degree, then T-part, then x-part; a part by total degree, then
+    # dominance-descending
+    def part_key(exps):
+        return sum(exps), tuple(-e for e in exps)
+
+    want = sorted(p.exponent_items(), key=lambda mc: (
+        mc[0][2], part_key(mc[0][1]), part_key(mc[0][0])))
+    assert p.sorted_terms() == want
+
+
+@given(polys)
+def test_render_is_text_and_json_with_fresh_dicts(p):
+    text, obj = p.render()
+    assert (text, obj) == (p.to_text(), p.to_json_obj())
+    dicts = [d for term in obj["terms"] for d in (term, term["x"], term["T"])]
+    assert len({id(d) for d in dicts}) == len(dicts)
+
+
+def test_render_keeps_x_and_t_parts_apart():
+    # x1 and T1 pack to the same part integer
+    text, obj = (SparsePoly.x_var(1) + SparsePoly.t_block(1) * SparsePoly.x_var(1)).render()
+    assert text == "x1 + x1*T1"
+    assert obj["terms"] == [
+        {"coeff": 1, "x": {"1": 1}, "T": {}, "xi": 0},
+        {"coeff": 1, "x": {"1": 1}, "T": {"1": 1}, "xi": 0},
+    ]
+    assert SparsePoly.t_block(1).render()[0] == "T1"
+
+
 @given(polys, letters)
 def test_swap_is_involution(p, i):
     assert p.swap_x(i).swap_x(i) == p

@@ -2,6 +2,7 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import keyseries
 from keyseries import counts, poly, series
@@ -18,7 +19,6 @@ from keyseries.mults import ScanOutcome, check_diff1, scan_siinc
 from keyseries.report import (
     body_digest,
     canonical_json,
-    hash_text,
     make_manifest,
     outcome_report,
 )
@@ -71,6 +71,57 @@ def test_canonical_json_is_sorted_and_stable():
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
     assert json.loads(text) == {"b": 1, "a": [2, 3]}
+
+
+# Strings with the characters an encoder must escape or pass through: quotes,
+# backslashes, control characters, non-ASCII and lone surrogates.
+_texts = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\ud800\udfffé€𝄞'),
+    st.characters(),
+    st.characters(categories=["Cs"]),
+), max_size=8)
+_scalars = st.one_of(
+    _texts, st.integers(), st.integers(min_value=-(2**200), max_value=2**200),
+    st.booleans(), st.none(),
+)
+
+
+def _containers(items, min_size=0, max_size=4):
+    return st.one_of(
+        st.lists(items, min_size=min_size, max_size=max_size),
+        st.lists(items, min_size=min_size, max_size=max_size).map(tuple),
+        st.dictionaries(_texts, items, min_size=min_size, max_size=max_size),
+    )
+
+
+_trees = st.recursive(_scalars, _containers, max_leaves=6)
+_deep_trees = _trees
+for _ in range(4):  # at least four levels of non-empty containers above a tree
+    _deep_trees = _containers(_deep_trees, min_size=1, max_size=2)
+
+
+@given(_deep_trees)
+@example([])
+@example({})
+@example(())
+@example({"a": [{}, [], ()], "b": {"c": [[]]}})
+def test_canonical_json_matches_json_dumps(obj):
+    assert canonical_json(obj) == (
+        json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
+
+
+@given(_scalars)
+def test_canonical_json_of_a_scalar(obj):
+    assert canonical_json(obj) == json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, [0.0], {"a": {"b": float("nan")}}, {1: "x"}, {"a": {None: 1}},
+    {("a",): 1}, {1, 2}, [frozenset()], b"bytes",
+])
+def test_canonical_json_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        canonical_json(obj)
 
 
 def test_body_digest_ignores_wall_clock():
@@ -128,9 +179,6 @@ def test_manifest_fields():
         "result_summary", "timestamp", "version",
     ]
     assert obj["timestamp"].endswith("+00:00")
-    assert hash_text("abc") == (
-        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    )
 
 
 def test_clear_caches_empties_every_cache():
