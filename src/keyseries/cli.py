@@ -208,6 +208,8 @@ def cmd_pw(args, cfg: EngineConfig) -> int:
         cfg.check_tdeg(args.grade)
         tmax = args.grade
     if args.tdeg is not None:
+        if args.tdeg < 0:
+            raise ValueError("--tdeg must be >= 0")
         cfg.check_tdeg(args.tdeg)
         if tmax is None:
             tmax = args.tdeg

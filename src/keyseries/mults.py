@@ -11,8 +11,9 @@ lower bounds).
 
 The multiplicity tables are packed views, `MultView`: a lookup packs its key
 and reads the numerator's terms, and only iteration decodes the slice, lazily
-and in term order.  `check_lketa23` builds its rows (B set, presentations,
-position patterns) once per bound w_upper(w, k), in strata local to one sweep.
+and in ascending packed-key order, a function of the polynomial's value only.
+`check_lketa23` builds its rows (B set, presentations, position patterns) once
+per bound w_upper(w, k), in strata local to one sweep.
 
 Every check and scan is a function of one permutation w, run over S_n in
 one-line order by `sweep`, which lives in `permutation` with `ScanOutcome`
@@ -40,7 +41,6 @@ from .poly import SparsePoly, x_exps
 from .series import n_factor_product, numerator_P
 
 __all__ = [
-    "t_from_levels",
     "MultView",
     "multiplicity2",
     "multiplicity3",
@@ -65,10 +65,6 @@ __all__ = [
 ]
 
 
-# T-exponents of a level multiset, (2, 3) -> (0, 1, 1): counted as x_exps counts
-t_from_levels = x_exps
-
-
 # -- multiplicity tables ---------------------------------------------------------
 
 
@@ -76,8 +72,9 @@ class MultView:
     """Read-only table of the T-degree `grade` slice of a xi-free polynomial,
     times `sign`, keyed (levels..., eta) with sorted index multisets: (k, l,
     eta) at grade 2, (p, k, l, tau) at grade 3, (mu,) at grade 0.  `get`
-    packs its key and reads the terms; `items`, `keys` and `len` decode the
-    slice lazily, in its term order."""
+    packs its key (x_exps counts the levels as T-exponents, (2, 3) -> (0, 1,
+    1)) and reads the terms; `items` and `keys` decode the slice lazily, in
+    ascending packed-key order, a function of the polynomial's value only."""
 
     __slots__ = ("poly", "grade", "sign")
 
@@ -87,11 +84,13 @@ class MultView:
     def get(self, key: tuple, default: int = 0) -> int:
         if len(key) != self.grade + 1:
             return default
-        c = self.poly.coefficient(x=x_exps(key[-1]), t=t_from_levels(key[:-1]))
+        c = self.poly.coefficient(x=x_exps(key[-1]), t=x_exps(key[:-1]))
         return self.sign * c if c else default
 
     def items(self) -> Iterator[tuple[tuple, int]]:
-        for (eta, levels, _), c in self.poly.t_slice(self.grade).multiset_items():
+        terms = self.poly.t_slice(self.grade).terms
+        ordered = SparsePoly({k: terms[k] for k in sorted(terms)}, _trusted=True)
+        for (eta, levels, _), c in ordered.multiset_items():
             yield levels + (eta,), self.sign * c
 
     def keys(self) -> Iterator[tuple]:
@@ -100,7 +99,7 @@ class MultView:
     __iter__ = keys
 
     def __len__(self) -> int:
-        return len(self.poly.t_slice(self.grade).terms)
+        return self.poly.count_below(self.grade + 1) - self.poly.count_below(self.grade)
 
 
 def quadratic_multiplicities(w: Permutation) -> MultView:
@@ -654,7 +653,7 @@ def scan_formpw3(n: int) -> ScanOutcome:
     """
 
     def one(w: Permutation):
-        # each stratum's cubic terms, in the slice's term order
+        # each stratum's cubic terms, in ascending packed-key order
         by_stratum: dict[tuple[int, int, int], dict[tuple[int, ...], int]] = {}
         for (p, k, l, tau), m in cubic_multiplicities(w).items():
             by_stratum.setdefault((p, k, l), {})[tau] = m

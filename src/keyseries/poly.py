@@ -20,8 +20,10 @@ The isobaric operators act on the x variables only:
     pi(i, f)                 = divided_difference(i, x_i * f)
     pi_xi(i, f)              = pi(i, (1 + xi * x_{i+1}) * f)
 
-all implemented by grouping terms over their (x_i, x_{i+1})-free part and
-adding packed closed one-pair formulas, so no rational division ever happens.
+all implemented term by term: each term's (x_i, x_{i+1}) exponents select a
+packed closed one-pair formula, added to the rest of its key, so no rational
+division ever happens.  No operation promises a term order; a caller that
+needs one sorts the packed keys.
 
 ``series_quotient`` divides by a product of binomials 1 - c*m truncated past a
 total T-degree, one pass per factor, never building the product's inverse.
@@ -270,18 +272,16 @@ class SparsePoly:
         if len(a) > len(b):
             a, b = b, a
         if tmax is None:
-            groups = [list(b.items())]
-        else:
-            # by T-degree, each group in b's order: the output's term order is observable
-            groups = [[] for _ in range(min(tmax, max(b, default=0) >> TD_SHIFT) + 1)]
-            for k, c in b.items():
-                if k >> TD_SHIFT <= tmax:
-                    groups[k >> TD_SHIFT].append((k, c))
+            tmax = (max(a, default=0) >> TD_SHIFT) + (max(b, default=0) >> TD_SHIFT)
+        # b's terms by T-degree, so each term of a meets only those within tmax
+        groups = [[] for _ in range(min(tmax, max(b, default=0) >> TD_SHIFT) + 1)]
+        for k, c in b.items():
+            if k >> TD_SHIFT <= tmax:
+                groups[k >> TD_SHIFT].append((k, c))
         out: dict[int, int] = {}
         get = out.get
         for ak, ac in a.items():
-            span = groups if tmax is None else groups[: max(0, tmax + 1 - (ak >> TD_SHIFT))]
-            for group in span:
+            for group in groups[: max(0, tmax + 1 - (ak >> TD_SHIFT))]:
                 for bk, bc in group:
                     k = ak + bk
                     s = get(k, 0) + ac * bc
@@ -512,22 +512,18 @@ def _pi_pair(i: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
 def _apply_pair_table(f: SparsePoly, i: int, table) -> SparsePoly:
     sa, sb = _pair_shifts(i)
     pair_mask = (_FIELD << sa) | (_FIELD << sb)
-    groups: dict[int, dict[int, int]] = {}
-    for k, c in f.terms.items():
-        pair = k & pair_mask
-        bucket = groups.setdefault(k - pair, {})
-        bucket[pair] = bucket.get(pair, 0) + c
     out: dict[int, int] = {}
     get = out.get
-    for base, bucket in groups.items():
-        for pair, c in bucket.items():
-            for offset, sign in table(i, (pair >> sa) & _FIELD, pair >> sb):
-                key = base + offset
-                s = get(key, 0) + sign * c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+    for k, c in f.terms.items():
+        pair = k & pair_mask
+        base = k - pair
+        for offset, sign in table(i, (pair >> sa) & _FIELD, pair >> sb):
+            key = base + offset
+            s = get(key, 0) + sign * c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
     return SparsePoly(out, _trusted=True)
 
 

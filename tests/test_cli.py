@@ -83,6 +83,15 @@ def test_pw_grade_above_tdeg_is_usage_error(capsys):
     assert run(capsys, "pw", "--w", "14253", "--grade", "2", "--tdeg", "2")[0] == 0
 
 
+@pytest.mark.parametrize("w", ["21", "1"])
+def test_pw_negative_tdeg_is_usage_error(capsys, w):
+    # rejected before the induction runs, whether or not P_w has terms to truncate
+    assert main(["pw", "--w", w, "--tdeg", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --tdeg must be >= 0"]
+
+
 def test_sets_A_golden(capsys):
     code, out = run(capsys, "sets", "--w", "42531", "--A", "3")
     assert code == 0

@@ -24,10 +24,9 @@ from keyseries.mults import (
     scan_formpw3,
     scan_poset,
     scan_siinc,
-    t_from_levels,
 )
 from keyseries.permutation import all_permutations, parse_permutation
-from keyseries.poly import SparsePoly
+from keyseries.poly import SparsePoly, x_exps
 from keyseries.report import body_digest, canonical_json, outcome_report
 from keyseries.series import n_factor_product, numerator_P
 
@@ -35,8 +34,9 @@ W = parse_permutation("42531")
 
 
 def test_level_codecs():
-    assert t_from_levels((2, 3)) == (0, 1, 1)
-    assert t_from_levels((3, 3)) == (0, 0, 2)
+    # a level multiset counts as T-exponents the way eta counts as x-exponents
+    assert x_exps((2, 3)) == (0, 1, 1)
+    assert x_exps((3, 3)) == (0, 0, 2)
 
 
 def test_multiplicity2_golden():
@@ -73,10 +73,12 @@ def test_cubic_table_matches_single_lookups():
 
 
 def _decoded_slice(poly, grade, sign):
-    """A T-slice decoded term by term, in term order: {(levels..., eta): sign * c}."""
+    """A T-slice decoded term by term, in ascending packed-key order (the
+    order a view must yield): {(levels..., eta): sign * c}."""
+    ordered = SparsePoly(dict(sorted(poly.t_slice(grade).terms.items())), _trusted=True)
     return {
         levels + (eta,): sign * c
-        for (eta, levels, _), c in poly.t_slice(grade).multiset_items()
+        for (eta, levels, _), c in ordered.multiset_items()
     }
 
 
@@ -255,12 +257,13 @@ def test_formpw3_records_both_level_shapes():
 
 
 def test_formpw3_n5_findings_in_pinned_order():
-    # The findings follow the cubic slice's term order, so a kernel that
-    # reorders terms changes this digest even when every count is unchanged.
+    # Within a stratum the support findings follow the cubic slice in
+    # ascending packed-key order, a function of P_w's value only, so this
+    # digest holds however the kernel orders its terms.
     ces = scan_formpw3(5).counterexamples
     assert len(ces) == 3232
     digest = hashlib.sha256(canonical_json(ces).encode()).hexdigest()
-    assert digest == "dca2e87691810ab5fed54a5c9c052a90ad0d19463d4e1c29ce58c72ae98f4825"
+    assert digest == "48c786a4d1094310144fb226b6c94f616225b33ad792031a540a16eb5f2872bb"
 
 
 # The functions behind the pinned bodies: six checks, check_quadratic_support
@@ -290,7 +293,7 @@ PINNED_BODIES = {
     "siinc": (5, "7c4172a228c2b1c4faaf55baee92f4694037d3744097c77df7ba4d0007c52bc9"),
     "formpw2bound": (
         5, "a51be341a0dac5935d797edb5c34ab3958213bc3d07cb6111dbd00599dd035e9"),
-    "formpw3": (5, "d48ba8839abda92fa3c04207c26d48c105c22e644064ddccace60583cf1767e5"),
+    "formpw3": (5, "b2e0f44e9f1a638e0d8f71347394699dea44498ee4d883063649d84a47fba3bb"),
 }
 
 
@@ -300,6 +303,19 @@ def test_pinned_body_digest(name):
     n, digest = PINNED_BODIES[name]
     fn = PINNED_FUNCTIONS[name]
     assert body_digest(outcome_report(fn(n), {}, 0)) == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BODIES))
+def test_pinned_bodies_ignore_term_order(name, monkeypatch):
+    # Every P_w the checks read, its terms stored in reverse: the same
+    # polynomial, so every body must keep its digest.
+    def reversed_numerator(w, *args, **kwargs):
+        terms = numerator_P(w, *args, **kwargs).terms
+        return SparsePoly(dict(reversed(terms.items())), _trusted=True)
+
+    monkeypatch.setattr("keyseries.mults.numerator_P", reversed_numerator)
+    n, digest = PINNED_BODIES[name]
+    assert body_digest(outcome_report(PINNED_FUNCTIONS[name](n), {}, 0)) == digest
 
 
 @pytest.mark.slow
@@ -335,5 +351,5 @@ def test_formpw3_n6_body_pinned():
         claims[ce["claim"]] = claims.get(ce["claim"], 0) + 1
     assert claims == {"support": 44028, "positivity": 65460}
     assert body_digest(outcome_report(out, {}, 0)) == (
-        "a196e14aaa791b98b2f98c86782f99baf0b2f5e4d6e7cb6aca764b3e734b1f47"
+        "307331ea74d3be1e76c5176a9df77ce443ca0193578f362866247a71ddd08241"
     )

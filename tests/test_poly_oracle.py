@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from hypothesis import assume, given, strategies as st
 
-from keyseries.poly import SparsePoly, divided_difference, pi, pi_xi
+from keyseries.poly import SparsePoly, divided_difference, pi, pi_xi, series_quotient
 
 NX, NT = 4, 3
 
@@ -31,6 +31,12 @@ points = st.tuples(
     st.integers(-3, 3),
 )
 letters = st.integers(1, NX - 1)
+# monomials c*m with T-degree >= 1, the factors 1 - c*m of series_quotient
+factors = st.lists(
+    st.builds(lambda e, c: SparsePoly.term(c, *e),
+              exponents.filter(lambda e: any(e[1])), st.integers(-2, 2).filter(bool)),
+    min_size=1, max_size=3,
+)
 
 
 def graded(items, point) -> dict[int, Fraction]:
@@ -115,3 +121,26 @@ def test_truncated_product_by_degree(m1, m2, p, tmax):
     assert set(got) <= set(range(tmax + 1))
     for d in range(tmax + 1):
         assert got.get(d, 0) == expect.get(d, 0)
+
+
+@given(maps, maps, letters, factors, st.integers(0, 4))
+def test_results_store_no_zero(m1, m2, i, facs, tmax):
+    # A stored zero is invisible to point evaluation but breaks ==, which
+    # compares term dicts.  The second input of each operator cancels to zero
+    # in whole or in part, so the deletion of zero sums is reached.
+    f, g = SparsePoly(m1), SparsePoly(m2)
+    symmetric = f + f.swap_x(i)
+    denominator = SparsePoly.one()
+    for fac in facs:
+        denominator = denominator * (1 - fac)
+    results = [
+        divided_difference(i, f), divided_difference(i, symmetric + g),
+        pi(i, f), pi(i, symmetric - SparsePoly.x_var(i + 1) * g),
+        pi_xi(i, f), pi_xi(i, symmetric + g),
+        f.mul_trunc(g, None), f.mul_trunc(g, tmax), (f + g).mul_trunc(f - g, tmax),
+        series_quotient(f, facs, tmax), series_quotient(f * denominator, facs, tmax),
+    ]
+    for result in results:
+        assert 0 not in result.terms.values()
+    assert divided_difference(i, symmetric) == SparsePoly.zero()
+    assert series_quotient(f * denominator, facs, tmax) == f.t_truncate(tmax)
