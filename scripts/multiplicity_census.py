@@ -4,6 +4,9 @@
 Tabulates how the multiplicities distribute by the freedom parameter r and by
 presentation-poset size, and how far the 2^r - 1 floor is from tight; a quick
 way to eyeball the structure the closed formulas capture.
+
+Exits 2 on a rank below 1 and 3 on a rank past the default caps, matching
+the CLI convention.
 """
 
 from __future__ import annotations
@@ -12,23 +15,22 @@ import argparse
 import sys
 from collections import Counter
 
+from keyseries.cli import guarded
+from keyseries.config import EngineConfig
 from keyseries.multisets import presentations
 from keyseries.mults import _b_keys, _r_value, quadratic_multiplicities
 from keyseries.permutation import all_permutations
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=4)
-    args = ap.parse_args()
-
+def run(n: int) -> int:
+    EngineConfig().check_rank(n)
     by_r: dict[int, Counter] = {}
     by_poset_size: dict[int, Counter] = {}
     tight = 0
     total = 0
-    for w in all_permutations(args.n):
+    for w in all_permutations(n):
         quad = quadratic_multiplicities(w)
-        for k, l, eta in _b_keys(w, args.n):
+        for k, l, eta in _b_keys(w, n):
             m = quad.get((k, l, eta), 0)
             r = _r_value(k, l, eta)
             size = len(presentations(w, k, l, eta).pairs)
@@ -38,7 +40,7 @@ def main() -> int:
             if m == 2**r - 1:
                 tight += 1
 
-    print(f"S_{args.n}: {total} two-presentation multisets")
+    print(f"S_{n}: {total} two-presentation multisets")
     print(f"floor 2^r-1 tight on {tight}/{total}")
     print("\nmultiplicity distribution by r:")
     for r in sorted(by_r):
@@ -51,6 +53,12 @@ def main() -> int:
         )
         print(f"  {size} presentations: {dist}")
     return 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--n", type=int, default=4)
+    return guarded(run, ap.parse_args().n)
 
 
 if __name__ == "__main__":

@@ -20,9 +20,7 @@ __all__ = [
     "enum_A_set",
     "split_A",
     "si_image",
-    "replace",
     "moved_levels",
-    "parse_seq",
     "format_seq",
 ]
 
@@ -120,34 +118,8 @@ def moved_levels(w: Permutation, i: int) -> range:
     return range(lo, hi) if lo < hi else range(0)
 
 
-def replace(alpha: AscSeq, j: int, r: int) -> AscSeq:
-    """Overwrite the j-th entry (1-based) with a value not already present."""
-    if not 1 <= j <= len(alpha):
-        raise IndexError(f"entry index {j} out of range for length {len(alpha)}")
-    if r in alpha:
-        raise ValueError(f"replacement value {r} already present in {alpha}")
-    if r < 1:
-        raise ValueError(f"entries must be positive, got {r}")
-    return tuple(sorted(alpha[: j - 1] + (r,) + alpha[j:]))
-
-
-def parse_seq(text: str) -> AscSeq:
-    """Parse '245' (single digits) or '2,4,5'; must be strictly increasing."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty sequence")
-    if "," in text:
-        vals = tuple(int(part) for part in text.split(","))
-    else:
-        if not text.isdigit():
-            raise ValueError(f"cannot parse sequence {text!r}")
-        vals = tuple(int(ch) for ch in text)
-    if any(a >= b for a, b in zip(vals, vals[1:])) or (vals and vals[0] < 1):
-        raise ValueError(f"not strictly increasing positive entries: {vals}")
-    return vals
-
-
-def format_seq(alpha: AscSeq) -> str:
+def format_seq(alpha: tuple[int, ...]) -> str:
+    """A sorted index tuple as text: '245', or '2,4,11' once an entry passes 9."""
     if alpha and alpha[-1] > 9:
         return ",".join(str(v) for v in alpha)
     return "".join(str(v) for v in alpha)

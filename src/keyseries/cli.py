@@ -22,7 +22,7 @@ from . import __version__
 from .bseq import enum_A, format_seq
 from .config import EngineConfig, InvariantError, ResourceCapError, load_config
 from .counts import suite_fcoeff
-from .multisets import enum_B, enum_C, format_multiset
+from .multisets import enum_B, enum_C
 from .mults import (
     check_diff1,
     check_diff2,
@@ -148,9 +148,9 @@ def _write_files(files: dict[str, str]) -> None:
 
 
 def _emit(args, text_lines: list[str], json_obj: dict, summary: dict, status: int) -> int:
-    """Print the result; with --out also write its JSON and a manifest of the
+    """Print the result; with --out first write its JSON and a manifest of the
     subcommand and the result's params, both encoded before either file is
-    touched.  Returns status."""
+    touched, so a failed write prints nothing.  Returns status."""
     payload = canonical_json(json_obj) if args.format == "json" or args.out else None
     files = {}
     if args.out:
@@ -163,11 +163,11 @@ def _emit(args, text_lines: list[str], json_obj: dict, summary: dict, status: in
             exit_status=status,
         )
         files = {args.out: payload, args.out + ".manifest.json": canonical_json(manifest)}
+    _write_files(files)
     if args.format == "json":
         sys.stdout.write(payload)
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
-    _write_files(files)
     return status
 
 
@@ -243,9 +243,9 @@ def cmd_sets(args, cfg: EngineConfig) -> int:
     if which == "A":
         elements = [format_seq(a) for a in enum_A(w, levels[0])]
     elif which == "B":
-        elements = [format_multiset(e) for e in enum_B(w, *levels)]
+        elements = [format_seq(e) for e in enum_B(w, *levels)]
     else:
-        elements = [format_multiset(t) for t in enum_C(w, *levels)]
+        elements = [format_seq(t) for t in enum_C(w, *levels)]
     params = {"w": w.one_line(), "set": which, "levels": list(levels)}
     obj = {"command": "sets", "params": params, "elements": elements,
            "size": len(elements)}

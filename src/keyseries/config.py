@@ -1,10 +1,10 @@
 """Runtime caps for the batch commands.
 
 An optional config file (plain key=value lines, # comments) sets the sweep
-caps `max_n` and `max_tdeg`; any other key is an error.  Requests beyond the
-caps are refused rather than attempted: factorial sweeps and exact series
-arithmetic grow too fast for a polite failure later.  The package's two
-error types live here too.
+caps `max_n` and `max_tdeg`; any other key, or a key set twice, is an error.
+Requests beyond the caps are refused rather than attempted: factorial sweeps
+and exact series arithmetic grow too fast for a polite failure later.  The
+package's two error types live here too.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ def parse_config(text: str) -> EngineConfig:
         key = key.strip()
         if key not in _KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"config line {lineno}: {key} is set twice")
         try:
             num = int(val.strip())
         except ValueError:

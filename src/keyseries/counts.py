@@ -13,12 +13,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .bseq import enum_A
-from .multisets import EtaMultiSet, format_multiset, sum_seqs
+from .bseq import enum_A, format_seq
+from .multisets import EtaMultiSet, sum_seqs
 from .mults import MultView, cubic_multiplicities, quadratic_multiplicities
 from .permutation import Permutation, ScanOutcome, sweep
 from .poly import SparsePoly, series_inverse_product, x_exps
-from .series import _trim_partition, key_polynomial, partitions, t_exps
+from .series import _trim_partition, partitions, t_exps
 
 __all__ = [
     "F_coefficient",
@@ -26,7 +26,6 @@ __all__ = [
     "F_block_series",
     "polytope_point_count",
     "approx_coefficient",
-    "approximation_report",
     "suite_fcoeff",
 ]
 
@@ -203,28 +202,6 @@ def approx_coefficient(
     return value
 
 
-def approximation_report(
-    lam: tuple[int, ...], w: Permutation, mu: EtaMultiSet, order: int = 3
-) -> dict:
-    """Row comparing the approximation against the exact coefficient."""
-    lam = _trim_partition(tuple(lam))
-    mu = tuple(sorted(mu))
-    value = approx_coefficient(lam, w, mu, order)
-    exact = key_polynomial(lam, w).coefficient(x=x_exps(mu))
-    row = {
-        "lambda": list(lam),
-        "w": w.one_line(),
-        "mu": format_multiset(mu),
-        "order": order,
-        "value": value,
-        "exact": exact,
-        "match": value == exact,
-    }
-    if order == 1:
-        row["note"] = "order 1 coincides with order 0"
-    return row
-
-
 def suite_fcoeff(group_n: int = 3, max_weight: int = 6) -> ScanOutcome:
     """Counts agree with the series oracle, exhaustively at desk scale."""
 
@@ -249,13 +226,13 @@ def suite_fcoeff(group_n: int = 3, max_weight: int = 6) -> ScanOutcome:
                 if got != c:
                     ces.append(
                         {"w": w.one_line(), "lambda": list(lam),
-                         "mu": format_multiset(mu), "count": got, "series": c}
+                         "mu": format_seq(mu), "count": got, "series": c}
                     )
             infeasible = tuple(sorted((group_n + 2,) * max(sum(lam), 1)))
             if F_coefficient(lam, w, infeasible) != 0:
                 ces.append(
                     {"w": w.one_line(), "lambda": list(lam),
-                     "mu": format_multiset(infeasible),
+                     "mu": format_seq(infeasible),
                      "detail": "nonzero on an infeasible monomial"}
                 )
         return ces, {"blocks": blocks, "coefficients": coeffs}

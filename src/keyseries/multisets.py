@@ -4,9 +4,9 @@ A sum eta of a length-l and a length-k bounded sequence is a multiset with
 multiplicities at most 2, written as a sorted tuple with repeats, e.g.
 (1, 1, 2, 3, 4).  ``enum_Btilde`` lists all such sums; an eta lies in the
 distinguished subset B when it has at least two essentially distinct
-presentations (unordered when k = l).  The cheap membership criterion
-|eta_2| < k - [k = l] is used everywhere fast paths matter and is verified
-against direct double enumeration by the test suite.
+presentations (unordered when k = l).  ``enum_B`` selects B by the cheap
+criterion |eta_2| < k - [k = l], which the test suite verifies against a
+count of presentations by direct double enumeration.
 
 A triple sum tau of levels p <= k <= l lies in C_{p,k,l} when each of its
 three partial sums can land in the matching B.  Each member of B is itself a
@@ -34,7 +34,6 @@ __all__ = [
     "eta_minus",
     "enum_Btilde",
     "enum_B",
-    "is_in_B",
     "restricted_A",
     "restricted_max",
     "extremal_presentation",
@@ -42,8 +41,6 @@ __all__ = [
     "presentations_direct",
     "enum_C",
     "enum_Ctilde",
-    "parse_multiset",
-    "format_multiset",
 ]
 
 # Sorted tuple with repeats; multiplicity of each value at most 2 in the
@@ -116,23 +113,6 @@ def enum_Btilde(w: Permutation, k: int, l: int) -> tuple[EtaMultiSet, ...]:
     result = tuple(sorted(sums))
     _BTILDE_CACHE[key] = result
     return result
-
-
-def is_in_B(w: Permutation, k: int, l: int, eta: EtaMultiSet, direct: bool = False) -> bool:
-    """Membership of eta in B_{k,l}(w).
-
-    The default route combines sum membership with the doubled-part size
-    criterion |eta_2| < k - [k = l]; ``direct=True`` counts essentially
-    distinct presentations instead (the oracle route).
-    """
-    if len(eta) != k + l:
-        raise ValueError(f"size mismatch: |eta| = {len(eta)} != k + l = {k + l}")
-    if direct:
-        return len(presentations_direct(w, k, l, eta).pairs) >= 2
-    _, eta2 = eta_parts(eta)
-    if len(eta2) >= k - (1 if k == l else 0):
-        return False
-    return len(presentations(w, k, l, eta).pairs) >= 1
 
 
 def enum_B(w: Permutation, k: int, l: int) -> tuple[EtaMultiSet, ...]:
@@ -332,24 +312,3 @@ def enum_C(w: Permutation, p: int, k: int, l: int) -> tuple[EtaMultiSet, ...]:
     _C_CACHE[key] = result
     return result
 
-
-def parse_multiset(text: str) -> EtaMultiSet:
-    """Parse '11234' (single digits) or '1,1,2,3,4'; re-sorts."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty multiset")
-    if "," in text:
-        vals = [int(part) for part in text.split(",")]
-    else:
-        if not text.isdigit():
-            raise ValueError(f"cannot parse multiset {text!r}")
-        vals = [int(ch) for ch in text]
-    if any(v < 1 for v in vals):
-        raise ValueError(f"entries must be positive: {vals}")
-    return tuple(sorted(vals))
-
-
-def format_multiset(eta: EtaMultiSet) -> str:
-    if eta and eta[-1] > 9:
-        return ",".join(str(v) for v in eta)
-    return "".join(str(v) for v in eta)

@@ -27,7 +27,7 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .bseq import w_upper
+from .bseq import format_seq, w_upper
 from .config import InvariantError
 from .multisets import (
     enum_B,
@@ -199,10 +199,6 @@ def _b_keys(
                 yield k, l, eta
 
 
-def _fmt_eta(eta: tuple[int, ...]) -> str:
-    return "".join(map(str, eta)) if all(v <= 9 for v in eta) else ",".join(map(str, eta))
-
-
 # -- closed formulas for the small slices ------------------------------------------
 
 
@@ -250,7 +246,7 @@ def check_diff1(n: int) -> ScanOutcome:
                     if got != expect:
                         ces.append(
                             {"w": w.one_line(), "k": k, "l": l,
-                             "eta": _fmt_eta(eta), "m": got, "expected": expect}
+                             "eta": format_seq(eta), "m": got, "expected": expect}
                         )
         return ces, {"multisets": checked}
 
@@ -292,7 +288,7 @@ def check_diff2(n: int) -> ScanOutcome:
             if got != expect or not 3 <= got <= hi:
                 ces.append(
                     {"w": w.one_line(), "k": k, "l": l,
-                     "eta": _fmt_eta(eta), "m": got, "expected": expect,
+                     "eta": format_seq(eta), "m": got, "expected": expect,
                      "range": [3, hi]}
                 )
         return ces, {"multisets": checked}
@@ -349,7 +345,7 @@ def check_lketa23(n: int) -> ScanOutcome:
                 got = quad.get((k, k, eta), 0)
                 if pattern is None or got != pattern or got != unified or not 3 <= got <= 5:
                     ces.append(
-                        {"w": w.one_line(), "k": k, "eta": _fmt_eta(eta),
+                        {"w": w.one_line(), "k": k, "eta": format_seq(eta),
                          "m": got, "pattern": pattern, "unified": unified,
                          "positions": [list(lo), list(hi)]}
                     )
@@ -373,7 +369,7 @@ def _lowbdr2_one(
         if got < 2**r - 1:
             ces.append(
                 {"w": w.one_line(), "k": k, "l": l,
-                 "eta": _fmt_eta(eta), "m": got, "bound": 2**r - 1}
+                 "eta": format_seq(eta), "m": got, "bound": 2**r - 1}
             )
     return ces, {"multisets": checked}
 
@@ -594,7 +590,7 @@ def scan_poset(n: int) -> ScanOutcome:
             m = quad.get((k, l, eta), 0)
             canon = presentation_poset(w, k, l, eta).canonical()
             witness = {"w": w.one_line(), "k": k, "l": l,
-                       "eta": _fmt_eta(eta), "m": m}
+                       "eta": format_seq(eta), "m": m}
             if canon not in buckets:
                 buckets[canon] = (m, witness)
             elif buckets[canon][0] != m:
@@ -637,7 +633,7 @@ def scan_siinc(n: int) -> ScanOutcome:
                 if m > other:
                     ces.append(
                         {"w": w.one_line(), "i": i, "k": k, "l": l,
-                         "eta": _fmt_eta(eta), "m": m, "swapped_m": other}
+                         "eta": format_seq(eta), "m": m, "swapped_m": other}
                     )
         return ces, {"comparisons": checked}
 
@@ -672,14 +668,14 @@ def scan_formpw3(n: int) -> ScanOutcome:
                 if m < 1:
                     ces.append(
                         {"claim": "positivity", "w": w.one_line(),
-                         "levels": levels, "tau": _fmt_eta(tau), "m": m}
+                         "levels": levels, "tau": format_seq(tau), "m": m}
                     )
             cset = frozenset(cs)
             for tau, m in terms.items():
                 if tau not in cset:
                     ces.append(
                         {"claim": "support", "w": w.one_line(),
-                         "levels": levels, "tau": _fmt_eta(tau), "m": m}
+                         "levels": levels, "tau": format_seq(tau), "m": m}
                     )
         return ces, {"terms": checked, "c_elements": c_elements}
 

@@ -71,12 +71,6 @@ class Permutation:
             inv = self._inv = tuple(inv)
         return inv[v - 1] if v <= len(inv) else v
 
-    def inverse(self) -> "Permutation":
-        if not self.values:
-            return Permutation(())
-        self.position(1)  # force the inverse table
-        return Permutation(self._inv)
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (self*other)(j) = self(other(j))."""
         m = max(self.n, other.n)
@@ -167,16 +161,6 @@ class Permutation:
     @classmethod
     def identity(cls, n: int = 1) -> "Permutation":
         return cls(range(1, n + 1))
-
-    @classmethod
-    def from_word(cls, word: Iterable[int], n: int | None = None) -> "Permutation":
-        """Compose s_{i_1} ... s_{i_r} (rightmost letter applied first)."""
-        letters = tuple(word)
-        m = max(letters, default=0) + 1
-        w = cls.identity(max(n or 1, m, 1))
-        for i in reversed(letters):
-            w = w.left_mul_s(i)
-        return w
 
     @classmethod
     def longest(cls, n: int) -> "Permutation":

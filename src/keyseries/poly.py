@@ -41,7 +41,6 @@ from .config import ResourceCapError
 __all__ = [
     "FIELD_BITS", "MAX_EXP", "NVARS", "Monomial", "SparsePoly", "divided_difference",
     "pi", "pi_xi", "pi_word", "series_inverse_product", "series_quotient", "x_exps",
-    "x_multiset", "t_pair",
 ]
 
 # (x exponents, T exponents, xi exponent); tuple index 0 holds x_1 / T_1, no trailing zeros.
@@ -97,7 +96,7 @@ def _unpack(part: int) -> tuple[int, ...]:
 
 
 def _unpack_multiset(part: int) -> tuple[int, ...]:
-    """An x-part or T-part as a sorted multiset of indices, as x_multiset gives."""
+    """An x-part or T-part as a sorted multiset of indices (the inverse of x_exps)."""
     out: tuple[int, ...] = ()
     idx = 1
     while part:
@@ -152,19 +151,6 @@ def x_exps(eta: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def x_multiset(x: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse of :func:`x_exps`: sorted tuple with repeats."""
-    return tuple(idx for idx, e in enumerate(x, start=1) for _ in range(e))
-
-
-def t_pair(k: int, l: int) -> tuple[int, ...]:
-    """Exponent tuple of T_k * T_l (k = l gives a square)."""
-    vec = [0] * max(k, l)
-    vec[k - 1] += 1
-    vec[l - 1] += 1
-    return tuple(vec)
-
-
 class SparsePoly:
     """Immutable-by-convention sparse polynomial with int coefficients.
 
@@ -198,14 +184,6 @@ class SparsePoly:
     @classmethod
     def x_var(cls, i: int) -> "SparsePoly":
         return cls.term(x=(0,) * (i - 1) + (1,))
-
-    @classmethod
-    def t_block(cls, l: int) -> "SparsePoly":
-        return cls.term(t=(0,) * (l - 1) + (1,))
-
-    @classmethod
-    def xi_var(cls) -> "SparsePoly":
-        return cls.term(xi=1)
 
     @classmethod
     def x_monomial(cls, eta: tuple[int, ...], coeff: int = 1) -> "SparsePoly":

@@ -1,6 +1,5 @@
 import itertools
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from keyseries.bseq import (
@@ -8,8 +7,6 @@ from keyseries.bseq import (
     enum_A_set,
     format_seq,
     moved_levels,
-    parse_seq,
-    replace,
     si_image,
     split_A,
     w_upper,
@@ -122,36 +119,11 @@ def test_si_image():
     assert si_image(4, (1, 2, 5)) == (1, 2, 4)
 
 
-def test_replace():
-    assert replace((1, 3, 5), 2, 4) == (1, 4, 5)
-    assert replace((1, 3, 5), 1, 6) == (3, 5, 6)
-    with pytest.raises(ValueError):
-        replace((1, 3, 5), 2, 5)
-    with pytest.raises(IndexError):
-        replace((1, 3), 3, 4)
-
-
 def test_parse_format_roundtrip():
-    assert parse_seq("245") == (2, 4, 5)
-    assert parse_seq("2,4,5") == (2, 4, 5)
     assert format_seq((2, 4, 5)) == "245"
     assert format_seq((2, 4, 11)) == "2,4,11"
-    with pytest.raises(ValueError):
-        parse_seq("254")
-
-
-@given(st.permutations(range(1, 7)).map(Permutation), st.integers(1, 6), st.data())
-@settings(max_examples=80)
-def test_replace_stays_bounded(w, l, data):
-    seqs = enum_A(w, l)
-    alpha = data.draw(st.sampled_from(seqs))
-    j = data.draw(st.integers(1, l))
-    bound = w_upper(w, l)[j - 1]
-    fresh = [r for r in range(1, bound + 1) if r not in alpha]
-    if not fresh:
-        return
-    r = data.draw(st.sampled_from(fresh))
-    assert replace(alpha, j, r) in enum_A_set(w, l)
+    assert format_seq((9,)) == "9" and format_seq((10,)) == "10"
+    assert format_seq(()) == ""
 
 
 @given(st.permutations(range(1, 6)).map(Permutation), st.integers(1, 5))

@@ -291,10 +291,11 @@ def test_out_writes_report_and_manifest(tmp_path, capsys):
     assert manifest["result_summary"]["counterexamples"] == 0
 
 
-@pytest.mark.parametrize("failure", ["manifest", "write"])
+@pytest.mark.parametrize("failure", ["manifest", "write", "missing-dir"])
 def test_failed_out_leaves_no_file(tmp_path, capsys, monkeypatch, failure):
     # The encoder fails after the report is encoded: on the manifest, or by
-    # handing back text the file encoding rejects, which fails mid-write.
+    # handing back text the file encoding rejects, which fails mid-write; or
+    # the --out directory does not exist.  No result reaches stdout either.
     real = cli.canonical_json
     calls = []
 
@@ -304,11 +305,15 @@ def test_failed_out_leaves_no_file(tmp_path, capsys, monkeypatch, failure):
             raise ValueError("cannot encode the manifest")
         return real(obj) + ("\ud800" if failure == "write" else "")
 
-    monkeypatch.setattr(cli, "canonical_json", encoder)
+    if failure != "missing-dir":
+        monkeypatch.setattr(cli, "canonical_json", encoder)
+    out_dir = tmp_path / "missing" if failure == "missing-dir" else tmp_path
     code = main(["scan", "--conjecture", "siinc", "--n", "3",
-                 "--out", str(tmp_path / "rep.json")])
+                 "--out", str(out_dir / "rep.json")])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
     assert list(tmp_path.iterdir()) == []
 
 

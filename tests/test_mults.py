@@ -4,7 +4,7 @@ import pytest
 
 from keyseries.cli import CHECKS, check_names
 from keyseries.config import InvariantError
-from keyseries.multisets import enum_B, parse_multiset
+from keyseries.multisets import enum_B
 from keyseries.mults import (
     MultView,
     N_quadratic,
@@ -41,18 +41,18 @@ def test_level_codecs():
 
 def test_multiplicity2_golden():
     assert multiplicity2(parse_permutation("31425"), 1, 2, (1, 2, 3)) == 1
-    assert multiplicity2(parse_permutation("31425"), 2, 3, parse_multiset("11234")) == 1
-    assert multiplicity2(W, 2, 3, parse_multiset("12345")) == 3
-    assert multiplicity2(W, 2, 3, parse_multiset("11334")) == 0
+    assert multiplicity2(parse_permutation("31425"), 2, 3, (1, 1, 2, 3, 4)) == 1
+    assert multiplicity2(W, 2, 3, (1, 2, 3, 4, 5)) == 3
+    assert multiplicity2(W, 2, 3, (1, 1, 3, 3, 4)) == 0
     with pytest.raises(ValueError):
-        multiplicity2(W, 3, 2, parse_multiset("12345"))
+        multiplicity2(W, 3, 2, (1, 2, 3, 4, 5))
 
 
 def test_multiplicity3_golden():
     w = parse_permutation("31425")
-    assert multiplicity3(w, 1, 2, 3, parse_multiset("112234")) == 1
-    assert multiplicity3(w, 1, 2, 3, parse_multiset("112334")) == 1
-    assert multiplicity3(w, 1, 1, 2, parse_multiset("1123")) == 0
+    assert multiplicity3(w, 1, 2, 3, (1, 1, 2, 2, 3, 4)) == 1
+    assert multiplicity3(w, 1, 2, 3, (1, 1, 2, 3, 3, 4)) == 1
+    assert multiplicity3(w, 1, 1, 2, (1, 1, 2, 3)) == 0
 
 
 def test_quadratic_table_matches_single_lookups():
@@ -115,12 +115,12 @@ def test_multiplicity_tables_match_decoded_slices(n):
 
 def test_view_lookups_outside_the_slice():
     quad = quadratic_multiplicities(W)
-    assert quad.get((2, 3, parse_multiset("12345"))) == 3
-    assert quad.get((2, 3, parse_multiset("12345")), None) == 3
-    assert quad.get((2, 3, parse_multiset("11334")), None) is None
+    assert quad.get((2, 3, (1, 2, 3, 4, 5))) == 3
+    assert quad.get((2, 3, (1, 2, 3, 4, 5)), None) == 3
+    assert quad.get((2, 3, (1, 1, 3, 3, 4)), None) is None
     # a key with the wrong number of levels or an index past x9 has no term
-    assert quad.get((2, parse_multiset("12345"))) == 0
-    assert quad.get((1, 2, 3, parse_multiset("12345"))) == 0
+    assert quad.get((2, (1, 2, 3, 4, 5))) == 0
+    assert quad.get((1, 2, 3, (1, 2, 3, 4, 5))) == 0
     assert quad.get((2, 3, (1, 2, 3, 4, 10))) == 0
 
 
@@ -194,17 +194,17 @@ def test_multsiw_s5():
 
 def test_poset_shape_golden():
     # the diamond: four presentations of 12345 at levels (2,3)
-    poset = presentation_poset(W, 2, 3, parse_multiset("12345"))
+    poset = presentation_poset(W, 2, 3, (1, 2, 3, 4, 5))
     assert len(poset.elements) == 4
-    chain = presentation_poset(W, 2, 3, parse_multiset("11234"))
+    chain = presentation_poset(W, 2, 3, (1, 1, 2, 3, 4))
     assert len(chain.elements) == 3
     assert poset.canonical() != chain.canonical()
 
 
 def test_poset_canonical_invariant_under_relabeling():
     # two different 2-chains: same canonical form, same multiplicity
-    a = presentation_poset(W, 2, 3, parse_multiset("11235"))
-    b = presentation_poset(W, 2, 3, parse_multiset("11345"))
+    a = presentation_poset(W, 2, 3, (1, 1, 2, 3, 5))
+    b = presentation_poset(W, 2, 3, (1, 1, 3, 4, 5))
     assert a.elements != b.elements
     assert a.canonical() == b.canonical()
 

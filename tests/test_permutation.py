@@ -58,7 +58,11 @@ def test_reduced_words_multiply_back():
     for w in all_permutations(4):
         for word in (w.reduced_word(), w.reduced_word_alt()):
             assert len(word) == w.length()
-            assert Permutation.from_word(word) == w
+            # s_{i_1} ... s_{i_r} applied to the identity, rightmost letter first
+            built = Permutation.identity(4)
+            for i in reversed(word):
+                built = built.left_mul_s(i)
+            assert built == w
 
 
 def test_greedy_words_differ_for_braid():
@@ -75,8 +79,9 @@ def test_all_permutations_distinct():
 
 @given(perms)
 def test_inverse_roundtrip(w):
-    assert w * w.inverse() == Permutation.identity(w.n)
-    assert w.inverse().inverse() == w
+    inverse = Permutation(w.position(v) for v in range(1, w.n + 1))
+    assert w * inverse == inverse * w == Permutation.identity(w.n)
+    assert all(inverse(w(j)) == j for j in range(1, w.n + 1))
 
 
 @given(perms, perms)

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import json
+import pkgutil
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -37,11 +39,22 @@ def test_parse_config_defaults():
 
 @pytest.mark.parametrize("text", [
     "max_n", "depth=3", "max_n=abc", "max_n=0", "threads=-1", "threads=2",
-    "max_tdeg=2.5",
+    "max_tdeg=2.5", "max_n=3\nmax_n=9",
 ])
 def test_parse_config_rejects(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^config line \d+: "):
         parse_config(text)
+
+
+def test_all_entries_resolve():
+    # A deleted name left in an __all__ would break `from ... import *`.
+    modnames = ["keyseries"] + [f"keyseries.{m.name}"
+                                for m in pkgutil.iter_modules(keyseries.__path__)]
+    for modname in modnames:
+        module = importlib.import_module(modname)
+        stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert stale == [], modname
+        exec(f"from {modname} import *", {})
 
 
 def test_load_config_env_override(tmp_path, monkeypatch):

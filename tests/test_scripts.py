@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from keyseries.cli import CHECKS, check_names, main
 from keyseries.report import body_digest
 
@@ -101,6 +103,17 @@ def test_multiplicity_census_script():
         "  2 presentations: m=1: 2",
         "  3 presentations: m=1: 1",
     ]
+
+
+@pytest.mark.parametrize("n, code, message", [
+    ("0", 2, "error: rank must be >= 1, got 0"),
+    ("8", 3, "resource cap: rank 8 exceeds the configured max_n 7"),
+])
+def test_multiplicity_census_bad_rank(n, code, message):
+    proc = run_script("multiplicity_census.py", "--n", n)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [message]
 
 
 def test_verify_all_script():

@@ -146,8 +146,8 @@ def test_denominator_factor_count():
 
 def test_series_inverse_product_is_inverse():
     monomials = [
-        SparsePoly.x_var(1) * SparsePoly.t_block(1),
-        SparsePoly.x_var(2) * SparsePoly.t_block(2),
+        SparsePoly.x_var(1) * SparsePoly.term(t=(1,)),
+        SparsePoly.x_var(2) * SparsePoly.term(t=(0, 1)),
     ]
     inv = series_inverse_product(monomials, 4)
     prod = SparsePoly.one()
