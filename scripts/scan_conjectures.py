@@ -2,7 +2,7 @@
 """Run all conjecture scans over a range of ranks and save the reports.
 
 Exits 1 when any scan records a finding, 2 on a bad config, an empty rank
-range or a bad output directory and 3 when a rank exceeds the caps, matching
+range, a rank below 1 or a bad output directory and 3 when a rank exceeds the caps, matching
 the CLI convention.  Each scan runs through `keyseries.cli.run_check`, as
 `keyseries scan` does, and its report lands, written atomically, in one file
 per (conjecture, n) in the output directory.
@@ -23,6 +23,8 @@ def run(args) -> int:
     cfg = load_config(args.config)
     if args.min_n > args.max_n:
         raise ValueError(f"--min-n {args.min_n} is above --max-n {args.max_n}")
+    if args.min_n < 1:
+        raise ValueError(f"rank must be >= 1, got {args.min_n}")
     ranks = range(args.min_n, args.max_n + 1)
     for n in ranks:
         cfg.check_rank(n)

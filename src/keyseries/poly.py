@@ -26,7 +26,9 @@ division ever happens.  No operation promises a term order; a caller that
 needs one sorts the packed keys.
 
 ``series_quotient`` divides by a product of binomials 1 - c*m truncated past a
-total T-degree, one pass per factor, never building the product's inverse.
+total T-degree, one pass per factor, never building the product's inverse;
+``series_product`` multiplies by a product of binomials 1 + c*m the same way,
+never building the product.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .config import ResourceCapError
 
 __all__ = [
     "FIELD_BITS", "MAX_EXP", "NVARS", "Monomial", "SparsePoly", "divided_difference",
-    "pi", "pi_xi", "pi_word", "series_inverse_product", "series_quotient", "x_exps",
+    "pi", "pi_xi", "pi_word", "series_inverse_product", "series_product", "series_quotient",
+    "x_exps",
 ]
 
 # (x exponents, T exponents, xi exponent); tuple index 0 holds x_1 / T_1, no trailing zeros.
@@ -490,12 +493,16 @@ def _pi_pair(i: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
 def _apply_pair_table(f: SparsePoly, i: int, table) -> SparsePoly:
     sa, sb = _pair_shifts(i)
     pair_mask = (_FIELD << sa) | (_FIELD << sb)
+    rows: dict[int, tuple[tuple[int, int], ...]] = {}  # packed pair -> its table row
     out: dict[int, int] = {}
     get = out.get
     for k, c in f.terms.items():
         pair = k & pair_mask
         base = k - pair
-        for offset, sign in table(i, (pair >> sa) & _FIELD, pair >> sb):
+        row = rows.get(pair)
+        if row is None:
+            row = rows[pair] = table(i, (pair >> sa) & _FIELD, pair >> sb)
+        for offset, sign in row:
             key = base + offset
             s = get(key, 0) + sign * c
             if s:
@@ -531,16 +538,44 @@ def pi_word(word: Iterable[int], f: SparsePoly, xi_mode: bool = False) -> Sparse
     return f
 
 
-# -- truncated quotients ------------------------------------------------------
+# -- truncated products and quotients ------------------------------------------
+
+
+def _monomial_factors(factors: Iterable[SparsePoly]) -> list[tuple[int, int, int]]:
+    """Each factor c*m as (packed m, c, T-degree of m).  A factor must be a
+    single monomial of T-degree >= 1 (otherwise a truncation would not
+    determine the expansion)."""
+    out = []
+    for fac in factors:
+        if len(fac.terms) != 1:
+            raise ValueError(f"factor is not a monomial: {fac!r}")
+        ((m, coeff),) = fac.terms.items()
+        if m >> TD_SHIFT < 1:
+            raise ValueError(f"factor monomial has no T part: {fac!r}")
+        out.append((m, coeff, m >> TD_SHIFT))
+    return out
+
+
+def _add_shifted(dst: dict[int, int], src: dict[int, int], m: int, coeff: int) -> None:
+    """dst += coeff * m * src, one dict update per term, zero sums deleted."""
+    # a source key with a field past MAX_EXP could carry into the next field
+    _checked(reduce(or_, src, 0))
+    get = dst.get
+    for k, c in src.items():
+        k += m
+        s = get(k, 0) + coeff * c
+        if s:
+            dst[k] = s
+        else:
+            del dst[k]
 
 
 def series_quotient(f: SparsePoly, factors: Iterable[SparsePoly], D: int) -> SparsePoly:
     """f / prod over factors (1 - c*m), truncated past total T-degree D.
 
-    Every factor c*m must be a single monomial of T-degree >= 1 (otherwise the
-    truncation would not determine the expansion).  Dividing by one factor needs
-    no product: g = f + c*m*g, filled in ascending T-degree (Knuth, TAOCP vol. 2,
-    section 4.7), one dict update per term.
+    Every factor c*m must be a single monomial of T-degree >= 1.  Dividing by
+    one factor needs no product: g = f + c*m*g, filled in ascending T-degree
+    (Knuth, TAOCP vol. 2, section 4.7), one dict update per term.
     """
     if D < 0:
         raise ValueError(f"truncation degree must be >= 0, got {D}")
@@ -549,27 +584,43 @@ def series_quotient(f: SparsePoly, factors: Iterable[SparsePoly], D: int) -> Spa
     for k, c in f.terms.items():
         if k >> TD_SHIFT < len(levels):
             levels[k >> TD_SHIFT][k] = c
-    for fac in factors:
-        if len(fac.terms) != 1:
-            raise ValueError(f"factor is not a monomial: {fac!r}")
-        ((m, coeff),) = fac.terms.items()
-        td = m >> TD_SHIFT
-        if td < 1:
-            raise ValueError(f"factor monomial has no T part: {fac!r}")
+    for m, coeff, td in _monomial_factors(factors):
         for src, dst in zip(levels, levels[td:]):
-            # a source key with a field past MAX_EXP could carry into the next field
-            _checked(reduce(or_, src, 0))
-            get = dst.get
-            for k, c in src.items():
-                k += m
-                s = get(k, 0) + coeff * c
-                if s:
-                    dst[k] = s
-                else:
-                    del dst[k]
+            _add_shifted(dst, src, m, coeff)
     out = {k: c for level in levels for k, c in level.items()}
     _checked(reduce(or_, out, 0))
     return SparsePoly(out, _trusted=True)
+
+
+def series_product(f: SparsePoly, factors: Iterable[SparsePoly], D: int | None) -> SparsePoly:
+    """f * prod over factors (1 + c*m), truncated past total T-degree D (None: exact).
+
+    The mirror of ``series_quotient``, with the same single-monomial factors:
+    multiplying by one factor adds c*m times each T-degree level to the level
+    td(m) above it, highest source level first, so no product is ever built.
+    Level D is only a destination; it starts as a copy of f and only the terms
+    below it are split into levels of their own.
+    """
+    if D is not None and D < 0:
+        raise ValueError(f"truncation degree must be >= 0, got {D}")
+    shifts = _monomial_factors(factors)
+    exact = f.t_degree() + sum(td for _, _, td in shifts)
+    D = exact if D is None else min(D, exact)
+    lo, hi = D << TD_SHIFT, (D + 1) << TD_SHIFT
+    top = dict(f.terms)
+    levels: list[dict[int, int]] = [{} for _ in range(D)]
+    for k in [k for k in top if not lo <= k < hi]:
+        c = top.pop(k)
+        if k < lo:
+            levels[k >> TD_SHIFT][k] = c
+    levels.append(top)
+    for m, coeff, td in shifts:
+        for s in range(D - td, -1, -1):
+            _add_shifted(levels[s + td], levels[s], m, coeff)
+    for level in levels[:D]:
+        top.update(level)
+    _checked(reduce(or_, top, 0))
+    return SparsePoly(top, _trusted=True)
 
 
 def series_inverse_product(factors: Iterable[SparsePoly], D: int) -> SparsePoly:

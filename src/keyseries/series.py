@@ -9,9 +9,11 @@ closed form is a single numerator polynomial P_w over the product of
 
 P_w is computed by exact induction on weak order: if i is a left ascent of w
 then P_{s_i w} = pi_i(P_w * N_{w,i}) with N_{w,i} the product of
-(1 - x^{s_i alpha} T_l) over the sequences alpha moved by s_i.  Truncating
-every product past a total T-degree bound commutes with the induction, which
-keeps sweeps over whole symmetric groups cheap.
+(1 - x^{s_i alpha} T_l) over the sequences alpha moved by s_i.  N_{w,i} is
+never built: P_w is multiplied by its factors one at a time
+(``series_product``).  Truncating every product past a total T-degree bound
+commutes with the induction, which keeps sweeps over whole symmetric groups
+cheap.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .poly import (
     SparsePoly,
     pi,
     pi_xi,
+    series_product,
     series_quotient,
     x_exps,
 )
@@ -156,19 +159,24 @@ def key_by_composition(nu: tuple[int, ...], xi_mode: bool = False) -> SparsePoly
 _P_CACHE: dict[tuple[tuple[int, ...], bool, int | None], SparsePoly] = {}
 
 
+def _n_factors(w: Permutation, i: int) -> list[SparsePoly]:
+    """The monomials -x^{s_i alpha} T_l over sequences moved at an ascent i, so
+    that N_{w,i} is the product of the binomials 1 + m."""
+    if not w.is_ascent(i):
+        raise ValueError(f"{i} is not an ascent of {w.one_line()}")
+    out = []
+    for l in moved_levels(w, i):
+        tvec = (0,) * (l - 1) + (1,)
+        for alpha in split_A(w, l, i)[1]:
+            out.append(SparsePoly.term(-1, x=x_exps(si_image(i, alpha)), t=tvec))
+    return out
+
+
 def n_factor_product(
     w: Permutation, i: int, tmax: int | None = None
 ) -> SparsePoly:
     """Product of (1 - x^{s_i alpha} T_l) over sequences moved at an ascent i."""
-    if not w.is_ascent(i):
-        raise ValueError(f"{i} is not an ascent of {w.one_line()}")
-    out = SparsePoly.one()
-    for l in moved_levels(w, i):
-        tvec = (0,) * (l - 1) + (1,)
-        for alpha in split_A(w, l, i)[1]:
-            factor = 1 - SparsePoly.term(x=x_exps(si_image(i, alpha)), t=tvec)
-            out = out.mul_trunc(factor, tmax)
-    return out
+    return series_product(SparsePoly.one(), _n_factors(w, i), tmax)
 
 
 def numerator_P(
@@ -184,8 +192,7 @@ def numerator_P(
     else:
         i = descents[0]
         v = w.left_mul_s(i)
-        prior = numerator_P(v, xi_mode, tmax)
-        staged = prior.mul_trunc(n_factor_product(v, i, tmax), tmax)
+        staged = series_product(numerator_P(v, xi_mode, tmax), _n_factors(v, i), tmax)
         out = pi_xi(i, staged) if xi_mode else pi(i, staged)
     # constant term 1, no other T-free term and, outside xi mode, no T-linear one
     low = 1 if xi_mode else 2
@@ -211,7 +218,7 @@ def numerator_P_along(
     for i in reversed(word):
         if not v.is_ascent(i):
             raise ValueError(f"word {word} is not reduced at letter {i}")
-        staged = out.mul_trunc(n_factor_product(v, i, tmax), tmax)
+        staged = series_product(out, _n_factors(v, i), tmax)
         out = pi_xi(i, staged) if xi_mode else pi(i, staged)
         v = v.left_mul_s(i)
     return out

@@ -18,6 +18,7 @@ from keyseries.poly import (
     pi_word,
     pi_xi,
     series_inverse_product,
+    series_product,
     series_quotient,
     x_exps,
 )
@@ -80,6 +81,14 @@ def test_product_past_field_is_a_cap_error():
         pi_xi(1, SparsePoly.term(x=(0, MAX_EXP)))
     with pytest.raises(ResourceCapError):
         series_inverse_product([SparsePoly.term(x=(MAX_EXP // 2 + 1,), t=(1,))], 2)
+    for D in (1, None):  # the overflowing term lands on the top level
+        with pytest.raises(ResourceCapError):
+            series_product(top, [x1 * t1], D)
+    # ... or on a level the next factor reads: (1 + m)(1 - m) cancels it there,
+    # and unchecked, x1^(2*MAX_EXP) * x1^MAX_EXP carries into x2 past every guard bit
+    m = SparsePoly.term(x=(MAX_EXP,), t=(1,))
+    with pytest.raises(ResourceCapError):
+        series_product(top, [m, -m], 2)
     assert top * SparsePoly.x_var(2) == SparsePoly.term(x=(MAX_EXP, 1))
 
 
@@ -87,11 +96,12 @@ def test_overflow_raises_under_optimize():
     code = (
         "from keyseries.config import ResourceCapError\n"
         "from keyseries.poly import MAX_EXP, SparsePoly\n"
-        "from keyseries.poly import series_quotient\n"
+        "from keyseries.poly import series_product, series_quotient\n"
         "f = SparsePoly.term(x=(MAX_EXP - 1,)) - 3 * SparsePoly.term(x=(0, 2), t=(1,))\n"
         "for make in (lambda: SparsePoly.term(x=(MAX_EXP + 1,)),\n"
         "             lambda: SparsePoly.term(x=(MAX_EXP,)) * SparsePoly.x_var(1),\n"
-        "             lambda: series_quotient(f, [SparsePoly.term(x=(1,), t=(1,))], 2)):\n"
+        "             lambda: series_quotient(f, [SparsePoly.term(x=(1,), t=(1,))], 2),\n"
+        "             lambda: series_product(f, [SparsePoly.term(x=(2,), t=(1,))], 2)):\n"
         "    try:\n"
         "        make()\n"
         "    except ResourceCapError:\n"
@@ -102,7 +112,7 @@ def test_overflow_raises_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised", "raised", "raised"]
+    assert proc.stdout.split() == ["raised"] * 4
 
 
 def test_arithmetic():
@@ -303,3 +313,34 @@ def test_series_quotient_rejects():
     with pytest.raises(ValueError, match=">= 0"):
         series_quotient(SparsePoly.one(), [x1 * t1], -1)
     assert series_quotient(x1, [x1 * t1], 2) == x1 + x1 * x1 * t1 + x1 ** 3 * t1 * t1
+
+
+@given(f=polys, ms=st.lists(factor_terms, max_size=4), D=st.integers(0, 5))
+@example(f=SparsePoly.parse("1 - 2*x2*T1 + x1*xi*T2"),
+         ms=[SparsePoly.parse("-2*x1*T1"), SparsePoly.parse("x2*T1*T2"),
+             SparsePoly.parse("3*x1*T3^3")], D=5)
+def test_series_product_roundtrip(f, ms, D):
+    # series_product multiplies by each 1 + c*m and series_quotient divides by
+    # each 1 - c*m, so the factors change sign between the two
+    negated = [-m for m in ms]
+    assert series_quotient(series_product(f, negated, D), ms, D) == f.t_truncate(D)
+    assert series_product(series_quotient(f, ms, D), negated, D) == f.t_truncate(D)
+
+
+@given(f=polys, ms=st.lists(factor_terms, max_size=4))
+def test_series_product_exact_is_mul_trunc(f, ms):
+    product = f
+    for m in ms:
+        product = product.mul_trunc(1 + m, None)
+    assert series_product(f, ms, None) == product
+
+
+def test_series_product_rejects():
+    x1, t1 = SparsePoly.x_var(1), SparsePoly.term(t=(1,))
+    with pytest.raises(ValueError, match="not a monomial"):
+        series_product(SparsePoly.one(), [x1 * t1 + t1], 2)
+    with pytest.raises(ValueError, match="no T part"):
+        series_product(SparsePoly.one(), [x1], 2)
+    with pytest.raises(ValueError, match=">= 0"):
+        series_product(SparsePoly.one(), [x1 * t1], -1)
+    assert series_product(x1, [-x1 * t1, x1 * t1], 2) == x1 - x1 ** 3 * t1 * t1

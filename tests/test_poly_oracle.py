@@ -12,7 +12,9 @@ from fractions import Fraction
 
 from hypothesis import assume, given, strategies as st
 
-from keyseries.poly import SparsePoly, divided_difference, pi, pi_xi, series_quotient
+from keyseries.poly import (
+    SparsePoly, divided_difference, pi, pi_xi, series_product, series_quotient,
+)
 
 NX, NT = 4, 3
 
@@ -32,6 +34,7 @@ points = st.tuples(
 )
 letters = st.integers(1, NX - 1)
 # monomials c*m with T-degree >= 1, the factors 1 - c*m of series_quotient
+# and 1 + c*m of series_product
 factors = st.lists(
     st.builds(lambda e, c: SparsePoly.term(c, *e),
               exponents.filter(lambda e: any(e[1])), st.integers(-2, 2).filter(bool)),
@@ -123,6 +126,22 @@ def test_truncated_product_by_degree(m1, m2, p, tmax):
         assert got.get(d, 0) == expect.get(d, 0)
 
 
+@given(maps, factors, points, st.integers(0, 6))
+def test_series_product_by_degree(m, facs, p, D):
+    expect = graded(m.items(), p)
+    for fac in facs:
+        ((exps, c),) = fac.exponent_items()
+        shift, v = sum(exps[1]), c * value([(exps, 1)], p)
+        step = dict(expect)
+        for d, val in expect.items():
+            step[d + shift] = step.get(d + shift, 0) + v * val
+        expect = step
+    got = graded(series_product(SparsePoly(m), facs, D).exponent_items(), p)
+    assert set(got) <= set(range(D + 1))
+    for d in range(D + 1):
+        assert got.get(d, 0) == expect.get(d, 0)
+
+
 @given(maps, maps, letters, factors, st.integers(0, 4))
 def test_results_store_no_zero(m1, m2, i, facs, tmax):
     # A stored zero is invisible to point evaluation but breaks ==, which
@@ -139,8 +158,11 @@ def test_results_store_no_zero(m1, m2, i, facs, tmax):
         pi_xi(i, f), pi_xi(i, symmetric + g),
         f.mul_trunc(g, None), f.mul_trunc(g, tmax), (f + g).mul_trunc(f - g, tmax),
         series_quotient(f, facs, tmax), series_quotient(f * denominator, facs, tmax),
+        series_product(f, facs, tmax), series_product(f, facs, None),
+        series_product(series_quotient(f, facs, tmax), [-fac for fac in facs], tmax),
     ]
     for result in results:
         assert 0 not in result.terms.values()
     assert divided_difference(i, symmetric) == SparsePoly.zero()
     assert series_quotient(f * denominator, facs, tmax) == f.t_truncate(tmax)
+    assert results[-1] == f.t_truncate(tmax)

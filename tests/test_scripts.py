@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import keyseries
+from keyseries import series
 from keyseries.cli import CHECKS, check_names, main
+from keyseries.poly import SparsePoly, pi
 from keyseries.report import body_digest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,6 +77,16 @@ def test_scan_conjectures_empty_range_exits_2(tmp_path):
     assert not out_dir.exists()
 
 
+def test_scan_conjectures_rank_zero_exits_2(tmp_path):
+    out_dir = tmp_path / "reports"
+    proc = run_script("scan_conjectures.py", "--min-n", "0", "--max-n", "0",
+                      "--out-dir", str(out_dir))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: rank must be >= 1, got 0"]
+    assert not out_dir.exists()
+
+
 def test_scan_conjectures_report_matches_cli(tmp_path, capsys):
     # the script and `scan --out` run the same path: same body, and the
     # script leaves no temp file beside its reports
@@ -124,3 +138,18 @@ def test_verify_all_script():
     for name, line in zip(check_names("verify"), lines):
         n = CHECKS[name][2]
         assert re.fullmatch(rf"PASS {name} n={n}( tdeg=4)?: .+ \(\d+\.\ds\)", line), line
+
+
+def test_verify_all_invariant_failure_exits_4(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("verify_all", ROOT / "scripts" / "verify_all.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    t_linear = SparsePoly.term(t=(1,))
+    monkeypatch.setattr(series, "pi", lambda i, f: pi(i, f) + t_linear)
+    keyseries.clear_caches()
+    try:
+        assert script.main() == 4
+    finally:
+        keyseries.clear_caches()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invariant failed: P_"), err

@@ -1,7 +1,8 @@
 import pytest
 
+from keyseries.bseq import moved_levels, si_image, split_A
 from keyseries.permutation import Permutation, all_permutations, parse_permutation
-from keyseries.poly import SparsePoly, pi_word, series_inverse_product, x_exps
+from keyseries.poly import SparsePoly, pi, pi_word, pi_xi, series_inverse_product, x_exps
 from keyseries.series import (
     check_piiKw,
     check_propgen,
@@ -121,6 +122,36 @@ def test_numerator_word_independence():
         if first == second:
             continue
         assert numerator_P_along(first) == numerator_P_along(second)
+
+
+def staged_numerator(w, xi_mode, tmax, memo):
+    """P_w by the staged step: N_{v,i} built as a chain of truncated products of
+    the binomials (1 - x^{s_i alpha} T_l), P_v times N_{v,i}, then pi_i (or
+    pi_xi_i), for v = s_i w and i the first left descent of w."""
+    if w.core not in memo:
+        descents = w.left_descents()
+        if not descents:
+            memo[w.core] = SparsePoly.one()
+        else:
+            i = descents[0]
+            v = w.left_mul_s(i)
+            n = SparsePoly.one()
+            for l in moved_levels(v, i):
+                tvec = (0,) * (l - 1) + (1,)
+                for alpha in split_A(v, l, i)[1]:
+                    binomial = 1 - SparsePoly.term(x=x_exps(si_image(i, alpha)), t=tvec)
+                    n = n.mul_trunc(binomial, tmax)
+            staged = staged_numerator(v, xi_mode, tmax, memo).mul_trunc(n, tmax)
+            memo[w.core] = pi_xi(i, staged) if xi_mode else pi(i, staged)
+    return memo[w.core]
+
+
+@pytest.mark.parametrize("n, tmax", [(5, 2), (5, 3), (5, 4), (4, None)])
+@pytest.mark.parametrize("xi_mode", [False, True])
+def test_numerator_matches_staged_products(n, tmax, xi_mode):
+    memo = {}
+    for w in all_permutations(n):
+        assert numerator_P(w, xi_mode, tmax) == staged_numerator(w, xi_mode, tmax, memo), w
 
 
 def test_truncation_commutes_with_induction():
