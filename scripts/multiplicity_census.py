@@ -19,7 +19,8 @@ from keyseries.cli import guarded
 from keyseries.config import EngineConfig
 from keyseries.multisets import presentations
 from keyseries.mults import _b_keys, _r_value, quadratic_multiplicities
-from keyseries.permutation import all_permutations
+from keyseries.permutation import descent_walk
+from keyseries.series import numerator_carry
 
 
 def run(n: int) -> int:
@@ -28,8 +29,8 @@ def run(n: int) -> int:
     by_poset_size: dict[int, Counter] = {}
     tight = 0
     total = 0
-    for w in all_permutations(n):
-        quad = quadratic_multiplicities(w)
+    for w, p in descent_walk(n, numerator_carry(tmax=2)):
+        quad = quadratic_multiplicities(w, p)
         for k, l, eta in _b_keys(w, n):
             m = quad.get((k, l, eta), 0)
             r = _r_value(k, l, eta)

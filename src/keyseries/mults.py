@@ -15,10 +15,14 @@ and in ascending packed-key order, a function of the polynomial's value only.
 `check_lketa23` builds its rows (B set, presentations, position patterns) once
 per bound w_upper(w, k), in strata local to one sweep.
 
-Every check and scan is a function of one permutation w, run over S_n in
-one-line order by `sweep`, which lives in `permutation` with `ScanOutcome`
-and is re-exported here.  The checks and scans are listed once, with the
-subcommand that runs each, in `cli.CHECKS`.
+Every check and scan is a function of one permutation w and its numerator
+P_w, run over S_n by `sweep`, which lives in `permutation` with `ScanOutcome`
+and is re-exported here.  The sweep walks the tree of first left descents and
+hands each w its own P_w (`series.numerator_carry`), holding only the
+numerators on the current path; findings come out in one-line order.  The two
+checks that also read the cover s_i w (`check_multsiw`, `scan_formpw2bound`)
+build a table of every P_w of the sweep, local to it.  The checks and scans
+are listed once, with the subcommand that runs each, in `cli.CHECKS`.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from .multisets import (
     eta_parts,
     presentations,
 )
-from .permutation import Permutation, ScanOutcome, sweep
+from .permutation import Permutation, ScanOutcome, descent_walk, sweep
 from .poly import SparsePoly, x_exps
-from .series import n_factor_product, numerator_P
+from .series import n_factor_product, numerator_carry, numerator_P
 
 __all__ = [
     "MultView",
@@ -102,18 +106,27 @@ class MultView:
         return self.poly.count_below(self.grade + 1) - self.poly.count_below(self.grade)
 
 
-def quadratic_multiplicities(w: Permutation) -> MultView:
+def quadratic_multiplicities(w: Permutation, p: SparsePoly | None = None) -> MultView:
     """m with keys (k, l, eta), from the T-quadratic slice of P_w.
 
-    The slice carries a global minus sign, so the values are positive
-    whenever the structure theory says they should be.
+    P_w is p when given (truncated at T-degree 2 or above, as a sweep hands
+    it in), else numerator_P(w, tmax=2).  The slice carries a global minus
+    sign, so the values are positive whenever the structure theory says they
+    should be.
     """
-    return MultView(numerator_P(w, tmax=2), 2, -1)
+    return MultView(numerator_P(w, tmax=2) if p is None else p, 2, -1)
 
 
-def cubic_multiplicities(w: Permutation) -> MultView:
-    """m with keys (p, k, l, tau), from the T-cubic slice of P_w."""
-    return MultView(numerator_P(w, tmax=3), 3)
+def cubic_multiplicities(w: Permutation, p: SparsePoly | None = None) -> MultView:
+    """m with keys (p, k, l, tau), from the T-cubic slice of P_w: of p when
+    given (truncated at T-degree 3 or above), else of numerator_P(w, tmax=3)."""
+    return MultView(numerator_P(w, tmax=3) if p is None else p, 3)
+
+
+def _numerator_table(n: int, tmax: int) -> dict[tuple[int, ...], SparsePoly]:
+    """Every P_w of S_n at tmax, keyed by w.core: the table of one sweep whose
+    check reads the covers s_i w beside w."""
+    return {w.core: p for w, p in descent_walk(n, numerator_carry(tmax=tmax))}
 
 
 def multiplicity2(w: Permutation, k: int, l: int, eta: tuple[int, ...]) -> int:
@@ -205,8 +218,8 @@ def _b_keys(
 def check_quadratic_support(n: int) -> ScanOutcome:
     """The quadratic support is exactly the two-presentation sets, positively."""
 
-    def one(w: Permutation):
-        quad = quadratic_multiplicities(w)
+    def one(w: Permutation, p: SparsePoly):
+        quad = quadratic_multiplicities(w, p)
         expected = set(_b_keys(w, n))
         ces = [
             {"w": w.one_line(), "key": key, "m": m,
@@ -220,7 +233,7 @@ def check_quadratic_support(n: int) -> ScanOutcome:
         ]
         return ces, {"terms": len(quad)}
 
-    return sweep("quadratic_support", n, one)
+    return sweep("quadratic_support", n, one, numerator_carry(tmax=2))
 
 
 def _r_value(k: int, l: int, eta: tuple[int, ...]) -> int:
@@ -231,8 +244,8 @@ def _r_value(k: int, l: int, eta: tuple[int, ...]) -> int:
 def check_diff1(n: int) -> ScanOutcome:
     """Slices with one unit of freedom carry multiplicity exactly 1."""
 
-    def one(w: Permutation):
-        quad = quadratic_multiplicities(w)
+    def one(w: Permutation, p: SparsePoly):
+        quad = quadratic_multiplicities(w, p)
         ces: list[dict] = []
         checked = 0
         for k in range(1, n + 1):
@@ -250,7 +263,7 @@ def check_diff1(n: int) -> ScanOutcome:
                         )
         return ces, {"multisets": checked}
 
-    return sweep("diff1", n, one)
+    return sweep("diff1", n, one, numerator_carry(tmax=2))
 
 
 def _gamma_positions(eta: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, ...]:
@@ -269,8 +282,8 @@ def _gamma_positions(eta: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, 
 def check_diff2(n: int) -> ScanOutcome:
     """Two units of freedom at k < l: the position formula for m."""
 
-    def one(w: Permutation):
-        quad = quadratic_multiplicities(w)
+    def one(w: Permutation, p: SparsePoly):
+        quad = quadratic_multiplicities(w, p)
         ces: list[dict] = []
         checked = 0
         for k, l, eta in _b_keys(w, n, gap=1):
@@ -293,7 +306,7 @@ def check_diff2(n: int) -> ScanOutcome:
                 )
         return ces, {"multisets": checked}
 
-    return sweep("diff2", n, one)
+    return sweep("diff2", n, one, numerator_carry(tmax=2))
 
 
 _LKETA_PATTERNS = {
@@ -332,8 +345,8 @@ def check_lketa23(n: int) -> ScanOutcome:
     # w_upper(w, k) -> _lketa23_rows(w, k), held for this sweep only
     strata: dict[tuple[int, ...], list[tuple]] = {}
 
-    def one(w: Permutation):
-        quad = quadratic_multiplicities(w)
+    def one(w: Permutation, p: SparsePoly):
+        quad = quadratic_multiplicities(w, p)
         ces: list[dict] = []
         counts = {"multisets": 0}
         for k in range(3, n + 1):
@@ -353,7 +366,7 @@ def check_lketa23(n: int) -> ScanOutcome:
                     counts[tag] = counts.get(tag, 0) + 1
         return ces, counts
 
-    return sweep("lketa23", n, one)
+    return sweep("lketa23", n, one, numerator_carry(tmax=2))
 
 
 def _lowbdr2_one(
@@ -377,7 +390,8 @@ def _lowbdr2_one(
 def check_lowbdr2(n: int) -> ScanOutcome:
     """On every two-presentation multiset, m is at least 2^r - 1."""
     return sweep(
-        "lowbdr2", n, lambda w: _lowbdr2_one(w, n, quadratic_multiplicities(w))
+        "lowbdr2", n, lambda w, p: _lowbdr2_one(w, n, quadratic_multiplicities(w, p)),
+        numerator_carry(tmax=2),
     )
 
 
@@ -401,19 +415,22 @@ def _key_closure(i: int, cap: int, *views: MultView) -> set[tuple]:
 
 def check_multsiw(n: int) -> ScanOutcome:
     """Multiplicities of s_i w from those of w across every cover in weak order."""
+    table = _numerator_table(n, 3)
 
     def one(w: Permutation):
         ces: list[dict] = []
         pairs = 0
-        quad_w = quadratic_multiplicities(w)
-        cub_w = cubic_multiplicities(w)
-        p2 = -numerator_P(w, tmax=2).t_slice(2)
+        p_w = table[w.core]
+        quad_w = quadratic_multiplicities(w, p_w)
+        cub_w = cubic_multiplicities(w, p_w)
+        p2 = -p_w.t_slice(2)
         for i in range(1, n):
             if not w.is_ascent(i):
                 continue
             pairs += 1
             sw = w.left_mul_s(i)
-            quad_sw = quadratic_multiplicities(sw)
+            p_sw = table[sw.core]
+            quad_sw = quadratic_multiplicities(sw, p_sw)
             nfac = n_factor_product(w, i, tmax=3)
             n2 = MultView(nfac, 2)
             for key in _key_closure(i, 2, quad_w, quad_sw, n2):
@@ -434,7 +451,7 @@ def check_multsiw(n: int) -> ScanOutcome:
                         {"w": w.one_line(), "i": i, "grade": 2, "key": key,
                          "m": got, "expected": expect}
                     )
-            cub_sw = cubic_multiplicities(sw)
+            cub_sw = cubic_multiplicities(sw, p_sw)
             n1 = -nfac.t_slice(1)
             n3 = MultView(nfac, 3, -1)
             comp = decompose_quadratic(p2, i)
@@ -581,26 +598,33 @@ def _order_embeds(
 
 def scan_poset(n: int) -> ScanOutcome:
     """m is an invariant of the presentation poset and grows under embeddings."""
-    buckets: dict[tuple, tuple[int, dict]] = {}
+    # w.values -> (canonical poset, m, witness) for each multiset of w.  The
+    # sweep visits w in tree order, so the first witness of each poset is
+    # taken after it, in one-line order.
+    rows: dict[tuple[int, ...], list[tuple]] = {}
 
-    def one(w: Permutation):
-        quad = quadratic_multiplicities(w)
-        ces: list[dict] = []
+    def one(w: Permutation, p: SparsePoly):
+        quad = quadratic_multiplicities(w, p)
+        rows[w.values] = []
         for k, l, eta in _b_keys(w, n):
             m = quad.get((k, l, eta), 0)
             canon = presentation_poset(w, k, l, eta).canonical()
             witness = {"w": w.one_line(), "k": k, "l": l,
                        "eta": format_seq(eta), "m": m}
+            rows[w.values].append((canon, m, witness))
+        return [], {}
+
+    out = sweep("poset", n, one, numerator_carry(tmax=2))
+    buckets: dict[tuple, tuple[int, dict]] = {}
+    for key in sorted(rows):
+        for canon, m, witness in rows[key]:
             if canon not in buckets:
                 buckets[canon] = (m, witness)
             elif buckets[canon][0] != m:
-                ces.append(
+                out.counterexamples.append(
                     {"reason": "same poset, different m",
                      "first": buckets[canon][1], "second": witness}
                 )
-        return ces, {}
-
-    out = sweep("poset", n, one)
     mats = list(buckets)
     for pa, pb in itertools.permutations(mats, 2):
         if len(pa) <= len(pb) and _order_embeds(pa, pb):
@@ -616,8 +640,8 @@ def scan_poset(n: int) -> ScanOutcome:
 def scan_siinc(n: int) -> ScanOutcome:
     """At an ascent i, swapping i for i+1 inside eta cannot lower m."""
 
-    def one(w: Permutation):
-        quad = quadratic_multiplicities(w)
+    def one(w: Permutation, p: SparsePoly):
+        quad = quadratic_multiplicities(w, p)
         entries = list(quad.items())  # decoded once, read at every ascent
         ces: list[dict] = []
         checked = 0
@@ -637,7 +661,7 @@ def scan_siinc(n: int) -> ScanOutcome:
                     )
         return ces, {"comparisons": checked}
 
-    return sweep("siinc", n, one)
+    return sweep("siinc", n, one, numerator_carry(tmax=2))
 
 
 def scan_formpw3(n: int) -> ScanOutcome:
@@ -648,10 +672,10 @@ def scan_formpw3(n: int) -> ScanOutcome:
     at least 1).
     """
 
-    def one(w: Permutation):
+    def one(w: Permutation, p_w: SparsePoly):
         # each stratum's cubic terms, in ascending packed-key order
         by_stratum: dict[tuple[int, int, int], dict[tuple[int, ...], int]] = {}
-        for (p, k, l, tau), m in cubic_multiplicities(w).items():
+        for (p, k, l, tau), m in cubic_multiplicities(w, p_w).items():
             by_stratum.setdefault((p, k, l), {})[tau] = m
         strata = set(by_stratum)
         strata.update(itertools.combinations_with_replacement(range(1, n + 1), 3))
@@ -679,20 +703,22 @@ def scan_formpw3(n: int) -> ScanOutcome:
                     )
         return ces, {"terms": checked, "c_elements": c_elements}
 
-    return sweep("formpw3", n, one)
+    return sweep("formpw3", n, one, numerator_carry(tmax=3))
 
 
 def scan_formpw2bound(n: int) -> ScanOutcome:
     """Lower bound 2^r - 1 on the quadratic slice plus cover monotonicity."""
+    table = _numerator_table(n, 2)
 
     def one(w: Permutation):
-        quad_w = quadratic_multiplicities(w)
+        quad_w = quadratic_multiplicities(w, table[w.core])
         entries = list(quad_w.items())  # decoded once, read at every ascent
         ces, counts = _lowbdr2_one(w, n, quad_w)
         for i in range(1, n):
             if not w.is_ascent(i):
                 continue
-            quad_sw = quadratic_multiplicities(w.left_mul_s(i))
+            sw = w.left_mul_s(i)
+            quad_sw = quadratic_multiplicities(sw, table[sw.core])
             for key, m in entries:
                 cover = quad_sw.get(key, 0)
                 if cover < m:

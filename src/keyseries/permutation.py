@@ -5,9 +5,14 @@ values i and i+1 wherever they sit in the one-line word.  Two permutations
 that differ only by trailing fixed points compare equal, so S_n sits inside
 S_{n+1} transparently; ``n`` remembers the rank an object was built with.
 
-``sweep`` is the one loop over a whole S_n: it runs a function of one
-permutation on every w in one-line order and gathers the findings and counts
-into a ``ScanOutcome``.  Every check, scan and verify suite is run by it.
+``sweep`` is the one loop over a whole S_n.  It walks the tree of first left
+descents depth first (``descent_walk``): the parent of w is s_i w for i the
+first left descent of w, so the tree spans the weak order and is rooted at the
+identity.  A value can ride down the tree (the numerator P_w, built from its
+parent's by one induction step), and only the values on the current
+root-to-w path are held.  The sweep runs a function of one permutation on
+every w and gathers the findings and counts into a ``ScanOutcome`` in
+one-line order.  Every check, scan and verify suite is run by it.
 """
 
 from __future__ import annotations
@@ -15,12 +20,14 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import Any
 
 __all__ = [
     "Permutation",
     "all_permutations",
     "parse_permutation",
     "ScanOutcome",
+    "descent_walk",
     "sweep",
 ]
 
@@ -194,17 +201,57 @@ class ScanOutcome:
             self.stats[key] = self.stats.get(key, 0) + val
 
 
-def sweep(
-    name: str, n: int, per_w: Callable[[Permutation], tuple[list[dict], dict[str, int]]]
-) -> ScanOutcome:
-    """Run per_w on every w in S_n in one-line order.
+# A value carried down the descent tree: its value at the identity, and the
+# step from the value at v to the value at s_i v, for an ascent i of v.
+Carry = tuple[Any, Callable[[Any, Permutation, int], Any]]
 
-    per_w returns the findings for w and its counts; findings keep sweep
-    order and counts are summed into the outcome's stats.
+
+def descent_walk(n: int, carry: Carry | None = None) -> Iterator[tuple[Permutation, Any]]:
+    """Every w in S_n exactly once, with the carried value at w (None without
+    a carry), depth first down the tree of first left descents.
+
+    The children of v are the s_i v, for i an ascent of v that is also the
+    first left descent of s_i v.  With p = v^{-1} those are the i with
+    p(1) < ... < p(i-1) < p(i+1) and p(i) < p(i+1).  A child's value is
+    computed from its parent's when the walk descends, so only the root-to-w
+    path is held.
     """
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
+    root, step = carry if carry is not None else (None, None)
+
+    def visit(v: Permutation, value: Any) -> Iterator[tuple[Permutation, Any]]:
+        yield v, value
+        p = [0] + [v.position(j) for j in range(1, n + 1)]
+        for i in range(1, n):
+            if p[i - 1] < p[i + 1] > p[i]:
+                yield from visit(
+                    v.left_mul_s(i), None if step is None else step(value, v, i)
+                )
+            if p[i - 1] > p[i]:
+                break  # p(1) < ... < p(i) fails from here on
+
+    yield from visit(Permutation.identity(n), root)
+
+
+def sweep(
+    name: str, n: int, per_w: Callable[..., tuple[list[dict], dict[str, int]]],
+    carry: Carry | None = None,
+) -> ScanOutcome:
+    """Run per_w on every w in S_n: per_w(w), or per_w(w, value) with the
+    carried value at w when a carry is given.
+
+    per_w returns the findings for w and its counts.  The walk visits w in
+    tree order; the findings and counts are kept per w and gathered at the
+    end in one-line order, findings in that order and counts summed into the
+    outcome's stats.
+    """
+    results = {}
+    for w, value in descent_walk(n, carry):
+        results[w.values] = per_w(w) if carry is None else per_w(w, value)
     out = ScanOutcome(name, n)
-    for w in all_permutations(n):
-        out.merge(*per_w(w))
+    for key in sorted(results):
+        out.merge(*results[key])
     return out
 
 

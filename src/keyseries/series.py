@@ -14,6 +14,14 @@ never built: P_w is multiplied by its factors one at a time
 (``series_product``).  Truncating every product past a total T-degree bound
 commutes with the induction, which keeps sweeps over whole symmetric groups
 cheap.
+
+The numerators of a whole S_n form the tree of first left descents, which
+``permutation.sweep`` walks: ``numerator_carry`` gives it P at the identity
+and the induction step ``numerator_step``, so a sweep hands each w its own
+P_w and holds only the numerators on the current path.  ``numerator_P``
+memoises every numerator it builds, for single calls (``pw``,
+``multiplicity2``), where successive calls share prefixes of their chains of
+first left descents; no sweep reads or fills that memo.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from typing import Iterable, Iterator
 
 from .bseq import enum_A, moved_levels, si_image, split_A
 from .config import InvariantError
-from .permutation import Permutation, ScanOutcome, all_permutations, sweep
+from .permutation import Carry, Permutation, ScanOutcome, all_permutations, sweep
 from .poly import (
     Monomial,
     SparsePoly,
@@ -42,6 +50,8 @@ __all__ = [
     "lascoux_polynomial",
     "key_by_composition",
     "composition_shape",
+    "numerator_step",
+    "numerator_carry",
     "numerator_P",
     "numerator_P_along",
     "n_factor_product",
@@ -179,9 +189,31 @@ def n_factor_product(
     return series_product(SparsePoly.one(), _n_factors(w, i), tmax)
 
 
+def numerator_step(
+    p: SparsePoly, v: Permutation, i: int, xi_mode: bool = False, tmax: int | None = None
+) -> SparsePoly:
+    """P_{s_i v} = pi_i(P_v * N_{v,i}) from p = P_v, at an ascent i of v."""
+    staged = series_product(p, _n_factors(v, i), tmax)
+    out = pi_xi(i, staged) if xi_mode else pi(i, staged)
+    # constant term 1, no other T-free term and, outside xi mode, no T-linear one
+    low = 1 if xi_mode else 2
+    if out.coefficient() != 1 or out.count_below(low) != 1:
+        w = v.left_mul_s(i)
+        raise InvariantError(f"P_{w.one_line()} has a wrong term of T-degree below {low}")
+    return out
+
+
+def numerator_carry(xi_mode: bool = False, tmax: int | None = None) -> Carry:
+    """The numerators as a value carried down a sweep: P at the identity and
+    the step at (xi_mode, tmax), so that the sweep hands each w its P_w."""
+    return SparsePoly.one(), lambda p, v, i: numerator_step(p, v, i, xi_mode, tmax)
+
+
 def numerator_P(
     w: Permutation, xi_mode: bool = False, tmax: int | None = None
 ) -> SparsePoly:
+    """P_w truncated past T-degree tmax (None: exact), memoised with every
+    numerator on its chain of first left descents."""
     key = (w.core, xi_mode, tmax)
     hit = _P_CACHE.get(key)
     if hit is not None:
@@ -192,12 +224,7 @@ def numerator_P(
     else:
         i = descents[0]
         v = w.left_mul_s(i)
-        staged = series_product(numerator_P(v, xi_mode, tmax), _n_factors(v, i), tmax)
-        out = pi_xi(i, staged) if xi_mode else pi(i, staged)
-    # constant term 1, no other T-free term and, outside xi mode, no T-linear one
-    low = 1 if xi_mode else 2
-    if out.coefficient() != 1 or out.count_below(low) != 1:
-        raise InvariantError(f"P_{w.one_line()} has a wrong term of T-degree below {low}")
+        out = numerator_step(numerator_P(v, xi_mode, tmax), v, i, xi_mode, tmax)
     _P_CACHE[key] = out
     return out
 
@@ -218,8 +245,7 @@ def numerator_P_along(
     for i in reversed(word):
         if not v.is_ascent(i):
             raise ValueError(f"word {word} is not reduced at letter {i}")
-        staged = series_product(out, _n_factors(v, i), tmax)
-        out = pi_xi(i, staged) if xi_mode else pi(i, staged)
+        out = numerator_step(out, v, i, xi_mode, tmax)
         v = v.left_mul_s(i)
     return out
 
@@ -273,17 +299,20 @@ def verify_form(
     D: int = 4,
     xi_mode: bool = False,
     words: Iterable[Iterable[int]] | None = None,
+    p: SparsePoly | None = None,
 ) -> FormCheck:
     """Compare the truncated series against P_w over the denominator product.
 
     The closed form is P_w divided by each factor 1 - x^alpha T_l of the
     denominator in turn (``series_quotient``), truncated past T-degree D.
+    P_w is p when given (a sweep hands it in at tmax=D), else numerator_P.
     With ``words`` given, P_w is recomputed along each word and all results
     must agree before the comparison runs.
     """
     if n is None:
         n = max(w.n, 1)
-    p = numerator_P(w, xi_mode=xi_mode, tmax=D)
+    if p is None:
+        p = numerator_P(w, xi_mode=xi_mode, tmax=D)
     if words is not None:
         for word in words:
             along = numerator_P_along(word, xi_mode=xi_mode, tmax=D)
@@ -316,13 +345,13 @@ def suite_formofkw(group_n: int, D: int, xi_mode: bool = False) -> ScanOutcome:
     """Run verify_form over the whole symmetric group on group_n letters,
     recomputing P_w along both greedy reduced words of each w."""
 
-    def one(w: Permutation):
+    def one(w: Permutation, p: SparsePoly):
         first, second = w.reduced_word(), w.reduced_word_alt()
         words = [first] if first == second else [first, second]
-        check = verify_form(w, n=group_n, D=D, xi_mode=xi_mode, words=words)
+        check = verify_form(w, n=group_n, D=D, xi_mode=xi_mode, words=words, p=p)
         return _check_findings(w, [] if check.ok else [check.detail])
 
-    return sweep("formofkw", group_n, one)
+    return sweep("formofkw", group_n, one, numerator_carry(xi_mode, D))
 
 
 # -- operator identities on truncated series -----------------------------------
@@ -430,10 +459,10 @@ def lascoux_linear_part(w: Permutation, method: str = "closed") -> SparsePoly:
 def suite_pxiw1(group_n: int) -> ScanOutcome:
     """The closed xi-linear slice equals the inductive one for every w in S_n."""
 
-    def one(w: Permutation):
-        ok = lascoux_linear_part(w, "closed") == lascoux_linear_part(w, "induction")
+    def one(w: Permutation, p: SparsePoly):
+        ok = lascoux_linear_part(w, "closed") == p.t_slice(1).xi_slice(1)
         return _check_findings(
             w, [] if ok else ["closed xi-linear slice disagrees with induction"]
         )
 
-    return sweep("pxiw1", group_n, one)
+    return sweep("pxiw1", group_n, one, numerator_carry(True, 1))

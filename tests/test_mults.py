@@ -28,6 +28,7 @@ from keyseries.mults import (
 from keyseries.permutation import all_permutations, parse_permutation
 from keyseries.poly import SparsePoly, x_exps
 from keyseries.report import body_digest, canonical_json, outcome_report
+from keyseries import series
 from keyseries.series import n_factor_product, numerator_P
 
 W = parse_permutation("42531")
@@ -307,15 +308,20 @@ def test_pinned_body_digest(name):
 
 @pytest.mark.parametrize("name", sorted(PINNED_BODIES))
 def test_pinned_bodies_ignore_term_order(name, monkeypatch):
-    # Every P_w the checks read, its terms stored in reverse: the same
-    # polynomial, so every body must keep its digest.
-    def reversed_numerator(w, *args, **kwargs):
-        terms = numerator_P(w, *args, **kwargs).terms
+    # Every P_w the sweep hands the checks, its terms stored in reverse: the
+    # same polynomial, so every body must keep its digest.
+    calls = []
+
+    def reversed_step(*args):
+        calls.append(args[1])
+        terms = original(*args).terms
         return SparsePoly(dict(reversed(terms.items())), _trusted=True)
 
-    monkeypatch.setattr("keyseries.mults.numerator_P", reversed_numerator)
+    original = series.numerator_step
+    monkeypatch.setattr(series, "numerator_step", reversed_step)
     n, digest = PINNED_BODIES[name]
     assert body_digest(outcome_report(PINNED_FUNCTIONS[name](n), {}, 0)) == digest
+    assert len(calls) > 0
 
 
 @pytest.mark.slow

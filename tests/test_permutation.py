@@ -3,7 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from keyseries.permutation import Permutation, all_permutations, parse_permutation
+from keyseries.permutation import (
+    Permutation,
+    all_permutations,
+    descent_walk,
+    parse_permutation,
+    sweep,
+)
 
 perms = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.permutations(range(1, n + 1))
@@ -95,3 +101,43 @@ def test_product_is_composition(u, v):
 @given(perms)
 def test_one_line_parse_roundtrip(w):
     assert parse_permutation(w.one_line()) == w
+
+
+class _Tracked:
+    """A carried value that counts the instances alive."""
+
+    alive = 0
+
+    def __init__(self):
+        _Tracked.alive += 1
+
+    def __del__(self):
+        _Tracked.alive -= 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_descent_walk_holds_one_path(n):
+    # Each child is s_i v with i its first left descent, and at every w the
+    # walk holds the values on the root-to-w path only: length(w) + 1.
+    carry = (_Tracked(), lambda value, v, i: _Tracked())
+    count = 0
+    for w, value in descent_walk(n, carry):
+        count += 1
+        assert _Tracked.alive == w.length() + 1
+        del value
+    assert count == len(list(all_permutations(n)))
+    del carry
+
+
+def test_descent_walk_tree():
+    # Parent of w is s_i w for i the first left descent of w.
+    order = [w.values for w, _ in descent_walk(3)]
+    assert order == [(1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1), (1, 3, 2), (2, 3, 1)]
+    with pytest.raises(ValueError):
+        list(descent_walk(0))
+
+
+def test_sweep_without_carry_keeps_one_line_order():
+    out = sweep("order", 4, lambda w: ([w.one_line()], {"seen": 1}))
+    assert out.counterexamples == [w.one_line() for w in all_permutations(4)]
+    assert out.stats == {"seen": 24}

@@ -17,7 +17,14 @@ from keyseries.config import (
     load_config,
     parse_config,
 )
-from keyseries.mults import ScanOutcome, check_diff1, scan_siinc
+from keyseries.mults import (
+    ScanOutcome,
+    check_diff1,
+    check_lketa23,
+    check_multsiw,
+    scan_formpw3,
+    scan_siinc,
+)
 from keyseries.report import (
     body_digest,
     canonical_json,
@@ -195,8 +202,10 @@ def test_manifest_fields():
 
 
 def test_clear_caches_empties_every_cache():
+    keyseries.clear_caches()
     check_diff1(3)
     series.suite_formofkw(3, 2)
+    series.numerator_P(keyseries.parse_permutation("231"))  # sweeps leave no P_w
     counts.suite_fcoeff(3, 3)
     poly.divided_difference(1, poly.SparsePoly.x_var(1))
     keyseries.enum_C(keyseries.parse_permutation("4123"), 1, 2, 3)
@@ -209,3 +218,13 @@ def test_clear_caches_empties_every_cache():
     assert all(sizes.values()), sizes
     keyseries.clear_caches()
     assert not any(keyseries.cache_stats().values()), keyseries.cache_stats()
+
+
+def test_sweeps_hold_no_numerator_memo():
+    # A sweep hands each w its own P_w and memoises none of them.
+    keyseries.clear_caches()
+    check_lketa23(6)
+    scan_formpw3(5)
+    check_multsiw(4)
+    series.suite_formofkw(4, 3)
+    assert keyseries.cache_stats()["series._P_CACHE"] == 0

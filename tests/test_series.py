@@ -1,7 +1,13 @@
 import pytest
 
 from keyseries.bseq import moved_levels, si_image, split_A
-from keyseries.permutation import Permutation, all_permutations, parse_permutation
+from keyseries.permutation import (
+    Permutation,
+    all_permutations,
+    descent_walk,
+    parse_permutation,
+    sweep,
+)
 from keyseries.poly import SparsePoly, pi, pi_word, pi_xi, series_inverse_product, x_exps
 from keyseries.series import (
     check_piiKw,
@@ -11,6 +17,7 @@ from keyseries.series import (
     key_polynomial,
     lascoux_linear_part,
     lascoux_polynomial,
+    numerator_carry,
     numerator_P,
     numerator_P_along,
     partitions,
@@ -152,6 +159,27 @@ def test_numerator_matches_staged_products(n, tmax, xi_mode):
     memo = {}
     for w in all_permutations(n):
         assert numerator_P(w, xi_mode, tmax) == staged_numerator(w, xi_mode, tmax, memo), w
+
+
+@pytest.mark.parametrize(
+    "n, tmax", [(n, tmax) for n in range(1, 6) for tmax in (1, 2, 3, 4)] + [(4, None)]
+)
+@pytest.mark.parametrize("xi_mode", [False, True])
+def test_descent_walk_hands_each_numerator(n, tmax, xi_mode):
+    # The walk visits every w of S_n once and hands it P_w; a sweep over it
+    # still gives its findings in one-line order.
+    carry = numerator_carry(xi_mode, tmax)
+    visited = []
+    for w, p in descent_walk(n, carry):
+        assert p == numerator_P(w, xi_mode, tmax), w
+        visited.append(w.values)
+    group = [w.values for w in all_permutations(n)]
+    assert sorted(visited) == group and len(set(visited)) == len(group)
+    if n >= 3:
+        assert visited != group  # tree order is not one-line order
+    out = sweep("walk", n, lambda w, p: ([{"w": w.one_line()}], {"visits": 1}), carry)
+    assert out.counterexamples == [{"w": w.one_line()} for w in all_permutations(n)]
+    assert out.stats == {"visits": len(group)}
 
 
 def test_truncation_commutes_with_induction():
