@@ -605,13 +605,13 @@ def scan_poset(n: int) -> ScanOutcome:
 
     def one(w: Permutation, p: SparsePoly):
         quad = quadratic_multiplicities(w, p)
-        rows[w.values] = []
+        found = rows[w.values] = []
         for k, l, eta in _b_keys(w, n):
             m = quad.get((k, l, eta), 0)
             canon = presentation_poset(w, k, l, eta).canonical()
             witness = {"w": w.one_line(), "k": k, "l": l,
                        "eta": format_seq(eta), "m": m}
-            rows[w.values].append((canon, m, witness))
+            found.append((canon, m, witness))
         return [], {}
 
     out = sweep("poset", n, one, numerator_carry(tmax=2))

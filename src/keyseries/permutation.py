@@ -218,16 +218,14 @@ def descent_walk(n: int, carry: Carry | None = None) -> Iterator[tuple[Permutati
     """
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
-    root, step = carry if carry is not None else (None, None)
+    root, step = carry if carry is not None else (None, lambda value, v, i: None)
 
     def visit(v: Permutation, value: Any) -> Iterator[tuple[Permutation, Any]]:
         yield v, value
         p = [0] + [v.position(j) for j in range(1, n + 1)]
         for i in range(1, n):
             if p[i - 1] < p[i + 1] > p[i]:
-                yield from visit(
-                    v.left_mul_s(i), None if step is None else step(value, v, i)
-                )
+                yield from visit(v.left_mul_s(i), step(value, v, i))
             if p[i - 1] > p[i]:
                 break  # p(1) < ... < p(i) fails from here on
 

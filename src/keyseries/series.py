@@ -418,19 +418,12 @@ def check_propgen(group_n: int, D: int) -> list[FormCheck]:
 # -- the xi-linear slice of the numerator ---------------------------------------
 
 
-def lascoux_linear_part(w: Permutation, method: str = "closed") -> SparsePoly:
-    """The coefficient of xi in the deformed numerator, a T-linear polynomial.
-
-    method="closed": for each level l, a candidate set alpha of size l+1
+def lascoux_linear_part(w: Permutation) -> SparsePoly:
+    """The coefficient of xi in the deformed numerator, a T-linear polynomial,
+    by its closed form: for each level l, a candidate set alpha of size l+1
     contributes (c - 1) xi x^alpha T_l where c counts the members j of alpha
     with alpha minus j still a bounded ascending sequence at level l.
-    method="induction": slice of the inductive numerator truncated at T-degree 1.
     """
-    if method == "induction":
-        p = numerator_P(w, xi_mode=True, tmax=1)
-        return p.t_slice(1).xi_slice(1)
-    if method != "closed":
-        raise ValueError(f"unknown method {method!r}")
     total: dict[Monomial, int] = {}
     for l in range(1, max(len(w.core), 1)):
         seqs = enum_A(w, l)
@@ -457,10 +450,11 @@ def lascoux_linear_part(w: Permutation, method: str = "closed") -> SparsePoly:
 
 
 def suite_pxiw1(group_n: int) -> ScanOutcome:
-    """The closed xi-linear slice equals the inductive one for every w in S_n."""
+    """The closed xi-linear slice equals the inductive one (the xi-linear,
+    T-linear slice of the xi-mode P_w at tmax=1) for every w in S_n."""
 
     def one(w: Permutation, p: SparsePoly):
-        ok = lascoux_linear_part(w, "closed") == p.t_slice(1).xi_slice(1)
+        ok = lascoux_linear_part(w) == p.t_slice(1).xi_slice(1)
         return _check_findings(
             w, [] if ok else ["closed xi-linear slice disagrees with induction"]
         )
