@@ -21,7 +21,8 @@ and is re-exported here.  The sweep walks the tree of first left descents and
 hands each w its own P_w (`series.numerator_carry`), holding only the
 numerators on the current path; findings come out in one-line order.  The two
 checks that also read the cover s_i w (`check_multsiw`, `scan_formpw2bound`)
-build a table of every P_w of the sweep, local to it.  The checks and scans
+read P_w and P_{s_i w} through `permutation.chain_value` with a memo local
+to the sweep, which ends up holding every P_w of it.  The checks and scans
 are listed once, with the subcommand that runs each, in `cli.CHECKS`.
 """
 
@@ -40,7 +41,7 @@ from .multisets import (
     eta_parts,
     presentations,
 )
-from .permutation import Permutation, ScanOutcome, descent_walk, sweep
+from .permutation import Permutation, ScanOutcome, chain_value, sweep
 from .poly import SparsePoly, x_exps
 from .series import n_factor_product, numerator_carry, numerator_P
 
@@ -92,9 +93,7 @@ class MultView:
         return self.sign * c if c else default
 
     def items(self) -> Iterator[tuple[tuple, int]]:
-        terms = self.poly.t_slice(self.grade).terms
-        ordered = SparsePoly({k: terms[k] for k in sorted(terms)}, _trusted=True)
-        for (eta, levels, _), c in ordered.multiset_items():
+        for (eta, levels, _), c in self.poly.t_slice(self.grade).multiset_items():
             yield levels + (eta,), self.sign * c
 
     def keys(self) -> Iterator[tuple]:
@@ -121,12 +120,6 @@ def cubic_multiplicities(w: Permutation, p: SparsePoly | None = None) -> MultVie
     """m with keys (p, k, l, tau), from the T-cubic slice of P_w: of p when
     given (truncated at T-degree 3 or above), else of numerator_P(w, tmax=3)."""
     return MultView(numerator_P(w, tmax=3) if p is None else p, 3)
-
-
-def _numerator_table(n: int, tmax: int) -> dict[tuple[int, ...], SparsePoly]:
-    """Every P_w of S_n at tmax, keyed by w.core: the table of one sweep whose
-    check reads the covers s_i w beside w."""
-    return {w.core: p for w, p in descent_walk(n, numerator_carry(tmax=tmax))}
 
 
 def multiplicity2(w: Permutation, k: int, l: int, eta: tuple[int, ...]) -> int:
@@ -415,12 +408,12 @@ def _key_closure(i: int, cap: int, *views: MultView) -> set[tuple]:
 
 def check_multsiw(n: int) -> ScanOutcome:
     """Multiplicities of s_i w from those of w across every cover in weak order."""
-    table = _numerator_table(n, 3)
+    carry, memo = numerator_carry(tmax=3), {}
 
     def one(w: Permutation):
         ces: list[dict] = []
         pairs = 0
-        p_w = table[w.core]
+        p_w = chain_value(w, carry, memo)
         quad_w = quadratic_multiplicities(w, p_w)
         cub_w = cubic_multiplicities(w, p_w)
         p2 = -p_w.t_slice(2)
@@ -429,7 +422,7 @@ def check_multsiw(n: int) -> ScanOutcome:
                 continue
             pairs += 1
             sw = w.left_mul_s(i)
-            p_sw = table[sw.core]
+            p_sw = chain_value(sw, carry, memo)
             quad_sw = quadratic_multiplicities(sw, p_sw)
             nfac = n_factor_product(w, i, tmax=3)
             n2 = MultView(nfac, 2)
@@ -708,17 +701,17 @@ def scan_formpw3(n: int) -> ScanOutcome:
 
 def scan_formpw2bound(n: int) -> ScanOutcome:
     """Lower bound 2^r - 1 on the quadratic slice plus cover monotonicity."""
-    table = _numerator_table(n, 2)
+    carry, memo = numerator_carry(tmax=2), {}
 
     def one(w: Permutation):
-        quad_w = quadratic_multiplicities(w, table[w.core])
+        quad_w = quadratic_multiplicities(w, chain_value(w, carry, memo))
         entries = list(quad_w.items())  # decoded once, read at every ascent
         ces, counts = _lowbdr2_one(w, n, quad_w)
         for i in range(1, n):
             if not w.is_ascent(i):
                 continue
             sw = w.left_mul_s(i)
-            quad_sw = quadratic_multiplicities(sw, table[sw.core])
+            quad_sw = quadratic_multiplicities(sw, chain_value(sw, carry, memo))
             for key, m in entries:
                 cover = quad_sw.get(key, 0)
                 if cover < m:

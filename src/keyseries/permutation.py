@@ -5,13 +5,14 @@ values i and i+1 wherever they sit in the one-line word.  Two permutations
 that differ only by trailing fixed points compare equal, so S_n sits inside
 S_{n+1} transparently; ``n`` remembers the rank an object was built with.
 
-``sweep`` is the one loop over a whole S_n.  It walks the tree of first left
-descents depth first (``descent_walk``): the parent of w is s_i w for i the
-first left descent of w, so the tree spans the weak order and is rooted at the
-identity.  A value can ride down the tree (the numerator P_w, built from its
-parent's by one induction step), and only the values on the current
-root-to-w path are held.  The sweep runs a function of one permutation on
-every w and gathers the findings and counts into a ``ScanOutcome`` in
+Every value indexed by w (the numerator P_w, a key polynomial, a key
+series) is a ``Carry`` folded down the tree of first left descents: the
+parent of w is s_i w for i the first left descent of w, so the tree spans the
+weak order and is rooted at the identity.  ``descent_walk`` folds all of S_n
+depth first, holding only the values on the current root-to-w path;
+``chain_value`` folds one w's chain, optionally through a memo.  ``sweep``,
+the one loop over a whole S_n, runs a function of one permutation on every w
+of the walk and gathers findings and counts into a ``ScanOutcome`` in
 one-line order.  Every check, scan and verify suite is run by it.
 """
 
@@ -28,6 +29,7 @@ __all__ = [
     "parse_permutation",
     "ScanOutcome",
     "descent_walk",
+    "chain_value",
     "sweep",
 ]
 
@@ -230,6 +232,26 @@ def descent_walk(n: int, carry: Carry | None = None) -> Iterator[tuple[Permutati
                 break  # p(1) < ... < p(i) fails from here on
 
     yield from visit(Permutation.identity(n), root)
+
+
+def chain_value(w: Permutation, carry: Carry, memo: dict | None = None, tag: Any = ()) -> Any:
+    """The carried value at w, stepped from the identity down w's chain of
+    first left descents (the path ``descent_walk`` takes to w).  The value
+    at every v on the chain is stored in memo under (tag, v.core), and the
+    climb from w stops at the first value held, so calls sharing a memo
+    share their chains' prefixes."""
+    root, step = carry
+    memo = {} if memo is None else memo
+    letters, v = [], w  # the first left descents from w up to v
+    while (tag, v.core) not in memo and v.core:
+        letters.append(v.left_descents()[0])
+        v = v.left_mul_s(letters[-1])
+    value = memo.setdefault((tag, v.core), root)
+    for i in reversed(letters):
+        value = step(value, v, i)
+        v = v.left_mul_s(i)
+        memo[(tag, v.core)] = value
+    return value
 
 
 def sweep(

@@ -11,8 +11,8 @@ keeps each field's top bit clear: a sum of two keys never carries between
 fields, and a product, exponent or variable index that does not fit raises
 ``ResourceCapError``, never wraps.  The public surface speaks exponent tuples
 ``(x, t, xi)``; ``exponent_items`` and ``multiset_items`` decode each distinct
-x-part and T-part once per call, and ``render`` gives the text and JSON forms
-from one sorted pass that renders each distinct part once.
+x-part and T-part once per call, in packed-key order, and ``render`` gives
+the text and JSON forms from one sorted pass that renders each part once.
 
 The isobaric operators act on the x variables only:
 
@@ -22,8 +22,8 @@ The isobaric operators act on the x variables only:
 
 all implemented term by term: each term's (x_i, x_{i+1}) exponents select a
 packed closed one-pair formula, added to the rest of its key, so no rational
-division ever happens.  No operation promises a term order; a caller that
-needs one sorts the packed keys.
+division ever happens.  No operation promises a storage order; the decoded
+views sort the packed keys, so what they yield depends on the value only.
 
 ``series_quotient`` divides by a product of binomials 1 - c*m truncated past a
 total T-degree, one pass per factor, never building the product's inverse;
@@ -335,9 +335,10 @@ class SparsePoly:
     # -- decoded views ----------------------------------------------------
 
     def _decoded(self, decode) -> Iterator[tuple[Monomial, int]]:
-        """Terms with each distinct x-part and T-part decoded once, in one memo."""
+        """Terms in ascending packed-key order, a function of the value only,
+        with each distinct x-part and T-part decoded once, in one memo."""
         seen: dict[int, tuple] = {}
-        for k, c in self.terms.items():
+        for k, c in sorted(self.terms.items()):
             xp, tp = k & _PART, (k >> T_SHIFT) & _PART
             if xp not in seen:
                 seen[xp] = decode(xp)
@@ -346,12 +347,13 @@ class SparsePoly:
             yield (seen[xp], seen[tp], (k >> XI_SHIFT) & _FIELD), c
 
     def exponent_items(self) -> Iterator[tuple[Monomial, int]]:
-        """Terms as ((x, t, xi), coeff) with trimmed exponent tuples, in storage order."""
+        """Terms as ((x, t, xi), coeff) with trimmed exponent tuples, in ascending
+        packed-key order (total T-degree, then T-part, xi, x-part)."""
         return self._decoded(_unpack)
 
     def multiset_items(self) -> Iterator[tuple[Monomial, int]]:
         """Terms as ((eta, levels, xi), coeff): the x and T parts as sorted index
-        multisets (x1^2*x3 gives (1, 1, 3)), in storage order."""
+        multisets (x1^2*x3 gives (1, 1, 3)), in the order of exponent_items."""
         return self._decoded(_unpack_multiset)
 
     # -- presentation -----------------------------------------------------

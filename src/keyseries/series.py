@@ -15,13 +15,13 @@ never built: P_w is multiplied by its factors one at a time
 commutes with the induction, which keeps sweeps over whole symmetric groups
 cheap.
 
-The numerators of a whole S_n form the tree of first left descents, which
-``permutation.sweep`` walks: ``numerator_carry`` gives it P at the identity
-and the induction step ``numerator_step``, so a sweep hands each w its own
-P_w and holds only the numerators on the current path.  ``numerator_P``
-memoises every numerator it builds, for single calls (``pw``,
-``multiplicity2``), where successive calls share prefixes of their chains of
-first left descents; no sweep reads or fills that memo.
+Both objects are carries down the tree of first left descents: P_w
+(``numerator_carry``, stepped by ``numerator_step``) and the key series, the
+dominant series sum x^lam t^lam stepped by pi_i (``direct_carry``; the
+operators act on x only).  A sweep gets its values from one walk of the
+tree; a single value is ``permutation.chain_value`` down w's chain, and
+``numerator_P`` and the key polynomials memoise that chain (``_P_CACHE``,
+``_KEY_CACHE``) for single calls, which no sweep reads or fills.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from typing import Iterable, Iterator
 
 from .bseq import enum_A, moved_levels, si_image, split_A
 from .config import InvariantError
-from .permutation import Carry, Permutation, ScanOutcome, all_permutations, sweep
+from .permutation import (
+    Carry, Permutation, ScanOutcome, all_permutations, chain_value, descent_walk, sweep,
+)
 from .poly import (
     Monomial,
     SparsePoly,
@@ -56,6 +58,7 @@ __all__ = [
     "numerator_P_along",
     "n_factor_product",
     "denominator_factors",
+    "direct_carry",
     "series_Kw_direct",
     "FormCheck",
     "verify_form",
@@ -103,13 +106,7 @@ def partitions(max_first: int, max_parts: int) -> Iterator[tuple[int, ...]]:
 def t_exps(lam: tuple[int, ...]) -> tuple[int, ...]:
     """T-exponents of t^lam: the multiplicity of each column height in lam."""
     lam = _trim_partition(lam)
-    if not lam:
-        return ()
-    out = [0] * len(lam)
-    padded = lam + (0,)
-    for l in range(1, len(lam) + 1):
-        out[l - 1] = padded[l - 1] - padded[l]
-    return tuple(out)
+    return tuple(a - b for a, b in zip(lam, lam[1:] + (0,)))
 
 
 def composition_shape(nu: tuple[int, ...]) -> tuple[tuple[int, ...], Permutation]:
@@ -129,7 +126,12 @@ def composition_shape(nu: tuple[int, ...]) -> tuple[tuple[int, ...], Permutation
 
 # -- key and Lascoux polynomials ---------------------------------------------
 
-_KEY_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...], bool], SparsePoly] = {}
+_KEY_CACHE: dict[tuple[tuple[tuple[int, ...], bool], tuple[int, ...]], SparsePoly] = {}
+
+
+def _pi_step(xi_mode: bool):
+    op = pi_xi if xi_mode else pi
+    return lambda f, v, i: op(i, f)
 
 
 def key_polynomial(lam: tuple[int, ...], w: Permutation) -> SparsePoly:
@@ -143,19 +145,8 @@ def lascoux_polynomial(lam: tuple[int, ...], w: Permutation) -> SparsePoly:
 
 
 def _key_poly(lam: tuple[int, ...], w: Permutation, xi_mode: bool) -> SparsePoly:
-    key = (lam, w.core, xi_mode)
-    hit = _KEY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    descents = w.left_descents()
-    if not descents:
-        out = SparsePoly.term(x=lam)
-    else:
-        i = descents[0]
-        sub = _key_poly(lam, w.left_mul_s(i), xi_mode)
-        out = pi_xi(i, sub) if xi_mode else pi(i, sub)
-    _KEY_CACHE[key] = out
-    return out
+    carry = SparsePoly.term(x=lam), _pi_step(xi_mode)
+    return chain_value(w, carry, _KEY_CACHE, (lam, xi_mode))
 
 
 def key_by_composition(nu: tuple[int, ...], xi_mode: bool = False) -> SparsePoly:
@@ -166,7 +157,7 @@ def key_by_composition(nu: tuple[int, ...], xi_mode: bool = False) -> SparsePoly
 
 # -- numerator polynomials ----------------------------------------------------
 
-_P_CACHE: dict[tuple[tuple[int, ...], bool, int | None], SparsePoly] = {}
+_P_CACHE: dict[tuple[tuple[bool, int | None], tuple[int, ...]], SparsePoly] = {}
 
 
 def _n_factors(w: Permutation, i: int) -> list[SparsePoly]:
@@ -214,19 +205,7 @@ def numerator_P(
 ) -> SparsePoly:
     """P_w truncated past T-degree tmax (None: exact), memoised with every
     numerator on its chain of first left descents."""
-    key = (w.core, xi_mode, tmax)
-    hit = _P_CACHE.get(key)
-    if hit is not None:
-        return hit
-    descents = w.left_descents()
-    if not descents:
-        out = SparsePoly.one()
-    else:
-        i = descents[0]
-        v = w.left_mul_s(i)
-        out = numerator_step(numerator_P(v, xi_mode, tmax), v, i, xi_mode, tmax)
-    _P_CACHE[key] = out
-    return out
+    return chain_value(w, numerator_carry(xi_mode, tmax), _P_CACHE, (xi_mode, tmax))
 
 
 def numerator_P_along(
@@ -234,8 +213,9 @@ def numerator_P_along(
 ) -> SparsePoly:
     """Run the induction along an explicit reduced word (rightmost letter first).
 
-    Unlike :func:`numerator_P` this takes no shortcut through the cache, so it
-    exercises word-independence.  Raises ValueError if the word is not reduced.
+    Unlike :func:`numerator_P` this follows the given word, not the chain of
+    first left descents, and memoises nothing, so it exercises
+    word-independence.  Raises ValueError if the word is not reduced.
     """
     word = tuple(word)
     if any(i < 1 for i in word):
@@ -265,22 +245,23 @@ def denominator_factors(w: Permutation, n: int) -> list[SparsePoly]:
     return out
 
 
+def direct_carry(n: int, D: int, xi_mode: bool = False) -> Carry:
+    """The truncated key series as a carry: at the identity the sum of
+    x^lam t^lam over lam with at most n parts and first part at most D, and
+    pi_i (pi_xi) as the step, so that its value at w is series_Kw_direct."""
+    if n < 1:
+        raise ValueError(f"block count must be >= 1, got {n}")
+    root = SparsePoly({(lam, t_exps(lam), 0): 1 for lam in partitions(D, n)})
+    return root, _pi_step(xi_mode)
+
+
 def series_Kw_direct(
     w: Permutation, n: int, D: int, xi_mode: bool = False
 ) -> SparsePoly:
     """Sum of key (or Lascoux) polynomials times t^lam, over lam with at most
     n parts and first part at most D.  The first part equals the T-degree of
     t^lam, so this is the series truncated past total T-degree D."""
-    if n < 1:
-        raise ValueError(f"block count must be >= 1, got {n}")
-    # A key polynomial has no T part and each lam its own t^lam, so shifting
-    # every term by the packed t^lam gives distinct keys: one dict holds all.
-    terms: dict[int, int] = {}
-    for lam in partitions(D, n):
-        (shift,) = SparsePoly.term(t=t_exps(lam)).terms
-        for key, c in _key_poly(lam, w, xi_mode).terms.items():
-            terms[key + shift] = c
-    return SparsePoly(terms, _trusted=True)
+    return chain_value(w, direct_carry(n, D, xi_mode))
 
 
 @dataclass(frozen=True)
@@ -299,20 +280,22 @@ def verify_form(
     D: int = 4,
     xi_mode: bool = False,
     words: Iterable[Iterable[int]] | None = None,
-    p: SparsePoly | None = None,
+    pair: tuple[SparsePoly, SparsePoly] | None = None,
 ) -> FormCheck:
     """Compare the truncated series against P_w over the denominator product.
 
     The closed form is P_w divided by each factor 1 - x^alpha T_l of the
     denominator in turn (``series_quotient``), truncated past T-degree D.
-    P_w is p when given (a sweep hands it in at tmax=D), else numerator_P.
+    P_w and the direct series are ``pair`` when given (a sweep hands both in,
+    at tmax=D and for n blocks), else numerator_P and series_Kw_direct.
     With ``words`` given, P_w is recomputed along each word and all results
     must agree before the comparison runs.
     """
     if n is None:
         n = max(w.n, 1)
-    if p is None:
-        p = numerator_P(w, xi_mode=xi_mode, tmax=D)
+    if pair is None:
+        pair = numerator_P(w, xi_mode=xi_mode, tmax=D), series_Kw_direct(w, n, D, xi_mode)
+    p, direct = pair
     if words is not None:
         for word in words:
             along = numerator_P_along(word, xi_mode=xi_mode, tmax=D)
@@ -322,7 +305,6 @@ def verify_form(
                     f"numerator differs along word {tuple(word)}",
                 )
     closed = series_quotient(p, denominator_factors(w, n), D)
-    direct = series_Kw_direct(w, n, D, xi_mode=xi_mode)
     if closed == direct:
         return FormCheck(w.one_line(), n, D, xi_mode, True)
     delta = (closed - direct).sorted_terms()
@@ -343,15 +325,19 @@ def _check_findings(
 
 def suite_formofkw(group_n: int, D: int, xi_mode: bool = False) -> ScanOutcome:
     """Run verify_form over the whole symmetric group on group_n letters,
-    recomputing P_w along both greedy reduced words of each w."""
+    recomputing P_w along both greedy reduced words of each w.  One carry
+    hands each w the pair (P_w, direct series of w)."""
+    p_root, p_step = numerator_carry(xi_mode, D)
+    s_root, s_step = direct_carry(group_n, D, xi_mode)
+    carry = (p_root, s_root), lambda ps, v, i: (p_step(ps[0], v, i), s_step(ps[1], v, i))
 
-    def one(w: Permutation, p: SparsePoly):
+    def one(w: Permutation, pair: tuple[SparsePoly, SparsePoly]):
         first, second = w.reduced_word(), w.reduced_word_alt()
         words = [first] if first == second else [first, second]
-        check = verify_form(w, n=group_n, D=D, xi_mode=xi_mode, words=words, p=p)
+        check = verify_form(w, n=group_n, D=D, xi_mode=xi_mode, words=words, pair=pair)
         return _check_findings(w, [] if check.ok else [check.detail])
 
-    return sweep("formofkw", group_n, one, numerator_carry(xi_mode, D))
+    return sweep("formofkw", group_n, one, carry)
 
 
 # -- operator identities on truncated series -----------------------------------
@@ -360,20 +346,14 @@ def suite_formofkw(group_n: int, D: int, xi_mode: bool = False) -> ScanOutcome:
 def check_piiKw(group_n: int, D: int, xi_mode: bool = False) -> ScanOutcome:
     """pi_i maps the series of w to the series of s_i w at ascents and fixes it
     at descents; checked for every w and i on the truncated series."""
-    series: dict[tuple[int, ...], SparsePoly] = {}
-
-    def series_of(v: Permutation) -> SparsePoly:
-        if v.core not in series:
-            series[v.core] = series_Kw_direct(v, group_n, D, xi_mode)
-        return series[v.core]
-
+    carry, memo = direct_carry(group_n, D, xi_mode), {}  # the memo: this sweep's series
     op = pi_xi if xi_mode else pi
 
     def one(w: Permutation):
         failures = []
         for i in range(1, group_n):
             target = w.left_mul_s(i) if w.is_ascent(i) else w
-            if op(i, series_of(w)) != series_of(target):
+            if op(i, chain_value(w, carry, memo)) != chain_value(target, carry, memo):
                 failures.append(f"pi_{i} image is not the series of {target.one_line()}")
         return _check_findings(w, failures, checks=group_n - 1)
 
@@ -389,9 +369,8 @@ def check_propgen(group_n: int, D: int) -> list[FormCheck]:
     goes down.
     """
     w0 = Permutation.longest(group_n)
-    fam = {
-        v.core: series_Kw_direct(v * w0, group_n, D) for v in all_permutations(group_n)
-    }
+    by_w = {w.core: s for w, s in descent_walk(group_n, direct_carry(group_n, D))}
+    fam = {v.core: by_w[(v * w0).core] for v in all_permutations(group_n)}
     out = []
     for i in range(1, group_n):
         mult: dict[tuple[int, ...], SparsePoly] = {

@@ -76,11 +76,13 @@ def test_cubic_table_matches_single_lookups():
 def _decoded_slice(poly, grade, sign):
     """A T-slice decoded term by term, in ascending packed-key order (the
     order a view must yield): {(levels..., eta): sign * c}."""
-    ordered = SparsePoly(dict(sorted(poly.t_slice(grade).terms.items())), _trusted=True)
-    return {
-        levels + (eta,): sign * c
-        for (eta, levels, _), c in ordered.multiset_items()
-    }
+    out = {}
+    for key, c in sorted(poly.t_slice(grade).terms.items()):
+        single = SparsePoly()
+        single.terms = {key: c}
+        (((eta, levels, _), _c),) = single.multiset_items()
+        out[levels + (eta,)] = sign * c
+    return out
 
 
 def _assert_view_matches(view, expected, n):
@@ -314,8 +316,9 @@ def test_pinned_bodies_ignore_term_order(name, monkeypatch):
 
     def reversed_step(*args):
         calls.append(args[1])
-        terms = original(*args).terms
-        return SparsePoly(dict(reversed(terms.items())), _trusted=True)
+        out = original(*args)
+        out.terms = dict(reversed(out.terms.items()))
+        return out
 
     original = series.numerator_step
     monkeypatch.setattr(series, "numerator_step", reversed_step)

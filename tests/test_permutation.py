@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from keyseries.permutation import (
     Permutation,
     all_permutations,
+    chain_value,
     descent_walk,
     parse_permutation,
     sweep,
@@ -135,6 +136,52 @@ def test_descent_walk_tree():
     assert order == [(1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1), (1, 3, 2), (2, 3, 1)]
     with pytest.raises(ValueError):
         list(descent_walk(0))
+
+
+def _word_carry(steps):
+    """Carries the letters stepped from the identity, counting each step."""
+
+    def step(word, v, i):
+        steps.append(i)
+        return word + (i,)
+
+    return (), step
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_chain_value_follows_first_left_descents(n):
+    # The chain of w steps the letters of its canonical reduced word, last
+    # letter first, and meets the value the walk hands w.
+    steps = []
+    carry = _word_carry(steps)
+    for w, value in descent_walk(n, carry):
+        assert chain_value(w, carry) == value == tuple(reversed(w.reduced_word()))
+
+
+def test_chain_value_memo_holds_the_chain():
+    steps = []
+    carry = _word_carry(steps)
+    for w in all_permutations(4):
+        memo = {}
+        chain_value(w, carry, memo, tag="t")
+        assert len(memo) == w.length() + 1
+        assert all(tag == "t" for tag, _ in memo)
+        v = w
+        for i in w.reduced_word():
+            assert memo[("t", v.core)] == tuple(reversed(v.reduced_word()))
+            v = v.left_mul_s(i)
+    # a second call reuses the stored prefix and steps only what is missing
+    w = Permutation.longest(4)
+    word = w.reduced_word()
+    memo = {}
+    chain_value(w.left_mul_s(word[0]).left_mul_s(word[1]), carry, memo)
+    assert len(memo) == 5
+    steps.clear()
+    assert chain_value(w, carry, memo) == tuple(reversed(word))
+    assert steps == [word[1], word[0]] and len(memo) == 7
+    steps.clear()
+    assert chain_value(w, carry, memo) == tuple(reversed(word))
+    assert steps == []
 
 
 def test_sweep_without_carry_keeps_one_line_order():

@@ -204,8 +204,9 @@ def test_manifest_fields():
 def test_clear_caches_empties_every_cache():
     keyseries.clear_caches()
     check_diff1(3)
-    series.suite_formofkw(3, 2)
-    series.numerator_P(keyseries.parse_permutation("231"))  # sweeps leave no P_w
+    # sweeps leave no P_w and no key polynomial: single calls fill both memos
+    series.key_polynomial((2, 1), keyseries.parse_permutation("231"))
+    series.numerator_P(keyseries.parse_permutation("231"))
     counts.suite_fcoeff(3, 3)
     poly.divided_difference(1, poly.SparsePoly.x_var(1))
     keyseries.enum_C(keyseries.parse_permutation("4123"), 1, 2, 3)
@@ -221,10 +222,14 @@ def test_clear_caches_empties_every_cache():
 
 
 def test_sweeps_hold_no_numerator_memo():
-    # A sweep hands each w its own P_w and memoises none of them.
+    # A sweep hands each w its own P_w (and key series) and memoises none of
+    # them, neither numerators nor key polynomials.
     keyseries.clear_caches()
     check_lketa23(6)
     scan_formpw3(5)
     check_multsiw(4)
     series.suite_formofkw(4, 3)
-    assert keyseries.cache_stats()["series._P_CACHE"] == 0
+    series.check_piiKw(3, 3)
+    sizes = keyseries.cache_stats()
+    assert sizes["series._P_CACHE"] == 0
+    assert sizes["series._KEY_CACHE"] == 0

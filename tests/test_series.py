@@ -4,6 +4,7 @@ from keyseries.bseq import moved_levels, si_image, split_A
 from keyseries.permutation import (
     Permutation,
     all_permutations,
+    chain_value,
     descent_walk,
     parse_permutation,
     sweep,
@@ -166,12 +167,14 @@ def test_numerator_matches_staged_products(n, tmax, xi_mode):
 )
 @pytest.mark.parametrize("xi_mode", [False, True])
 def test_descent_walk_hands_each_numerator(n, tmax, xi_mode):
-    # The walk visits every w of S_n once and hands it P_w; a sweep over it
-    # still gives its findings in one-line order.
+    # The walk visits every w of S_n once and hands it P_w, the value of w's
+    # chain alone (memoised or not) and of the induction along w's canonical
+    # reduced word; a sweep over it still gives its findings in one-line order.
     carry = numerator_carry(xi_mode, tmax)
     visited = []
     for w, p in descent_walk(n, carry):
-        assert p == numerator_P(w, xi_mode, tmax), w
+        assert p == numerator_P(w, xi_mode, tmax) == chain_value(w, carry), w
+        assert p == numerator_P_along(w.reduced_word(), xi_mode, tmax), w
         visited.append(w.values)
     group = [w.values for w in all_permutations(n)]
     assert sorted(visited) == group and len(set(visited)) == len(group)
@@ -194,6 +197,18 @@ def test_identity_series():
         "1 + x1*T1 + x1*x2*T2 + x1^2*T1^2 + x1^2*x2*T1*T2 + x1^2*x2^2*T2^2"
     )
     assert got == expected
+
+
+@pytest.mark.parametrize("n, xi_mode", [(4, False), (3, True)])
+def test_direct_series_is_the_key_sum(n, xi_mode):
+    # pi_w of the dominant series is the sum of the key (Lascoux)
+    # polynomials of w times t^lam, over the partitions in an n x 3 box.
+    poly_of = lascoux_polynomial if xi_mode else key_polynomial
+    for w in all_permutations(n):
+        expected = SparsePoly.zero()
+        for lam in partitions(3, n):
+            expected = expected + poly_of(lam, w) * SparsePoly.term(t=t_exps(lam))
+        assert series_Kw_direct(w, n, 3, xi_mode) == expected, w
 
 
 def test_denominator_factor_count():
@@ -228,10 +243,11 @@ def test_verify_form_single():
     assert check.ok
 
 
-def test_verify_form_xi_mode():
-    out = suite_formofkw(3, 3, xi_mode=True)
+@pytest.mark.parametrize("n, D", [(3, 3), (4, 3)])
+def test_verify_form_xi_mode(n, D):
+    out = suite_formofkw(n, D, xi_mode=True)
     assert out.ok, out.counterexamples
-    assert out.stats == {"checks": 6, "failed": 0}
+    assert out.stats == {"checks": [6, 24][n - 3], "failed": 0}
 
 
 def test_pi_transport_on_series():
