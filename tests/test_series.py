@@ -243,11 +243,11 @@ def test_verify_form_single():
     assert check.ok
 
 
-@pytest.mark.parametrize("n, D", [(3, 3), (4, 3)])
-def test_verify_form_xi_mode(n, D):
-    out = suite_formofkw(n, D, xi_mode=True)
-    assert out.ok, out.counterexamples
-    assert out.stats == {"checks": [6, 24][n - 3], "failed": 0}
+def test_verify_form_xi_mode():
+    for n in (3, 4):
+        out = suite_formofkw(n, 3, xi_mode=True)
+        assert out.ok, out.counterexamples
+        assert out.stats == {"checks": [6, 24][n - 3], "failed": 0}
 
 
 def test_pi_transport_on_series():
