@@ -16,7 +16,6 @@ import sys
 
 from keyseries import cli
 from keyseries.config import load_config
-from keyseries.report import canonical_json
 
 
 def run(args) -> int:
@@ -34,7 +33,7 @@ def run(args) -> int:
         for name in sorted(cli.check_names("scan")):
             report = cli.run_check(name, n, cfg)
             path = os.path.join(args.out_dir, f"{name}-n{n}.json")
-            cli._write_files({path: canonical_json(report)})
+            cli._write_files({path: report})
             ces = report["counterexamples"]
             tag = f"{len(ces)} finding(s)" if ces else "ok"
             print(f"{name} n={n}: {tag} ({report['elapsed_ms']}ms) -> {path}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import shutil
 import sys
 import time
 
@@ -35,7 +36,7 @@ from .mults import (
     scan_siinc,
 )
 from .permutation import parse_permutation
-from .report import canonical_json, hash_file, make_manifest, outcome_report
+from .report import canonical_json, hash_file, make_manifest, outcome_report, write_json
 from .series import (
     key_by_composition,
     key_polynomial,
@@ -128,16 +129,16 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     return lam
 
 
-def _write_files(files: dict[str, str]) -> None:
-    """Write each text to a temp file beside its path, then rename all into
-    place: a failure on the way leaves every path as it was."""
+def _write_files(files: dict[str, object]) -> None:
+    """Stream each JSON value into a temp file beside its path, then rename
+    all into place: a failure on the way leaves every path as it was."""
     pending: list[tuple[str, str]] = []
     try:
-        for path, text in files.items():
+        for path, value in files.items():
             tmp = f"{path}.tmp{os.getpid()}"
             pending.append((tmp, path))
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                write_json(value, fh.write)
         while pending:
             os.replace(*pending[0])
             pending.pop(0)
@@ -148,11 +149,10 @@ def _write_files(files: dict[str, str]) -> None:
 
 
 def _emit(args, text_lines: list[str], json_obj: dict, summary: dict, status: int) -> int:
-    """Print the result; with --out first write its JSON and a manifest of the
-    subcommand and the result's params, both encoded before either file is
-    touched, so a failed write prints nothing.  Returns status."""
-    payload = canonical_json(json_obj) if args.format == "json" or args.out else None
-    files = {}
+    """Print the result.  With --out, first stream its JSON and a manifest of
+    the subcommand and the result's params into temp files and rename both
+    into place, so a failed write prints nothing; --format json then prints
+    the renamed file, and the report is encoded once.  Returns status."""
     if args.out:
         manifest = make_manifest(
             command=args.command,
@@ -162,12 +162,14 @@ def _emit(args, text_lines: list[str], json_obj: dict, summary: dict, status: in
             result_summary=summary,
             exit_status=status,
         )
-        files = {args.out: payload, args.out + ".manifest.json": canonical_json(manifest)}
-    _write_files(files)
-    if args.format == "json":
-        sys.stdout.write(payload)
-    else:
+        _write_files({args.out: json_obj, args.out + ".manifest.json": manifest})
+    if args.format == "text":
         sys.stdout.write("\n".join(text_lines) + "\n")
+    elif args.out:
+        with open(args.out, encoding="utf-8", newline="") as fh:
+            shutil.copyfileobj(fh, sys.stdout)
+    else:
+        sys.stdout.write(canonical_json(json_obj))
     return status
 
 

@@ -213,14 +213,15 @@ def check_quadratic_support(n: int) -> ScanOutcome:
 
     def one(w: Permutation, p: SparsePoly):
         quad = quadratic_multiplicities(w, p)
+        w_text = w.one_line()
         expected = set(_b_keys(w, n))
         ces = [
-            {"w": w.one_line(), "key": key, "m": m,
+            {"w": w_text, "key": key, "m": m,
              "reason": "negative or outside the two-presentation sets"}
             for key, m in quad.items() if key not in expected or m < 1
         ]
         ces += [
-            {"w": w.one_line(), "key": key, "m": quad.get(key, 0),
+            {"w": w_text, "key": key, "m": quad.get(key, 0),
              "reason": "vanishes on a two-presentation multiset"}
             for key in expected if quad.get(key, 0) < 1
         ]
@@ -239,6 +240,7 @@ def check_diff1(n: int) -> ScanOutcome:
 
     def one(w: Permutation, p: SparsePoly):
         quad = quadratic_multiplicities(w, p)
+        w_text = w.one_line()
         ces: list[dict] = []
         checked = 0
         for k in range(1, n + 1):
@@ -251,7 +253,7 @@ def check_diff1(n: int) -> ScanOutcome:
                     got = quad.get((k, l, eta), 0)
                     if got != expect:
                         ces.append(
-                            {"w": w.one_line(), "k": k, "l": l,
+                            {"w": w_text, "k": k, "l": l,
                              "eta": format_seq(eta), "m": got, "expected": expect}
                         )
         return ces, {"multisets": checked}
@@ -277,6 +279,7 @@ def check_diff2(n: int) -> ScanOutcome:
 
     def one(w: Permutation, p: SparsePoly):
         quad = quadratic_multiplicities(w, p)
+        w_text = w.one_line()
         ces: list[dict] = []
         checked = 0
         for k, l, eta in _b_keys(w, n, gap=1):
@@ -293,7 +296,7 @@ def check_diff2(n: int) -> ScanOutcome:
             hi = l - k + 4
             if got != expect or not 3 <= got <= hi:
                 ces.append(
-                    {"w": w.one_line(), "k": k, "l": l,
+                    {"w": w_text, "k": k, "l": l,
                      "eta": format_seq(eta), "m": got, "expected": expect,
                      "range": [3, hi]}
                 )
@@ -340,6 +343,7 @@ def check_lketa23(n: int) -> ScanOutcome:
 
     def one(w: Permutation, p: SparsePoly):
         quad = quadratic_multiplicities(w, p)
+        w_text = w.one_line()
         ces: list[dict] = []
         counts = {"multisets": 0}
         for k in range(3, n + 1):
@@ -351,7 +355,7 @@ def check_lketa23(n: int) -> ScanOutcome:
                 got = quad.get((k, k, eta), 0)
                 if pattern is None or got != pattern or got != unified or not 3 <= got <= 5:
                     ces.append(
-                        {"w": w.one_line(), "k": k, "eta": format_seq(eta),
+                        {"w": w_text, "k": k, "eta": format_seq(eta),
                          "m": got, "pattern": pattern, "unified": unified,
                          "positions": [list(lo), list(hi)]}
                     )
@@ -366,6 +370,7 @@ def _lowbdr2_one(
     w: Permutation, n: int, quad: MultView
 ) -> tuple[list[dict], dict[str, int]]:
     """The 2^r - 1 floor on every two-presentation multiset of one w."""
+    w_text = w.one_line()
     ces: list[dict] = []
     checked = 0
     for k, l, eta in _b_keys(w, n):
@@ -374,7 +379,7 @@ def _lowbdr2_one(
         got = quad.get((k, l, eta), 0)
         if got < 2**r - 1:
             ces.append(
-                {"w": w.one_line(), "k": k, "l": l,
+                {"w": w_text, "k": k, "l": l,
                  "eta": format_seq(eta), "m": got, "bound": 2**r - 1}
             )
     return ces, {"multisets": checked}
@@ -411,6 +416,7 @@ def check_multsiw(n: int) -> ScanOutcome:
     carry, memo = numerator_carry(tmax=3), {}
 
     def one(w: Permutation):
+        w_text = w.one_line()
         ces: list[dict] = []
         pairs = 0
         p_w = chain_value(w, carry, memo)
@@ -441,7 +447,7 @@ def check_multsiw(n: int) -> ScanOutcome:
                     expect = quad_w.get((k, l, _rebalance(eta, i, max(a, b), min(a, b))), 0)
                 if got != expect:
                     ces.append(
-                        {"w": w.one_line(), "i": i, "grade": 2, "key": key,
+                        {"w": w_text, "i": i, "grade": 2, "key": key,
                          "m": got, "expected": expect}
                     )
             cub_sw = cubic_multiplicities(sw, p_sw)
@@ -483,7 +489,7 @@ def check_multsiw(n: int) -> ScanOutcome:
                     expect = cub_w.get(var(max(a, b), min(a, b)), 0)
                 if got != expect:
                     ces.append(
-                        {"w": w.one_line(), "i": i, "grade": 3,
+                        {"w": w_text, "i": i, "grade": 3,
                          "key": (p, k, l, tau), "m": got, "expected": expect}
                     )
         return ces, {"covers": pairs}
@@ -598,11 +604,12 @@ def scan_poset(n: int) -> ScanOutcome:
 
     def one(w: Permutation, p: SparsePoly):
         quad = quadratic_multiplicities(w, p)
+        w_text = w.one_line()
         found = rows[w.values] = []
         for k, l, eta in _b_keys(w, n):
             m = quad.get((k, l, eta), 0)
             canon = presentation_poset(w, k, l, eta).canonical()
-            witness = {"w": w.one_line(), "k": k, "l": l,
+            witness = {"w": w_text, "k": k, "l": l,
                        "eta": format_seq(eta), "m": m}
             found.append((canon, m, witness))
         return [], {}
@@ -635,6 +642,7 @@ def scan_siinc(n: int) -> ScanOutcome:
 
     def one(w: Permutation, p: SparsePoly):
         quad = quadratic_multiplicities(w, p)
+        w_text = w.one_line()
         entries = list(quad.items())  # decoded once, read at every ascent
         ces: list[dict] = []
         checked = 0
@@ -649,7 +657,7 @@ def scan_siinc(n: int) -> ScanOutcome:
                 other = quad.get((k, l, _rebalance(eta, i, b, a)), 0)
                 if m > other:
                     ces.append(
-                        {"w": w.one_line(), "i": i, "k": k, "l": l,
+                        {"w": w_text, "i": i, "k": k, "l": l,
                          "eta": format_seq(eta), "m": m, "swapped_m": other}
                     )
         return ces, {"comparisons": checked}
@@ -666,6 +674,7 @@ def scan_formpw3(n: int) -> ScanOutcome:
     """
 
     def one(w: Permutation, p_w: SparsePoly):
+        w_text = w.one_line()  # one string shared by every finding of w
         # each stratum's cubic terms, in ascending packed-key order
         by_stratum: dict[tuple[int, int, int], dict[tuple[int, ...], int]] = {}
         for (p, k, l, tau), m in cubic_multiplicities(w, p_w).items():
@@ -684,14 +693,14 @@ def scan_formpw3(n: int) -> ScanOutcome:
                 m = terms.get(tau, 0)
                 if m < 1:
                     ces.append(
-                        {"claim": "positivity", "w": w.one_line(),
+                        {"claim": "positivity", "w": w_text,
                          "levels": levels, "tau": format_seq(tau), "m": m}
                     )
             cset = frozenset(cs)
             for tau, m in terms.items():
                 if tau not in cset:
                     ces.append(
-                        {"claim": "support", "w": w.one_line(),
+                        {"claim": "support", "w": w_text,
                          "levels": levels, "tau": format_seq(tau), "m": m}
                     )
         return ces, {"terms": checked, "c_elements": c_elements}
@@ -704,6 +713,7 @@ def scan_formpw2bound(n: int) -> ScanOutcome:
     carry, memo = numerator_carry(tmax=2), {}
 
     def one(w: Permutation):
+        w_text = w.one_line()
         quad_w = quadratic_multiplicities(w, chain_value(w, carry, memo))
         entries = list(quad_w.items())  # decoded once, read at every ascent
         ces, counts = _lowbdr2_one(w, n, quad_w)
@@ -716,7 +726,7 @@ def scan_formpw2bound(n: int) -> ScanOutcome:
                 cover = quad_sw.get(key, 0)
                 if cover < m:
                     ces.append(
-                        {"w": w.one_line(), "i": i, "key": key,
+                        {"w": w_text, "i": i, "key": key,
                          "m": m, "cover_m": cover}
                     )
         return ces, counts

@@ -4,19 +4,25 @@ Report bodies are reproducible across runs: keys are sorted, counterexample
 lists come in scan order, and the wall-clock fields (elapsed_ms here, the
 manifest timestamp) are the only parts excluded from the determinism digest.
 
-``canonical_json`` encodes exactly the types reports hold: dicts with ``str``
-keys (emitted in sorted order), lists and tuples, ``str``, ``int``, ``True``,
-``False`` and ``None``; any other value, a float or a set for one, or a
-non-``str`` key raises ``TypeError``.  Its text is byte-identical to
-``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`` plus a
-newline, but built in one recursive pass that appends one joined string per
-dict or list item, since ``json.dumps`` with an indent runs its pure-Python
-encoder.
+One encoder writes every report: ``write_json(obj, write)`` hands the text
+of obj to ``write`` in chunks of about ``CHUNK_PIECES`` pieces, so a report
+streams into its file (or a digest) without its whole text ever being held;
+``canonical_json`` joins the same chunks into one string.  It encodes
+exactly the types reports hold: dicts with ``str`` keys (emitted in sorted
+order), lists and tuples, ``str``, ``int``, ``True``, ``False`` and ``None``;
+any other value, a float or a set for one, or a non-``str`` key raises
+``TypeError``, after the chunks before it were written.  The text is
+byte-identical to ``json.dumps(obj, sort_keys=True, indent=2,
+ensure_ascii=False)`` plus a newline, but built in one recursive pass that
+appends one joined string per dict or list item, since ``json.dumps`` with
+an indent runs its pure-Python encoder.  The chunked form follows the
+contract of ``json.JSONEncoder.iterencode``: the joined chunks are the text.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from datetime import datetime, timezone
 from itertools import repeat
 from json.encoder import encode_basestring
@@ -24,6 +30,8 @@ from json.encoder import encode_basestring
 from .permutation import ScanOutcome
 
 VOLATILE_FIELDS = ("elapsed_ms", "timestamp")
+# pieces the encoder holds before it hands them, joined, to write
+CHUNK_PIECES = 8192
 
 
 def _scalar(obj) -> str | None:
@@ -40,11 +48,12 @@ def _scalar(obj) -> str | None:
         return int.__repr__(obj)
     if isinstance(obj, (dict, list, tuple)):
         return None
-    raise TypeError(f"canonical_json cannot encode {type(obj).__name__}")
+    raise TypeError(f"report JSON cannot encode {type(obj).__name__}")
 
 
-def _encode(obj, out: list[str], newline: str) -> None:
-    """Append the text of the dict, list or tuple obj, nested at newline."""
+def _encode(obj, out: list[str], newline: str, flush: Callable[[], None]) -> None:
+    """Append the text of the dict, list or tuple obj, nested at newline,
+    calling flush after any item that leaves CHUNK_PIECES pieces in out."""
     is_dict = isinstance(obj, dict)
     if not obj:
         out.append("{}" if is_dict else "[]")
@@ -62,28 +71,46 @@ def _encode(obj, out: list[str], newline: str) -> None:
             out.append(sep + label + repr(value))
         elif cls is dict or cls is list or (text := _scalar(value)) is None:
             out.append(sep + label)
-            _encode(value, out, inner)
+            _encode(value, out, inner, flush)
         else:
             out.append(sep + label + text)
         sep = "," + inner
+        if len(out) >= CHUNK_PIECES:
+            flush()
     out.append(newline + ("}" if is_dict else "]"))
 
 
-def canonical_json(obj) -> str:
-    """The report text of obj; see the module docstring for its contract."""
+def write_json(obj, write: Callable[[str], object]) -> None:
+    """Hand the report text of obj to write, in chunks; see the module
+    docstring for its contract."""
     text = _scalar(obj)
     if text is not None:
-        return text + "\n"
+        write(text + "\n")
+        return
     out: list[str] = []
-    _encode(obj, out, "\n")
+
+    def flush() -> None:
+        write("".join(out))
+        out.clear()
+
+    _encode(obj, out, "\n", flush)
     out.append("\n")
-    return "".join(out)
+    flush()
+
+
+def canonical_json(obj) -> str:
+    """The report text of obj, the chunks of write_json joined."""
+    chunks: list[str] = []
+    write_json(obj, chunks.append)
+    return "".join(chunks)
 
 
 def body_digest(obj: dict) -> str:
     """sha256 of the canonical body with wall-clock fields removed."""
     body = {k: v for k, v in obj.items() if k not in VOLATILE_FIELDS}
-    return hashlib.sha256(canonical_json(body).encode()).hexdigest()
+    digest = hashlib.sha256()
+    write_json(body, lambda chunk: digest.update(chunk.encode()))
+    return digest.hexdigest()
 
 
 def outcome_report(outcome: ScanOutcome, params: dict, elapsed_ms: int) -> dict:

@@ -10,6 +10,7 @@ from jsonschema import Draft202012Validator
 
 from keyseries import cli
 from keyseries.cli import main
+from keyseries.permutation import ScanOutcome
 from keyseries.poly import MAX_EXP
 from keyseries.report import body_digest, canonical_json
 
@@ -291,22 +292,36 @@ def test_out_writes_report_and_manifest(tmp_path, capsys):
     assert manifest["result_summary"]["counterexamples"] == 0
 
 
-@pytest.mark.parametrize("failure", ["manifest", "write", "missing-dir"])
+@pytest.mark.parametrize("failure", ["manifest", "write", "missing-dir", "midway"])
 def test_failed_out_leaves_no_file(tmp_path, capsys, monkeypatch, failure):
-    # The encoder fails after the report is encoded: on the manifest, or by
-    # handing back text the file encoding rejects, which fails mid-write; or
-    # the --out directory does not exist.  No result reaches stdout either.
-    real = cli.canonical_json
-    calls = []
+    # The report is streamed into its temp file, and then the run fails: the
+    # manifest cannot be encoded, or the report ends in text the file
+    # encoding rejects; or that text sits midway through a report of several
+    # chunks, after the first chunks reached the file; or the --out directory
+    # does not exist.  No file is left and no result reaches stdout either.
+    real = cli.write_json
+    calls, written = [], []
 
-    def encoder(obj):
+    def encoder(obj, write):
         calls.append(obj)
         if failure == "manifest" and len(calls) == 2:
             raise ValueError("cannot encode the manifest")
-        return real(obj) + ("\ud800" if failure == "write" else "")
+
+        def spy(chunk):
+            write(chunk)
+            written.append(len(chunk))
+
+        real(obj, spy)
+        if failure == "write":
+            write("\ud800")
 
     if failure != "missing-dir":
-        monkeypatch.setattr(cli, "canonical_json", encoder)
+        monkeypatch.setattr(cli, "write_json", encoder)
+    if failure == "midway":
+        # a lone surrogate after more than CHUNK_PIECES pieces of findings
+        findings = [{"w": "123", "m": m} for m in range(10_000)] + [{"w": "\ud800"}]
+        monkeypatch.setitem(cli._CHECK_FUNCTIONS, "siinc",
+                            lambda n: ScanOutcome("siinc", n, findings, {"comparisons": 1}))
     out_dir = tmp_path / "missing" if failure == "missing-dir" else tmp_path
     code = main(["scan", "--conjecture", "siinc", "--n", "3",
                  "--out", str(out_dir / "rep.json")])
@@ -315,6 +330,23 @@ def test_failed_out_leaves_no_file(tmp_path, capsys, monkeypatch, failure):
     assert out == ""
     assert "error:" in err
     assert list(tmp_path.iterdir()) == []
+    if failure == "midway":
+        assert len(calls) == 1 and written  # failed in the report, after a chunk
+
+
+def test_write_files_leaves_every_path_on_an_encode_error(tmp_path):
+    # A float deep in the second file's findings fails its encoding after
+    # chunks of it reached the temp file: the first file is not renamed into
+    # place either, the file already at the second path is untouched, and no
+    # temp file stays.
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    second.write_text("old\n")
+    findings = [{"w": "123", "m": m} for m in range(10_000)] + [{"m": 0.5}]
+    with pytest.raises(TypeError):
+        cli._write_files({str(first): {"n": 1},
+                          str(second): {"counterexamples": findings}})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json"]
+    assert second.read_text() == "old\n"
 
 
 def test_invariant_failure_exits_4_under_O():
@@ -469,10 +501,12 @@ def test_verify_tdeg_only_for_formofkw(tmp_path, capsys):
 
 
 def test_json_stdout_equals_out_file(tmp_path, capsys):
-    path = tmp_path / "pw.json"
-    assert main(["pw", "--w", "2143", "--tdeg", "2", "--format", "json",
-                 "--out", str(path)]) == 0
-    assert capsys.readouterr().out.encode() == path.read_bytes()
+    # stdout is a copy of the file, also for a report of many chunks
+    path = tmp_path / "out.json"
+    for argv, code in ((["pw", "--w", "2143", "--tdeg", "2"], 0),
+                       (["scan", "--conjecture", "formpw3", "--n", "5"], 1)):
+        assert main(argv + ["--format", "json", "--out", str(path)]) == code
+        assert capsys.readouterr().out.encode() == path.read_bytes()
 
 
 def test_missing_config_file(capsys):

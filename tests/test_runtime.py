@@ -1,13 +1,17 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 import pkgutil
+import re
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 import keyseries
-from keyseries import counts, poly, series
+from keyseries import counts, poly, report, series
 from keyseries.cli import main
 
 from keyseries.config import (
@@ -30,6 +34,7 @@ from keyseries.report import (
     canonical_json,
     make_manifest,
     outcome_report,
+    write_json,
 )
 
 
@@ -120,14 +125,80 @@ for _ in range(4):  # at least four levels of non-empty containers above a tree
     _deep_trees = _containers(_deep_trees, min_size=1, max_size=2)
 
 
+def _chunks(obj) -> list[str]:
+    chunks: list[str] = []
+    write_json(obj, chunks.append)
+    return chunks
+
+
 @given(_deep_trees)
 @example([])
 @example({})
 @example(())
 @example({"a": [{}, [], ()], "b": {"c": [[]]}})
 def test_canonical_json_matches_json_dumps(obj):
-    assert canonical_json(obj) == (
+    # write_json's chunks join to the same text with a flush after every
+    # item, every third piece and at the shipped size.
+    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    for pieces in (1, 3, report.CHUNK_PIECES):
+        with mock.patch.object(report, "CHUNK_PIECES", pieces):
+            assert "".join(_chunks(obj)) == canonical_json(obj) == text
+
+
+def _large_report(findings: int) -> dict:
+    """A formpw3-shaped report with the given number of findings."""
+    return {
+        "scan": "formpw3", "n": 6, "params": {"conjecture": "formpw3", "n": 6},
+        "counterexamples": [
+            {"claim": "support", "w": "214365", "levels": (1, 2, 3),
+             "tau": "1122334", "m": m % 7 - 3}
+            for m in range(findings)
+        ],
+        "stats": {"c_elements": 1, "terms": 2}, "elapsed_ms": 7,
+    }
+
+
+def test_write_json_streams_a_large_report():
+    obj = _large_report(20_000)
+    chunks = _chunks(obj)
+    assert len(chunks) > 5
+    assert max(map(len, chunks)) < 30 * report.CHUNK_PIECES
+    assert "".join(chunks) == canonical_json(obj) == (
         json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
+
+
+def test_write_json_holds_one_chunk_at_a_time():
+    # Encoding 100k findings into a sink that drops them holds one chunk of
+    # pieces, not the report's text (about 30 MB of pieces when joined whole).
+    obj = {"counterexamples": [{"w": "214365", "m": m} for m in range(100_000)]}
+    tracemalloc.start()
+    try:
+        write_json(obj, lambda chunk: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "diff1", "--n", "4"],
+    ["scan", "--conjecture", "formpw3", "--n", "5"],
+    ["key", "--w", "3142", "--lambda", "3,2,1"],
+    ["pw", "--w", "2413", "--tdeg", "3"],
+    ["sets", "--w", "3412", "--C", "2,3,4"],
+])
+def test_out_file_digest_is_the_chunked_digest(tmp_path, capsys, argv):
+    # The streamed file, its volatile line dropped, hashes to body_digest of
+    # what it holds, and it is the one-string text of that value.
+    path = tmp_path / "out.json"
+    assert main(argv + ["--out", str(path)]) in (0, 1)
+    capsys.readouterr()
+    raw = path.read_bytes()
+    obj = json.loads(raw)
+    assert raw == canonical_json(obj).encode()
+    body = re.sub(rb'\n  "elapsed_ms": \d+,', b"", raw)
+    assert (body != raw) == ("elapsed_ms" in obj)
+    assert hashlib.sha256(body).hexdigest() == body_digest(obj)
 
 
 @given(_scalars)
