@@ -10,7 +10,9 @@ series) is a ``Carry`` folded down the tree of first left descents: the
 parent of w is s_i w for i the first left descent of w, so the tree spans the
 weak order and is rooted at the identity.  ``descent_walk`` folds all of S_n
 depth first, holding only the values on the current root-to-w path;
-``chain_value`` folds one w's chain, optionally through a memo.  ``sweep``,
+``chain_value`` folds one w's chain, optionally through a memo; if
+``cover_mismatches`` finds no cover off the tree where a carry's step fails,
+every reduced word gives the tree's value (the word property).  ``sweep``,
 the one loop over a whole S_n, runs a function of one permutation on every w
 of the walk and gathers findings and counts into a ``ScanOutcome`` in
 one-line order.  Every check, scan and verify suite is run by it.
@@ -30,6 +32,7 @@ __all__ = [
     "ScanOutcome",
     "descent_walk",
     "chain_value",
+    "cover_mismatches",
     "sweep",
 ]
 
@@ -252,6 +255,17 @@ def chain_value(w: Permutation, carry: Carry, memo: dict | None = None, tag: Any
         v = v.left_mul_s(i)
         memo[(tag, v.core)] = value
     return value
+
+
+def cover_mismatches(path: list[tuple[Permutation, Any]], carry: Carry) -> list[int]:
+    """The ascents i of w off the tree (not the first left descent of s_i w)
+    where the carry's step from w's value is not the value at s_i w, climbed up
+    to path, the walk's root-to-w (v, value) list, through a memo of it."""
+    (w, value), step = path[-1], carry[1]
+    memo = {((), v.core): v_value for v, v_value in path}
+    return [i for i in range(1, w.n) if w.is_ascent(i)
+            and (sw := w.left_mul_s(i)).left_descents()[0] != i
+            and step(value, w, i) != chain_value(sw, carry, memo)]
 
 
 def sweep(

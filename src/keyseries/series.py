@@ -21,7 +21,8 @@ dominant series sum x^lam t^lam stepped by pi_i (``direct_carry``; the
 operators act on x only).  A sweep gets its values from one walk of the
 tree; a single value is ``permutation.chain_value`` down w's chain, and
 ``numerator_P`` and the key polynomials memoise that chain (``_P_CACHE``,
-``_KEY_CACHE``) for single calls, which no sweep reads or fills.
+``_KEY_CACHE``) for single calls, which no sweep reads or fills.  Suites check
+every cover off the tree (``permutation.cover_mismatches``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from typing import Iterable, Iterator
 from .bseq import enum_A, moved_levels, si_image, split_A
 from .config import InvariantError
 from .permutation import (
-    Carry, Permutation, ScanOutcome, all_permutations, chain_value, descent_walk, sweep,
+    Carry, Permutation, ScanOutcome, all_permutations, chain_value, cover_mismatches,
+    descent_walk, sweep,
 )
 from .poly import (
     Monomial,
@@ -214,8 +216,8 @@ def numerator_P_along(
     """Run the induction along an explicit reduced word (rightmost letter first).
 
     Unlike :func:`numerator_P` this follows the given word, not the chain of
-    first left descents, and memoises nothing, so it exercises
-    word-independence.  Raises ValueError if the word is not reduced.
+    first left descents, and memoises nothing: an oracle for the value along
+    any word.  Raises ValueError if the word is not reduced.
     """
     word = tuple(word)
     if any(i < 1 for i in word):
@@ -279,7 +281,6 @@ def verify_form(
     n: int | None = None,
     D: int = 4,
     xi_mode: bool = False,
-    words: Iterable[Iterable[int]] | None = None,
     pair: tuple[SparsePoly, SparsePoly] | None = None,
 ) -> FormCheck:
     """Compare the truncated series against P_w over the denominator product.
@@ -288,30 +289,17 @@ def verify_form(
     denominator in turn (``series_quotient``), truncated past T-degree D.
     P_w and the direct series are ``pair`` when given (a sweep hands both in,
     at tmax=D and for n blocks), else numerator_P and series_Kw_direct.
-    With ``words`` given, P_w is recomputed along each word and all results
-    must agree before the comparison runs.
     """
     if n is None:
         n = max(w.n, 1)
     if pair is None:
         pair = numerator_P(w, xi_mode=xi_mode, tmax=D), series_Kw_direct(w, n, D, xi_mode)
     p, direct = pair
-    if words is not None:
-        for word in words:
-            along = numerator_P_along(word, xi_mode=xi_mode, tmax=D)
-            if along != p:
-                return FormCheck(
-                    w.one_line(), n, D, xi_mode, False,
-                    f"numerator differs along word {tuple(word)}",
-                )
     closed = series_quotient(p, denominator_factors(w, n), D)
     if closed == direct:
         return FormCheck(w.one_line(), n, D, xi_mode, True)
     delta = (closed - direct).sorted_terms()
-    return FormCheck(
-        w.one_line(), n, D, xi_mode, False,
-        f"first mismatch at {delta[0][0]}",
-    )
+    return FormCheck(w.one_line(), n, D, xi_mode, False, f"first mismatch at {delta[0][0]}")
 
 
 def _check_findings(
@@ -324,17 +312,18 @@ def _check_findings(
 
 
 def suite_formofkw(group_n: int, D: int, xi_mode: bool = False) -> ScanOutcome:
-    """Run verify_form over the whole symmetric group on group_n letters,
-    recomputing P_w along both greedy reduced words of each w.  One carry
-    hands each w the pair (P_w, direct series of w)."""
-    p_root, p_step = numerator_carry(xi_mode, D)
-    s_root, s_step = direct_carry(group_n, D, xi_mode)
+    """Run verify_form on every w of S_group_n whose numerator step holds on its covers
+    off the tree.  One carry hands each w the pair (P_w, direct series of w)."""
+    p_carry = numerator_carry(xi_mode, D)
+    (p_root, p_step), (s_root, s_step) = p_carry, direct_carry(group_n, D, xi_mode)
     carry = (p_root, s_root), lambda ps, v, i: (p_step(ps[0], v, i), s_step(ps[1], v, i))
+    path: list[tuple[Permutation, SparsePoly]] = []  # root to w, with each P
 
     def one(w: Permutation, pair: tuple[SparsePoly, SparsePoly]):
-        first, second = w.reduced_word(), w.reduced_word_alt()
-        words = [first] if first == second else [first, second]
-        check = verify_form(w, n=group_n, D=D, xi_mode=xi_mode, words=words, pair=pair)
+        path[w.length():] = [(w, pair[0])]
+        if bad := cover_mismatches(path, p_carry):
+            return _check_findings(w, [f"numerator step at ascent {bad[0]} differs"])
+        check = verify_form(w, n=group_n, D=D, xi_mode=xi_mode, pair=pair)
         return _check_findings(w, [] if check.ok else [check.detail])
 
     return sweep("formofkw", group_n, one, carry)
@@ -346,18 +335,17 @@ def suite_formofkw(group_n: int, D: int, xi_mode: bool = False) -> ScanOutcome:
 def check_piiKw(group_n: int, D: int, xi_mode: bool = False) -> ScanOutcome:
     """pi_i maps the series of w to the series of s_i w at ascents and fixes it
     at descents; checked for every w and i on the truncated series."""
-    carry, memo = direct_carry(group_n, D, xi_mode), {}  # the memo: this sweep's series
-    op = pi_xi if xi_mode else pi
+    carry = direct_carry(group_n, D, xi_mode)
+    path: list[tuple[Permutation, SparsePoly]] = []  # root to w, with each series
 
-    def one(w: Permutation):
-        failures = []
-        for i in range(1, group_n):
-            target = w.left_mul_s(i) if w.is_ascent(i) else w
-            if op(i, chain_value(w, carry, memo)) != chain_value(target, carry, memo):
-                failures.append(f"pi_{i} image is not the series of {target.one_line()}")
+    def one(w: Permutation, series: SparsePoly):
+        path[w.length():] = [(w, series)]
+        bad = [(i, w.left_mul_s(i)) for i in cover_mismatches(path, carry)]
+        bad += [(i, w) for i in w.left_descents() if carry[1](series, w, i) != series]
+        failures = [f"pi_{i} image is not the series of {t.one_line()}" for i, t in sorted(bad)]
         return _check_findings(w, failures, checks=group_n - 1)
 
-    return sweep("piiKw", group_n, one)
+    return sweep("piiKw", group_n, one, carry)
 
 
 def check_propgen(group_n: int, D: int) -> list[FormCheck]:
@@ -377,12 +365,10 @@ def check_propgen(group_n: int, D: int) -> list[FormCheck]:
             core: SparsePoly.zero() for core in fam
         }
         for v in all_permutations(group_n):
-            sv = v.left_mul_s(i)
-            if sv.length() > v.length():
+            if v.is_ascent(i):  # at a descent, -eps_v + eps_v cancel
+                sv = v.left_mul_s(i)
                 mult[sv.core] = mult[sv.core] + fam[v.core]
-            else:
-                mult[v.core] = mult[v.core] - fam[v.core]
-            mult[v.core] = mult[v.core] + fam[v.core]
+                mult[v.core] = mult[v.core] + fam[v.core]
         applied = {core: pi(i, f) for core, f in fam.items()}
         ok = applied == mult
         out.append(

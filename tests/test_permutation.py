@@ -7,6 +7,7 @@ from keyseries.permutation import (
     Permutation,
     all_permutations,
     chain_value,
+    cover_mismatches,
     descent_walk,
     parse_permutation,
     sweep,
@@ -182,6 +183,22 @@ def test_chain_value_memo_holds_the_chain():
     steps.clear()
     assert chain_value(w, carry, memo) == tuple(reversed(word))
     assert steps == []
+
+
+@pytest.mark.parametrize("n, off_tree", [(3, 1), (4, 13), (5, 121)])
+def test_cover_mismatches_are_the_covers_off_the_tree(n, off_tree):
+    # A carry whose value is its word differs on every cover that is not a
+    # tree edge; the length, the same along every word, differs on none.
+    word_carry = ((), lambda word, v, i: word + (i,))
+    length_carry = (0, lambda length, v, i: length + 1)
+    for carry, expected in ((word_carry, off_tree), (length_carry, 0)):
+        path, found = [], 0
+        for w, value in descent_walk(n, carry):
+            path[w.length():] = [(w, value)]
+            bad = cover_mismatches(path, carry)
+            assert all(w.is_ascent(i) and w.left_mul_s(i).left_descents()[0] != i for i in bad)
+            found += len(bad)
+        assert found == expected
 
 
 def test_sweep_without_carry_keeps_one_line_order():

@@ -10,6 +10,7 @@ from keyseries.permutation import (
     sweep,
 )
 from keyseries.poly import SparsePoly, pi, pi_word, pi_xi, series_inverse_product, x_exps
+from keyseries import series
 from keyseries.series import (
     check_piiKw,
     check_propgen,
@@ -132,6 +133,13 @@ def test_numerator_word_independence():
         assert numerator_P_along(first) == numerator_P_along(second)
 
 
+@pytest.mark.parametrize("word", [(1, 1), (0,), (2, 0, 1)])
+def test_numerator_along_rejects_bad_words(word):
+    # (1, 1) is not reduced; 0 is not a letter
+    with pytest.raises(ValueError):
+        numerator_P_along(word)
+
+
 def staged_numerator(w, xi_mode, tmax, memo):
     """P_w by the staged step: N_{v,i} built as a chain of truncated products of
     the binomials (1 - x^{s_i alpha} T_l), P_v times N_{v,i}, then pi_i (or
@@ -239,7 +247,7 @@ def test_verify_form_small():
 
 def test_verify_form_single():
     w = parse_permutation("42531")
-    check = verify_form(w, D=3, words=[w.reduced_word(), w.reduced_word_alt()])
+    check = verify_form(w, D=3)
     assert check.ok
 
 
@@ -248,6 +256,31 @@ def test_verify_form_xi_mode():
         out = suite_formofkw(n, 3, xi_mode=True)
         assert out.ok, out.counterexamples
         assert out.stats == {"checks": [6, 24][n - 3], "failed": 0}
+
+
+@pytest.mark.parametrize("xi_mode", [False, True])
+def test_formofkw_reports_a_fault_off_the_greedy_words(monkeypatch, xi_mode):
+    # The cover 4231 -> 4321 at i=2 is not a tree edge, and no greedy reduced
+    # word of any w in S4 uses it: a wrong step there is seen only by the
+    # check on every cover.
+    real = series.numerator_step
+
+    def faulty(p, v, i, *args):
+        out = real(p, v, i, *args)
+        if v.one_line() == "4231" and i == 2:
+            out = out + SparsePoly.term(x=(1, 1), t=(0, 0, 1))
+        return out
+
+    for w in all_permutations(4):
+        for word in (w.reduced_word(), w.reduced_word_alt()):
+            v = Permutation.identity(4)
+            for i in reversed(word):
+                assert (v.one_line(), i) != ("4231", 2)
+                v = v.left_mul_s(i)
+    monkeypatch.setattr(series, "numerator_step", faulty)
+    out = suite_formofkw(4, 3, xi_mode)
+    assert [found["w"] for found in out.counterexamples] == ["4231"]
+    assert out.stats == {"checks": 24, "failed": 1}
 
 
 def test_pi_transport_on_series():
