@@ -83,7 +83,8 @@ def _memo_tables():
 
 def cache_stats() -> dict[str, int]:
     """Entries held per memo table: keys, numerators, the A, B-tilde, B and C
-    sets, level selections and the pi/divided-difference pair tables."""
+    sets, level selections and the one pair table, which serves both
+    divided_difference and pi."""
     return {
         label: table.cache_info().currsize if hasattr(table, "cache_info") else len(table)
         for label, table in _memo_tables()

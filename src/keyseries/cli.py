@@ -30,6 +30,7 @@ from .mults import (
     check_lketa23,
     check_lowbdr2,
     check_multsiw,
+    check_quadratic_support,
     scan_formpw2bound,
     scan_formpw3,
     scan_poset,
@@ -62,6 +63,7 @@ EXIT_INTERRUPT = 130
 CHECKS = {
     "formofkw": ("verify", suite_formofkw, 4, {"tdeg": 4}),
     "pxiw1": ("verify", suite_pxiw1, 4, {}),
+    "quadsupport": ("verify", check_quadratic_support, 5, {}),
     "diff1": ("verify", check_diff1, 5, {}),
     "diff2": ("verify", check_diff2, 5, {}),
     "lketa23": ("verify", check_lketa23, 6, {}),

@@ -94,7 +94,7 @@ def _level_selections(w: Permutation, l: int, h: int) -> SparsePoly:
     """Sum of x^(multiset sum) over unordered h-element selections from A_l."""
     out = SparsePoly.zero()
     for combo in combinations_with_replacement(enum_A(w, l), h):
-        out = out + SparsePoly.x_monomial(sum_seqs(*combo))
+        out = out + SparsePoly.term(x=x_exps(sum_seqs(*combo)))
     return out
 
 

@@ -20,15 +20,22 @@ The isobaric operators act on the x variables only:
     pi(i, f)                 = divided_difference(i, x_i * f)
     pi_xi(i, f)              = pi(i, (1 + xi * x_{i+1}) * f)
 
-all implemented term by term: each term's (x_i, x_{i+1}) exponents select a
-packed closed one-pair formula, added to the rest of its key, so no rational
-division ever happens.  No operation promises a storage order; the decoded
-views sort the packed keys, so what they yield depends on the value only.
+all implemented term by term: each term's (x_i, x_{i+1}) exponents (a, b)
+select a packed closed one-pair formula, added to the rest of its key, so no
+rational division ever happens.  There is one table of formulas, the divided
+difference's; pi reads its row (a + 1, b).  No operation promises a storage
+order; the decoded views sort the packed keys, so what they yield depends on
+the value only.
 
-``series_quotient`` divides by a product of binomials 1 - c*m truncated past a
-total T-degree, one pass per factor, never building the product's inverse;
-``series_product`` multiplies by a product of binomials 1 + c*m the same way,
-never building the product.
+Every product runs on one level split and one shifted update: ``_levels``
+splits an operand by total T-degree, and ``_add_shifted`` adds c*m times one
+level into another.  ``mul_trunc`` adds each term of the smaller operand times
+each level of the larger within the bound.  ``series_quotient`` divides by a
+product of binomials 1 - c*m truncated past a total T-degree, and
+``series_product`` multiplies by a product of binomials 1 + c*m; both are one
+pass per factor over the levels (``_binomial_pass``), ascending for the
+quotient and descending for the product, never building the product or its
+inverse.
 """
 
 from __future__ import annotations
@@ -87,6 +94,33 @@ def _checked(key_or: int) -> None:
     """Raise if any key folded into key_or has a field past MAX_EXP."""
     if key_or & _GUARD:
         raise ResourceCapError(f"a product exponent exceeds {MAX_EXP}")
+
+
+def _levels(terms: dict[int, int], D: int) -> list[dict[int, int]]:
+    """terms split by total T-degree into levels 0..D, terms past D dropped.
+    Level D starts as a copy of the terms and the lower terms are split off."""
+    lo, hi = D << TD_SHIFT, (D + 1) << TD_SHIFT
+    top = dict(terms)
+    levels: list[dict[int, int]] = [{} for _ in range(D)]
+    for k in [k for k in top if not lo <= k < hi]:
+        c = top.pop(k)
+        if k < lo:
+            levels[k >> TD_SHIFT][k] = c
+    levels.append(top)
+    return levels
+
+
+def _add_shifted(dst: dict[int, int], src: dict[int, int], m: int, coeff: int) -> None:
+    """dst += coeff * m * src, one dict update per term, zero sums deleted.
+    The caller checks src: a key with a field past MAX_EXP could carry."""
+    get = dst.get
+    for k, c in src.items():
+        k += m
+        s = get(k, 0) + coeff * c
+        if s:
+            dst[k] = s
+        else:
+            del dst[k]
 
 
 def _unpack(part: int) -> tuple[int, ...]:
@@ -188,11 +222,6 @@ class SparsePoly:
     def x_var(cls, i: int) -> "SparsePoly":
         return cls.term(x=(0,) * (i - 1) + (1,))
 
-    @classmethod
-    def x_monomial(cls, eta: tuple[int, ...], coeff: int = 1) -> "SparsePoly":
-        """x^eta for a multiset eta given as a sorted tuple with repeats."""
-        return cls.term(coeff=coeff, x=x_exps(eta))
-
     # -- ring structure -------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -254,22 +283,12 @@ class SparsePoly:
             a, b = b, a
         if tmax is None:
             tmax = (max(a, default=0) >> TD_SHIFT) + (max(b, default=0) >> TD_SHIFT)
-        # b's terms by T-degree, so each term of a meets only those within tmax
-        groups = [[] for _ in range(min(tmax, max(b, default=0) >> TD_SHIFT) + 1)]
-        for k, c in b.items():
-            if k >> TD_SHIFT <= tmax:
-                groups[k >> TD_SHIFT].append((k, c))
+        # b's terms by T-degree, so each term of a meets only the levels within tmax
+        levels = _levels(b, min(tmax, max(b, default=0) >> TD_SHIFT))
         out: dict[int, int] = {}
-        get = out.get
         for ak, ac in a.items():
-            for group in groups[: max(0, tmax + 1 - (ak >> TD_SHIFT))]:
-                for bk, bc in group:
-                    k = ak + bk
-                    s = get(k, 0) + ac * bc
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
+            for level in levels[: max(0, tmax + 1 - (ak >> TD_SHIFT))]:
+                _add_shifted(out, level, ak, ac)
         _checked(reduce(or_, out, 0))
         return SparsePoly(out, _trusted=True)
 
@@ -481,18 +500,8 @@ def _dd_pair(i: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
     return tuple((((a + u) << sa) + ((b - 1 - u) << sb), -1) for u in range(b - a))
 
 
-@lru_cache(maxsize=1 << 14)
-def _pi_pair(i: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
-    """pi on x_i^a x_{i+1}^b as (packed offset, sign) pairs."""
-    sa, sb = _pair_shifts(i)
-    if a >= b:
-        return tuple((((b + u) << sa) + ((a - u) << sb), 1) for u in range(a - b + 1))
-    return tuple(
-        (((a + 1 + u) << sa) + ((b - 1 - u) << sb), -1) for u in range(b - a - 1)
-    )
-
-
-def _apply_pair_table(f: SparsePoly, i: int, table) -> SparsePoly:
+def _apply_pair_table(f: SparsePoly, i: int, da: int) -> SparsePoly:
+    """Each term x_i^a x_{i+1}^b * rest of f replaced by _dd_pair(i, a + da, b) * rest."""
     sa, sb = _pair_shifts(i)
     pair_mask = (_FIELD << sa) | (_FIELD << sb)
     rows: dict[int, tuple[tuple[int, int], ...]] = {}  # packed pair -> its table row
@@ -503,7 +512,7 @@ def _apply_pair_table(f: SparsePoly, i: int, table) -> SparsePoly:
         base = k - pair
         row = rows.get(pair)
         if row is None:
-            row = rows[pair] = table(i, (pair >> sa) & _FIELD, pair >> sb)
+            row = rows[pair] = _dd_pair(i, ((pair >> sa) & _FIELD) + da, pair >> sb)
         for offset, sign in row:
             key = base + offset
             s = get(key, 0) + sign * c
@@ -516,20 +525,20 @@ def _apply_pair_table(f: SparsePoly, i: int, table) -> SparsePoly:
 
 def divided_difference(i: int, f: SparsePoly) -> SparsePoly:
     """(f - s_i f) / (x_i - x_{i+1}), computed without any division."""
-    return _apply_pair_table(f, i, _dd_pair)
+    return _apply_pair_table(f, i, 0)
 
 
 def pi(i: int, f: SparsePoly) -> SparsePoly:
     """The idempotent isobaric operator: divided_difference(i, x_i * f)."""
-    return _apply_pair_table(f, i, _pi_pair)
+    return _apply_pair_table(f, i, 1)
 
 
 def pi_xi(i: int, f: SparsePoly) -> SparsePoly:
     """The xi-deformed operator: pi(i, (1 + xi x_{i+1}) f)."""
-    step = (1 << _pair_shifts(i)[1]) + (1 << XI_SHIFT)
-    extra = {k + step: c for k, c in f.terms.items()}
-    _checked(reduce(or_, extra, 0))
-    return pi(i, f + SparsePoly(extra, _trusted=True))
+    g = dict(f.terms)
+    _add_shifted(g, f.terms, (1 << _pair_shifts(i)[1]) + (1 << XI_SHIFT), 1)
+    _checked(reduce(or_, g, 0))
+    return pi(i, SparsePoly(g, _trusted=True))
 
 
 def pi_word(word: Iterable[int], f: SparsePoly, xi_mode: bool = False) -> SparsePoly:
@@ -558,18 +567,24 @@ def _monomial_factors(factors: Iterable[SparsePoly]) -> list[tuple[int, int, int
     return out
 
 
-def _add_shifted(dst: dict[int, int], src: dict[int, int], m: int, coeff: int) -> None:
-    """dst += coeff * m * src, one dict update per term, zero sums deleted."""
-    # a source key with a field past MAX_EXP could carry into the next field
-    _checked(reduce(or_, src, 0))
-    get = dst.get
-    for k, c in src.items():
-        k += m
-        s = get(k, 0) + coeff * c
-        if s:
-            dst[k] = s
-        else:
-            del dst[k]
+def _binomial_pass(f: SparsePoly, shifts: list[tuple[int, int, int]], D: int,
+                   ascending: bool) -> SparsePoly:
+    """One pass per factor c*m of shifts over f's T-degree levels 0..D: add c*m
+    times each level to the level td(m) above it.  Ascending, each source has
+    already taken its own update, so the pass divides by 1 - c*m; descending,
+    none has, so it multiplies by 1 + c*m.  Terms past D are never formed."""
+    levels = _levels(f.terms, D)
+    for m, coeff, td in shifts:
+        sources = range(D + 1 - td) if ascending else range(D - td, -1, -1)
+        for s in sources:
+            # a source key with a field past MAX_EXP could carry into the next field
+            _checked(reduce(or_, levels[s], 0))
+            _add_shifted(levels[s + td], levels[s], m, coeff)
+    top = levels.pop()
+    for level in levels:
+        top.update(level)
+    _checked(reduce(or_, top, 0))
+    return SparsePoly(top, _trusted=True)
 
 
 def series_quotient(f: SparsePoly, factors: Iterable[SparsePoly], D: int) -> SparsePoly:
@@ -582,47 +597,20 @@ def series_quotient(f: SparsePoly, factors: Iterable[SparsePoly], D: int) -> Spa
     if D < 0:
         raise ValueError(f"truncation degree must be >= 0, got {D}")
     # a term past T-degree MAX_EXP + 1 is never formed: one there already overflows
-    levels: list[dict[int, int]] = [{} for _ in range(min(D, MAX_EXP + 1) + 1)]
-    for k, c in f.terms.items():
-        if k >> TD_SHIFT < len(levels):
-            levels[k >> TD_SHIFT][k] = c
-    for m, coeff, td in _monomial_factors(factors):
-        for src, dst in zip(levels, levels[td:]):
-            _add_shifted(dst, src, m, coeff)
-    out = {k: c for level in levels for k, c in level.items()}
-    _checked(reduce(or_, out, 0))
-    return SparsePoly(out, _trusted=True)
+    return _binomial_pass(f, _monomial_factors(factors), min(D, MAX_EXP + 1), True)
 
 
 def series_product(f: SparsePoly, factors: Iterable[SparsePoly], D: int | None) -> SparsePoly:
     """f * prod over factors (1 + c*m), truncated past total T-degree D (None: exact).
 
     The mirror of ``series_quotient``, with the same single-monomial factors:
-    multiplying by one factor adds c*m times each T-degree level to the level
-    td(m) above it, highest source level first, so no product is ever built.
-    Level D is only a destination; it starts as a copy of f and only the terms
-    below it are split into levels of their own.
+    the same pass, highest source level first, so no product is ever built.
     """
     if D is not None and D < 0:
         raise ValueError(f"truncation degree must be >= 0, got {D}")
     shifts = _monomial_factors(factors)
     exact = f.t_degree() + sum(td for _, _, td in shifts)
-    D = exact if D is None else min(D, exact)
-    lo, hi = D << TD_SHIFT, (D + 1) << TD_SHIFT
-    top = dict(f.terms)
-    levels: list[dict[int, int]] = [{} for _ in range(D)]
-    for k in [k for k in top if not lo <= k < hi]:
-        c = top.pop(k)
-        if k < lo:
-            levels[k >> TD_SHIFT][k] = c
-    levels.append(top)
-    for m, coeff, td in shifts:
-        for s in range(D - td, -1, -1):
-            _add_shifted(levels[s + td], levels[s], m, coeff)
-    for level in levels[:D]:
-        top.update(level)
-    _checked(reduce(or_, top, 0))
-    return SparsePoly(top, _trusted=True)
+    return _binomial_pass(f, shifts, exact if D is None else min(D, exact), False)
 
 
 def series_inverse_product(factors: Iterable[SparsePoly], D: int) -> SparsePoly:

@@ -214,7 +214,8 @@ def test_poset_canonical_invariant_under_relabeling():
 
 def test_scan_registry():
     assert check_names("verify") == [
-        "formofkw", "pxiw1", "diff1", "diff2", "lketa23", "bounds", "multsiw", "fcoeff",
+        "formofkw", "pxiw1", "quadsupport", "diff1", "diff2", "lketa23", "bounds", "multsiw",
+        "fcoeff",
     ]
     assert check_names("scan") == ["poset", "siinc", "formpw3", "formpw2bound"]
     assert list(CHECKS) == check_names("verify") + check_names("scan")

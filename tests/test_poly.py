@@ -227,6 +227,18 @@ def test_pi_fixes_symmetric_and_extends_dd(p, i):
     assert pi(i, p) == divided_difference(i, xi_poly * p)
 
 
+@pytest.mark.parametrize("i", [1, NVARS - 1])
+@pytest.mark.parametrize("a, b", [(MAX_EXP, 0), (0, MAX_EXP), (MAX_EXP, MAX_EXP)])
+def test_pi_at_the_top_exponent(i, a, b):
+    # pi on x_i^a x_{i+1}^b is the sum of x_i^u x_{i+1}^(a+b-u) over b <= u <= a
+    # if a >= b, and minus that sum over a < u < b otherwise.  At a = MAX_EXP the
+    # operator reads the divided-difference row a + 1, one past every field.
+    us, sign = (range(b, a + 1), 1) if a >= b else (range(a + 1, b), -1)
+    pad = (0,) * (i - 1)
+    closed = SparsePoly({(pad + (u, a + b - u), (), 0): sign for u in us})
+    assert pi(i, SparsePoly.term(x=pad + (a, b))) == closed
+
+
 @given(polys, polys, letters)
 def test_dd_leibniz(p, q, i):
     lhs = divided_difference(i, p * q)

@@ -285,7 +285,7 @@ def test_clear_caches_empties_every_cache():
     assert sorted(sizes) == [
         "bseq._A_CACHE", "bseq._A_SET_CACHE", "counts._level_selections",
         "multisets._BTILDE_CACHE", "multisets._B_CACHE", "multisets._C_CACHE",
-        "poly._dd_pair", "poly._pi_pair", "series._KEY_CACHE", "series._P_CACHE",
+        "poly._dd_pair", "series._KEY_CACHE", "series._P_CACHE",
     ]
     assert all(sizes.values()), sizes
     keyseries.clear_caches()
