@@ -7,17 +7,23 @@ only through that bound, which is what the cache keys on.
 
 Levels l beyond the one-line word are allowed (values behave as fixed points),
 because ascent-step bookkeeping needs them even for the identity.
+
+``a_keys(bound)`` holds the same sets as packed x-monomial keys
+(``poly.multiset_key``), the form that the multiset sums and the numerator
+induction work in: a multiset union is one integer add.
 """
 
 from __future__ import annotations
 
 from .permutation import Permutation
+from .poly import multiset_key
 
 __all__ = [
     "AscSeq",
     "w_upper",
     "enum_A",
     "enum_A_set",
+    "a_keys",
     "split_A",
     "si_image",
     "moved_levels",
@@ -27,8 +33,9 @@ __all__ = [
 # A strictly increasing tuple of positive integers.
 AscSeq = tuple[int, ...]
 
+# Both keyed by the bound: the sequences, and their packed x-keys.
 _A_CACHE: dict[tuple[int, ...], tuple[AscSeq, ...]] = {}
-_A_SET_CACHE: dict[tuple[int, ...], frozenset[AscSeq]] = {}
+_A_SET_CACHE: dict[tuple[int, ...], frozenset[int]] = {}
 
 
 def w_upper(w: Permutation, l: int) -> tuple[int, ...]:
@@ -45,7 +52,12 @@ def enum_A(w: Permutation, l: int) -> tuple[AscSeq, ...]:
 
     Lexicographically sorted.  The identity bound (1..l) gives the singleton.
     """
-    bound = w_upper(w, l)
+    return _bounded(w_upper(w, l))
+
+
+def _bounded(bound: tuple[int, ...]) -> tuple[AscSeq, ...]:
+    """enum_A for a bound, memoised on it."""
+    l = len(bound)
     cached = _A_CACHE.get(bound)
     if cached is not None:
         return cached
@@ -67,11 +79,16 @@ def enum_A(w: Permutation, l: int) -> tuple[AscSeq, ...]:
 
 
 def enum_A_set(w: Permutation, l: int) -> frozenset[AscSeq]:
-    bound = w_upper(w, l)
+    """``enum_A`` as a set, for membership tests on sequences (not memoised)."""
+    return frozenset(enum_A(w, l))
+
+
+def a_keys(bound: tuple[int, ...]) -> frozenset[int]:
+    """The packed x-keys (``poly.multiset_key``) of the sequences bounded by
+    ``bound``, one level's members for sums and membership, memoised on it."""
     cached = _A_SET_CACHE.get(bound)
     if cached is None:
-        cached = frozenset(enum_A(w, l))
-        _A_SET_CACHE[bound] = cached
+        cached = _A_SET_CACHE[bound] = frozenset(map(multiset_key, _bounded(bound)))
     return cached
 
 

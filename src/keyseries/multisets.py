@@ -12,8 +12,15 @@ A triple sum tau of levels p <= k <= l lies in C_{p,k,l} when each of its
 three partial sums can land in the matching B.  Each member of B is itself a
 pair sum, so C_{p,k,l} is the intersection of the three sum sets
 B_{k,l} + A_p, B_{p,l} + A_k and B_{p,k} + A_l, which is how ``enum_C``
-builds it.  B and C, like B-tilde, depend on w only through the bounds
-``w_upper(w, m)`` of their levels and are memoised on them.
+builds it.
+
+B-tilde, B and C are built and memoised as packed x-monomial keys
+(``poly.multiset_key``), where a multiset union is one integer add and
+|eta_2| is a bit count: ``packed_Btilde``, ``packed_B`` and ``packed_C``,
+keyed by the bounds ``w_upper(w, m)`` of their levels, through which alone
+they depend on w.  Each holds its keys in the order of their sorted tuples;
+``enum_Btilde``, ``enum_B`` and ``enum_C`` decode them to those tuples.
+``sum_seqs`` is the tuple form of the same union, kept for ``enum_Ctilde``.
 """
 
 from __future__ import annotations
@@ -21,9 +28,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bseq import AscSeq, enum_A, enum_A_set, w_upper
+from .bseq import AscSeq, a_keys, enum_A, enum_A_set, w_upper
 from .config import InvariantError
 from .permutation import Permutation
+from .poly import FIELD_BITS, NVARS, key_multisets
 
 __all__ = [
     "EtaMultiSet",
@@ -34,6 +42,8 @@ __all__ = [
     "eta_minus",
     "enum_Btilde",
     "enum_B",
+    "packed_Btilde",
+    "packed_B",
     "restricted_A",
     "restricted_max",
     "extremal_presentation",
@@ -41,6 +51,7 @@ __all__ = [
     "presentations_direct",
     "enum_C",
     "enum_Ctilde",
+    "packed_C",
 ]
 
 # Sorted tuple with repeats; multiplicity of each value at most 2 in the
@@ -91,28 +102,85 @@ def _contains(eta: EtaMultiSet, sub: EtaMultiSet) -> bool:
     return all(any(v == u for u in it) for v in sub)
 
 
-# Keyed by the bounds w_upper(w, m) of the levels involved, smallest level first.
-_BTILDE_CACHE: dict[tuple[tuple[int, ...], ...], tuple[EtaMultiSet, ...]] = {}
-_B_CACHE: dict[tuple[tuple[int, ...], ...], tuple[EtaMultiSet, ...]] = {}
-_C_CACHE: dict[tuple[tuple[int, ...], ...], tuple[EtaMultiSet, ...]] = {}
+# Keyed by the bounds w_upper(w, m) of the levels involved, smallest level
+# first.  Each holds packed x-keys in the order of their sorted tuples; C's
+# dict keys also serve membership.
+_BTILDE_CACHE: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
+_B_CACHE: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
+_C_CACHE: dict[tuple[tuple[int, ...], ...], dict[int, None]] = {}
+
+# The lowest bit of every x field: for a key whose fields are at most 2,
+# ((key >> 1) & _UNITS).bit_count() is the number of doubled values |eta_2|.
+_UNITS = sum(1 << (FIELD_BITS * f) for f in range(NVARS))
+_X_BYTES = (FIELD_BITS * NVARS + 7) // 8
+
+
+def _decoded(key: int) -> EtaMultiSet:
+    return key_multisets(key)[0]
+
+
+def _in_tuple_order(keys) -> list[int]:
+    """Packed keys of equal-size multisets, ordered as their sorted tuples.
+
+    Where two such tuples first differ, the one with more copies of the
+    smallest value where their counts differ comes first: the order is the
+    fields from x_1 up, descending.  While every field is below 16 (counts
+    here are at most 3) it lies whole in one byte or high nibble of the
+    key's little-endian bytes, which therefore compare the fields in that
+    order, without a decode.
+    """
+    return sorted(keys, key=lambda key: key.to_bytes(_X_BYTES, "little"), reverse=True)
+
+
+def packed_Btilde(k_bound: tuple[int, ...], l_bound: tuple[int, ...]) -> tuple[int, ...]:
+    """The sums alpha + beta over the sequences bounded by l_bound and by
+    k_bound, as packed keys in tuple order."""
+    key = (k_bound, l_bound)
+    cached = _BTILDE_CACHE.get(key)
+    if cached is None:
+        betas = a_keys(k_bound)
+        cached = _BTILDE_CACHE[key] = tuple(
+            _in_tuple_order({alpha + beta for alpha in a_keys(l_bound) for beta in betas})
+        )
+    return cached
+
+
+def packed_B(k_bound: tuple[int, ...], l_bound: tuple[int, ...]) -> tuple[int, ...]:
+    """The members of ``packed_Btilde`` with |eta_2| < k - [k = l], in its order."""
+    key = (k_bound, l_bound)
+    cached = _B_CACHE.get(key)
+    if cached is None:
+        k = len(k_bound)
+        cap = k - (k == len(l_bound))
+        cached = _B_CACHE[key] = tuple(
+            eta for eta in packed_Btilde(k_bound, l_bound)
+            if ((eta >> 1) & _UNITS).bit_count() < cap
+        )
+    return cached
+
+
+def packed_C(p_bound: tuple[int, ...], k_bound: tuple[int, ...],
+             l_bound: tuple[int, ...]) -> dict[int, None]:
+    """C_{p,k,l} for the bounds of its three levels: the intersection of
+    B_{k,l} + A_p, B_{p,l} + A_k and B_{p,k} + A_l, each an integer sum, as a
+    dict of packed keys in tuple order."""
+    key = (p_bound, k_bound, l_bound)
+    cached = _C_CACHE.get(key)
+    if cached is None:
+        common = set.intersection(*(
+            {eta + gamma for eta in packed_B(a, b) for gamma in a_keys(m)}
+            for a, b, m in ((k_bound, l_bound, p_bound), (p_bound, l_bound, k_bound),
+                            (p_bound, k_bound, l_bound))
+        ))
+        cached = _C_CACHE[key] = dict.fromkeys(_in_tuple_order(common))
+    return cached
 
 
 def enum_Btilde(w: Permutation, k: int, l: int) -> tuple[EtaMultiSet, ...]:
     """All sums alpha + beta with alpha of level l and beta of level k, sorted."""
     if not 1 <= k <= l:
         raise ValueError(f"need 1 <= k <= l, got k={k}, l={l}")
-    key = (w_upper(w, k), w_upper(w, l))
-    cached = _BTILDE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    sums = {
-        sum_seqs(alpha, beta)
-        for alpha in enum_A(w, l)
-        for beta in enum_A(w, k)
-    }
-    result = tuple(sorted(sums))
-    _BTILDE_CACHE[key] = result
-    return result
+    return tuple(map(_decoded, packed_Btilde(w_upper(w, k), w_upper(w, l))))
 
 
 def enum_B(w: Permutation, k: int, l: int) -> tuple[EtaMultiSet, ...]:
@@ -120,14 +188,7 @@ def enum_B(w: Permutation, k: int, l: int) -> tuple[EtaMultiSet, ...]:
     presentations, via the cheap criterion."""
     if not 1 <= k <= l:
         raise ValueError(f"need 1 <= k <= l, got k={k}, l={l}")
-    key = (w_upper(w, k), w_upper(w, l))
-    cached = _B_CACHE.get(key)
-    if cached is None:
-        delta = 1 if k == l else 0
-        cached = _B_CACHE[key] = tuple(
-            eta for eta in enum_Btilde(w, k, l) if len(eta_parts(eta)[1]) < k - delta
-        )
-    return cached
+    return tuple(map(_decoded, packed_B(w_upper(w, k), w_upper(w, l))))
 
 
 def restricted_A(w: Permutation, m: int, eta: EtaMultiSet) -> tuple[AscSeq, ...]:
@@ -295,20 +356,9 @@ def enum_C(w: Permutation, p: int, k: int, l: int) -> tuple[EtaMultiSet, ...]:
 
     The three requirements may be witnessed by different presentations of the
     same tau.  Every member of B is itself a sum, so tau qualifies exactly
-    when it lies in each of B_{k,l} + A_p, B_{p,l} + A_k and B_{p,k} + A_l;
-    the result is that intersection, sorted.
+    when it lies in each of B_{k,l} + A_p, B_{p,l} + A_k and B_{p,k} + A_l
+    (``packed_C``); the result is that intersection, sorted.
     """
     if not 1 <= p <= k <= l:
         raise ValueError(f"need 1 <= p <= k <= l, got {(p, k, l)}")
-    key = (w_upper(w, p), w_upper(w, k), w_upper(w, l))
-    cached = _C_CACHE.get(key)
-    if cached is not None:
-        return cached
-    common = set.intersection(*(
-        {sum_seqs(eta, gamma) for eta in enum_B(w, a, b) for gamma in enum_A(w, m)}
-        for a, b, m in ((k, l, p), (p, l, k), (p, k, l))
-    ))
-    result = tuple(sorted(common))
-    _C_CACHE[key] = result
-    return result
-
+    return tuple(map(_decoded, packed_C(w_upper(w, p), w_upper(w, k), w_upper(w, l))))

@@ -13,7 +13,10 @@ The multiplicity tables are packed views, `MultView`: a lookup packs its key
 and reads the numerator's terms, and only iteration decodes the slice, lazily
 and in ascending packed-key order, a function of the polynomial's value only.
 `check_lketa23` builds its rows (B set, presentations, position patterns) once
-per bound w_upper(w, k), in strata local to one sweep.
+per bound w_upper(w, k), in strata local to one sweep.  `scan_formpw3` reads
+no table: it groups P_w's cubic terms by T-monomial (`SparsePoly.t_strata`)
+and compares each group's packed keys with `multisets.packed_C` by set
+difference, decoding only what it reports.
 
 Every check and scan is a function of one permutation w and its numerator
 P_w, run over S_n by `sweep`, which lives in `permutation` with `ScanOutcome`
@@ -37,12 +40,12 @@ from .config import InvariantError
 from .multisets import (
     enum_B,
     enum_Btilde,
-    enum_C,
     eta_parts,
+    packed_C,
     presentations,
 )
 from .permutation import Permutation, ScanOutcome, chain_value, sweep
-from .poly import SparsePoly, x_exps
+from .poly import SparsePoly, key_multisets, multiset_key, x_exps
 from .series import n_factor_product, numerator_carry, numerator_P
 
 __all__ = [
@@ -245,11 +248,12 @@ def check_diff1(n: int) -> ScanOutcome:
         checked = 0
         for k in range(1, n + 1):
             for l in range(k, n + 1):
+                b_set = set(enum_B(w, k, l))
                 for eta in enum_Btilde(w, k, l):
                     if _r_value(k, l, eta) != 1:
                         continue
                     checked += 1
-                    expect = 1 if eta in enum_B(w, k, l) else 0
+                    expect = 1 if eta in b_set else 0
                     got = quad.get((k, l, eta), 0)
                     if got != expect:
                         ces.append(
@@ -670,39 +674,48 @@ def scan_formpw3(n: int) -> ScanOutcome:
 
     Two claims, recorded separately: "support" (every cubic term sits in the
     matching C set) and "positivity" (every C element carries multiplicity
-    at least 1).
+    at least 1).  Both compare packed keys: P_w's T-degree-3 terms grouped by
+    T-monomial against the keys of ``packed_C``, whose order (that of the
+    sorted tuples) is the order of the positivity findings; support findings
+    come in ascending key order.  Only findings are decoded, through one text
+    memo held for this sweep.
     """
+    strata = [(levels, multiset_key(levels=levels))
+              for levels in itertools.combinations_with_replacement(range(1, n + 1), 3)]
+    fixed = {t for _, t in strata}
+    texts: dict[int, str] = {}  # packed tau -> its text
+
+    def text(tau: int) -> str:
+        if tau not in texts:
+            texts[tau] = format_seq(key_multisets(tau)[0])
+        return texts[tau]
 
     def one(w: Permutation, p_w: SparsePoly):
         w_text = w.one_line()  # one string shared by every finding of w
-        # each stratum's cubic terms, in ascending packed-key order
-        by_stratum: dict[tuple[int, int, int], dict[tuple[int, ...], int]] = {}
-        for (p, k, l, tau), m in cubic_multiplicities(w, p_w).items():
-            by_stratum.setdefault((p, k, l), {})[tau] = m
-        strata = set(by_stratum)
-        strata.update(itertools.combinations_with_replacement(range(1, n + 1), 3))
+        by_t = p_w.t_strata(3)
+        own = strata
+        if extra := by_t.keys() - fixed:
+            own = sorted(strata + [(key_multisets(t)[1], t) for t in extra])
+        top = max(levels[-1] for levels, _ in own)
+        bounds = [()] + [w_upper(w, m) for m in range(1, top + 1)]
         ces: list[dict] = []
         checked = 0
         c_elements = 0
-        for levels in sorted(strata):
-            cs = enum_C(w, *levels)
-            terms = by_stratum.get(levels, {})
+        for levels, t in own:
+            p, k, l = levels
+            cs = packed_C(bounds[p], bounds[k], bounds[l])
+            terms = by_t.get(t, {})
             c_elements += len(cs)
             checked += len(cs) + len(terms)
+            get = terms.get
             for tau in cs:
-                m = terms.get(tau, 0)
+                m = get(tau, 0)
                 if m < 1:
-                    ces.append(
-                        {"claim": "positivity", "w": w_text,
-                         "levels": levels, "tau": format_seq(tau), "m": m}
-                    )
-            cset = frozenset(cs)
-            for tau, m in terms.items():
-                if tau not in cset:
-                    ces.append(
-                        {"claim": "support", "w": w_text,
-                         "levels": levels, "tau": format_seq(tau), "m": m}
-                    )
+                    ces.append({"claim": "positivity", "w": w_text,
+                                "levels": levels, "tau": text(tau), "m": m})
+            for tau in sorted(terms.keys() - cs.keys()):
+                ces.append({"claim": "support", "w": w_text,
+                            "levels": levels, "tau": text(tau), "m": terms[tau]})
         return ces, {"terms": checked, "c_elements": c_elements}
 
     return sweep("formpw3", n, one, numerator_carry(tmax=3))

@@ -13,6 +13,8 @@ fields, and a product, exponent or variable index that does not fit raises
 ``(x, t, xi)``; ``exponent_items`` and ``multiset_items`` decode each distinct
 x-part and T-part once per call, in packed-key order, and ``render`` gives
 the text and JSON forms from one sorted pass that renders each part once.
+``multiset_key`` and ``key_multisets`` convert between a key and the sorted
+index multisets (eta, levels) of x^eta T^levels, the multiset layer's form.
 
 The isobaric operators act on the x variables only:
 
@@ -49,8 +51,8 @@ from .config import ResourceCapError
 
 __all__ = [
     "FIELD_BITS", "MAX_EXP", "NVARS", "Monomial", "SparsePoly", "divided_difference",
-    "pi", "pi_xi", "pi_word", "series_inverse_product", "series_product", "series_quotient",
-    "x_exps",
+    "key_multisets", "multiset_key", "pi", "pi_xi", "pi_word", "series_inverse_product",
+    "series_product", "series_quotient", "x_exps",
 ]
 
 # (x exponents, T exponents, xi exponent); tuple index 0 holds x_1 / T_1, no trailing zeros.
@@ -144,6 +146,17 @@ def _unpack_multiset(part: int) -> tuple[int, ...]:
     return out
 
 
+def multiset_key(eta: tuple[int, ...] = (), levels: tuple[int, ...] = ()) -> int:
+    """The packed key of x^eta T^levels, both sorted index multisets: (1, 1, 3)
+    is x1^2*x3.  The key of a sum of multisets is the sum of their keys."""
+    return _pack(x_exps(eta), x_exps(levels), 0)
+
+
+def key_multisets(key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(eta, levels) of a xi-free packed key: the inverse of multiset_key."""
+    return _unpack_multiset(key & _PART), _unpack_multiset((key >> T_SHIFT) & _PART)
+
+
 def _part_view(part: int, name: str) -> tuple[tuple[int, ...], str, dict[str, int]]:
     """An x-part or T-part (name "x" or "T") as its exponent tuple, its text
     factors ("x1*x3^2", "" for no variable) and its JSON exponent dict."""
@@ -217,6 +230,11 @@ class SparsePoly:
     def term(cls, coeff: int = 1, x: tuple[int, ...] = (), t: tuple[int, ...] = (),
              xi: int = 0) -> "SparsePoly":
         return cls({_pack(x, t, xi): coeff} if coeff else {}, _trusted=True)
+
+    @classmethod
+    def from_key(cls, key: int, coeff: int = 1) -> "SparsePoly":
+        """The single term coeff*m of a packed monomial key m (``multiset_key``)."""
+        return cls({key: coeff} if coeff else {}, _trusted=True)
 
     @classmethod
     def x_var(cls, i: int) -> "SparsePoly":
@@ -302,6 +320,17 @@ class SparsePoly:
         lo, hi = d << TD_SHIFT, (d + 1) << TD_SHIFT
         return SparsePoly({k: c for k, c in self.terms.items() if lo <= k < hi},
                           _trusted=True)
+
+    def t_strata(self, d: int) -> dict[int, dict[int, int]]:
+        """The terms of total T-degree d grouped by T-monomial: the packed key
+        of the bare T-monomial -> {the rest of the key (x and xi): coeff}."""
+        lo, hi, low = d << TD_SHIFT, (d + 1) << TD_SHIFT, (1 << T_SHIFT) - 1
+        out: dict[int, dict[int, int]] = {}
+        for k, c in self.terms.items():
+            if lo <= k < hi:
+                rest = k & low
+                out.setdefault(k - rest, {})[rest] = c
+        return out
 
     def count_below(self, d: int) -> int:
         """Number of terms of total T-degree below d, counted without a copy."""

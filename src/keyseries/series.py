@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .bseq import enum_A, moved_levels, si_image, split_A
+from .bseq import a_keys, enum_A, moved_levels, w_upper
 from .config import InvariantError
 from .permutation import (
     Carry, Permutation, ScanOutcome, all_permutations, chain_value, cover_mismatches,
@@ -39,6 +39,7 @@ from .permutation import (
 from .poly import (
     Monomial,
     SparsePoly,
+    multiset_key,
     pi,
     pi_xi,
     series_product,
@@ -164,14 +165,23 @@ _P_CACHE: dict[tuple[tuple[bool, int | None], tuple[int, ...]], SparsePoly] = {}
 
 def _n_factors(w: Permutation, i: int) -> list[SparsePoly]:
     """The monomials -x^{s_i alpha} T_l over sequences moved at an ascent i, so
-    that N_{w,i} is the product of the binomials 1 + m."""
+    that N_{w,i} is the product of the binomials 1 + m.
+
+    Read off the packed members of each level set (``bseq.a_keys``): with
+    delta = x_{i+1} - x_i as a key difference, alpha moves exactly when its
+    x_i field is 1, its x_{i+1} field is 0 and alpha + delta, its s_i image,
+    is not a member.  The factor is then -x^{alpha + delta} T_l.
+    """
     if not w.is_ascent(i):
         raise ValueError(f"{i} is not an ascent of {w.one_line()}")
+    lo, hi = multiset_key((i,)), multiset_key((i + 1,))
     out = []
     for l in moved_levels(w, i):
-        tvec = (0,) * (l - 1) + (1,)
-        for alpha in split_A(w, l, i)[1]:
-            out.append(SparsePoly.term(-1, x=x_exps(si_image(i, alpha)), t=tvec))
+        members = a_keys(w_upper(w, l))
+        shift = hi - lo + multiset_key(levels=(l,))
+        for alpha in members:  # member fields are 0 or 1, so one bit tests each
+            if alpha & lo and not alpha & hi and alpha + hi - lo not in members:
+                out.append(SparsePoly.from_key(alpha + shift, -1))
     return out
 
 

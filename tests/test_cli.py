@@ -181,6 +181,9 @@ ANSWER_PINS = {
     "sets-4123-C123": (
         ("sets", "--w", "4123", "--C", "1,2,3"),
         "298c1e0fe34d4e984561bc5cf65742a122dfde35e374df861aeca396981f5cc5"),
+    "sets-4715263-C235": (
+        ("sets", "--w", "4715263", "--C", "2,3,5"),
+        "858294fe04a42a22b955897b1ca12af54aaa4d1b6fc408e2e2b5aca89c55ef52"),
 }
 
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 import keyseries
 from keyseries import multisets
-from keyseries.bseq import enum_A, format_seq
-from keyseries.config import InvariantError
+from keyseries.bseq import enum_A, format_seq, w_upper
+from keyseries.config import InvariantError, ResourceCapError
 from keyseries.multisets import (
     enum_B,
     enum_Btilde,
@@ -277,6 +277,57 @@ def test_enum_C_matches_triple_enumeration():
                 expected = _C_by_triples(w, p, k, l)
                 assert enum_C(w, p, k, l) == expected, (w.one_line(), p, k, l)
                 assert enum_C(w, p, k, l) == expected, (w.one_line(), p, k, l)
+
+
+def _sums_by_definition(w, n):
+    """B-tilde, B and C of w at every level choice up to n + 1 by their
+    definitions, with tuple sums (sum_seqs) and eta_parts; memoised on the
+    bounds of the levels, through which alone the sets depend on w."""
+    levels = range(1, n + 2)
+    bound = {m: w_upper(w, m) for m in levels}
+    btilde, b = {}, {}
+    for k, l in itertools.combinations_with_replacement(levels, 2):
+        key = (bound[k], bound[l])
+        if key not in btilde:
+            btilde[key] = tuple(sorted({
+                sum_seqs(alpha, beta) for alpha in enum_A(w, l) for beta in enum_A(w, k)
+            }))
+            cap = k - (1 if k == l else 0)
+            b[key] = tuple(eta for eta in btilde[key] if len(eta_parts(eta)[1]) < cap)
+    c = {}
+    for p, k, l in itertools.combinations_with_replacement(levels, 3):
+        key = (bound[p], bound[k], bound[l])
+        if key not in c:
+            sums = [
+                {sum_seqs(eta, gamma) for eta in b[(bound[x], bound[y])] for gamma in enum_A(w, z)}
+                for x, y, z in ((k, l, p), (p, l, k), (p, k, l))
+            ]
+            c[key] = tuple(sorted(set.intersection(*sums)))
+    return bound, btilde, b, c
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_packed_sums_match_tuple_sums(n):
+    # Every level choice, including one past n where values are fixed points.
+    keyseries.clear_caches()
+    for w in all_permutations(n):
+        bound, btilde, b, c = _sums_by_definition(w, n)
+        for k, l in itertools.combinations_with_replacement(range(1, n + 2), 2):
+            key = (bound[k], bound[l])
+            assert enum_Btilde(w, k, l) == btilde[key], (w.one_line(), k, l)
+            assert enum_B(w, k, l) == b[key], (w.one_line(), k, l)
+        for p, k, l in itertools.combinations_with_replacement(range(1, n + 2), 3):
+            assert enum_C(w, p, k, l) == c[(bound[p], bound[k], bound[l])], (
+                w.one_line(), p, k, l)
+
+
+def test_sums_past_x9_are_resource_errors():
+    # A level past 9 brings in the value 10, which no packed key can hold.
+    for enum in (enum_Btilde, enum_B):
+        with pytest.raises(ResourceCapError, match="x10"):
+            enum(W, 2, 10)
+    with pytest.raises(ResourceCapError, match="x10"):
+        enum_C(W, 1, 2, 10)
 
 
 def test_level_ordering_enforced():

@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 
 import pytest
 
 from keyseries.cli import CHECKS, check_names
 from keyseries.config import InvariantError
-from keyseries.multisets import enum_B
+from keyseries import mults
+from keyseries.bseq import format_seq
+from keyseries.multisets import enum_B, enum_C
 from keyseries.mults import (
     MultView,
     N_quadratic,
@@ -326,6 +329,56 @@ def test_pinned_bodies_ignore_term_order(name, monkeypatch):
     n, digest = PINNED_BODIES[name]
     assert body_digest(outcome_report(PINNED_FUNCTIONS[name](n), {}, 0)) == digest
     assert len(calls) > 0
+
+
+def test_formpw3_reports_injected_faults(monkeypatch):
+    # 3142 is clean at n=4: its one cubic stratum (1,2,3) is C = {112234,
+    # 112334}, each with m = 1.  Hand the scan a P_w that gains 2*x^112233
+    # outside C, drops 112234 and turns 112334 to -1, and also gains a term
+    # on T4^2*T5, a stratum past n (its C is empty); the walk's own carry is
+    # untouched, so no other w changes.
+    target = parse_permutation("3142")
+    assert enum_C(target, 1, 2, 3) == ((1, 1, 2, 2, 3, 4), (1, 1, 2, 3, 3, 4))
+    t123 = x_exps((1, 2, 3))
+    fault = (SparsePoly.term(2, x=x_exps((1, 1, 2, 2, 3, 3)), t=t123)
+             - SparsePoly.term(1, x=x_exps((1, 1, 2, 2, 3, 4)), t=t123)
+             - SparsePoly.term(2, x=x_exps((1, 1, 2, 3, 3, 4)), t=t123)
+             + SparsePoly.term(x=x_exps((1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5)),
+                               t=x_exps((4, 4, 5))))
+    real_sweep = mults.sweep
+
+    def faulty_sweep(name, n, one, carry):
+        return real_sweep(name, n, lambda w, p: one(w, p + fault if w == target else p), carry)
+
+    clean = scan_formpw3(4).counterexamples
+    assert not [ce for ce in clean if ce["w"] == "3142"]
+    monkeypatch.setattr(mults, "sweep", faulty_sweep)
+    found = scan_formpw3(4).counterexamples
+    assert [ce for ce in found if ce["w"] == "3142"] == [
+        {"claim": "positivity", "w": "3142", "levels": (1, 2, 3), "tau": "112234", "m": 0},
+        {"claim": "positivity", "w": "3142", "levels": (1, 2, 3), "tau": "112334", "m": -1},
+        {"claim": "support", "w": "3142", "levels": (1, 2, 3), "tau": "112233", "m": 2},
+        {"claim": "support", "w": "3142", "levels": (4, 4, 5), "tau": "1112223334445", "m": 1},
+    ]
+    assert [ce for ce in found if ce["w"] != "3142"] == clean
+
+
+def test_formpw3_reports_all_of_c_on_an_empty_stratum():
+    # A stratum with no cubic term (2,2,2 at eight w of S4, among them 2413)
+    # reports every C element, in tuple order, with m = 0.
+    found = scan_formpw3(4).counterexamples
+    empty = 0
+    for w in all_permutations(4):
+        cubic = {key[:3] for key in cubic_multiplicities(w).keys()}
+        for levels in itertools.combinations_with_replacement(range(1, 5), 3):
+            cs = enum_C(w, *levels)
+            if levels in cubic or not cs:
+                continue
+            empty += 1
+            assert [(ce["claim"], ce["tau"], ce["m"]) for ce in found
+                    if ce["w"] == w.one_line() and ce["levels"] == levels] == [
+                ("positivity", format_seq(tau), 0) for tau in cs]
+    assert empty == 8
 
 
 @pytest.mark.slow

@@ -4,6 +4,7 @@ import importlib
 import json
 import pkgutil
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, strategies as st
 
 import keyseries
 from keyseries import counts, poly, report, series
-from keyseries.cli import main
+from keyseries.cli import CHECKS, main
 
 from keyseries.config import (
     ABSOLUTE_MAX_N,
@@ -290,6 +291,31 @@ def test_clear_caches_empties_every_cache():
     assert all(sizes.values()), sizes
     keyseries.clear_caches()
     assert not any(keyseries.cache_stats().values()), keyseries.cache_stats()
+
+
+def _module_containers() -> dict[str, int]:
+    """Size of every module-level dict, set and list of the keyseries modules."""
+    return {
+        f"{modname}.{name}": len(obj)
+        for modname, module in sorted(sys.modules.items())
+        if modname.startswith("keyseries.")
+        for name, obj in vars(module).items()
+        if isinstance(obj, (dict, set, list))
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_sweeps_grow_only_listed_tables(name):
+    # A module-level container that a sweep fills is a memo table, so it must
+    # be one that cache_stats() lists and clear_caches() empties.
+    keyseries.clear_caches()
+    before = _module_containers()
+    _, fn, rank, further = CHECKS[name]
+    fn(min(rank, 4), *further.values())
+    grown = {key for key, size in _module_containers().items() if size > before.get(key, 0)}
+    listed = {f"keyseries.{label}" for label in keyseries.cache_stats()}
+    assert grown, name  # every sweep fills at least the A sets
+    assert grown <= listed, sorted(grown - listed)
 
 
 def test_sweeps_hold_no_numerator_memo():

@@ -162,6 +162,24 @@ def staged_numerator(w, xi_mode, tmax, memo):
     return memo[w.core]
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_n_factors_match_split_A(n):
+    # The packed-key factors against the split_A/si_image construction, at
+    # every ascent of every w: the same monomials -x^{s_i alpha} T_l.
+    for w in all_permutations(n):
+        for i in range(1, n):
+            if not w.is_ascent(i):
+                with pytest.raises(ValueError, match="not an ascent"):
+                    series._n_factors(w, i)
+                continue
+            expected = sorted(
+                ((x_exps(si_image(i, alpha)), (0,) * (l - 1) + (1,), 0), -1)
+                for l in moved_levels(w, i) for alpha in split_A(w, l, i)[1]
+            )
+            got = sorted(term for f in series._n_factors(w, i) for term in f.exponent_items())
+            assert got == expected, (w.one_line(), i)
+
+
 @pytest.mark.parametrize("n, tmax", [(5, 2), (5, 3), (5, 4), (4, None)])
 @pytest.mark.parametrize("xi_mode", [False, True])
 def test_numerator_matches_staged_products(n, tmax, xi_mode):
