@@ -219,7 +219,7 @@ def cmd_pw(args, cfg: EngineConfig) -> int:
             tmax = args.tdeg
         elif tmax > args.tdeg:
             raise ValueError(f"--grade {tmax} is above --tdeg {args.tdeg}")
-    poly = numerator_P(w, xi_mode=args.xi, tmax=tmax)
+    poly = numerator_P(w, xi_mode=args.xi, tmax=tmax, max_terms=cfg.max_terms)
     if args.grade is not None:
         poly = poly.t_slice(args.grade)
     params = {"w": w.one_line(), "xi": args.xi, "grade": args.grade,

@@ -1,7 +1,9 @@
 """Runtime caps for the batch commands.
 
 An optional config file (plain key=value lines, # comments) sets the sweep
-caps `max_n` and `max_tdeg`; any other key, or a key set twice, is an error.
+caps `max_n` and `max_tdeg` and `max_terms`, the most terms a numerator
+computed by `pw` may reach, in its induction's products or as its value; any
+other key, or a key set twice, is an error.
 Requests beyond the caps are refused rather than attempted: factorial sweeps
 and exact series arithmetic grow too fast for a polite failure later.  The
 package's two error types live here too.
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 ABSOLUTE_MAX_N = 9
 
-_KEYS = ("max_n", "max_tdeg")
+_KEYS = ("max_n", "max_tdeg", "max_terms")
 
 
 class ResourceCapError(Exception):
@@ -31,6 +33,7 @@ class InvariantError(Exception):
 class EngineConfig:
     max_n: int = 7
     max_tdeg: int = 8
+    max_terms: int = 1_000_000
 
     def check_rank(self, n: int) -> None:
         if n > ABSOLUTE_MAX_N:

@@ -16,7 +16,7 @@ and in ascending packed-key order, a function of the polynomial's value only.
 per bound w_upper(w, k), in strata local to one sweep.  `scan_formpw3` reads
 no table: it groups P_w's cubic terms by T-monomial (`SparsePoly.t_strata`)
 and compares each group's packed keys with `multisets.packed_C` by set
-difference, decoding only what it reports.
+difference, holding what it finds as packed rows (`permutation.Findings`).
 
 Every check and scan is a function of one permutation w and its numerator
 P_w, run over S_n by `sweep`, which lives in `permutation` with `ScanOutcome`
@@ -32,8 +32,10 @@ are listed once, with the subcommand that runs each, in `cli.CHECKS`.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from array import array
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import Any
 
 from .bseq import format_seq, w_upper
 from .config import InvariantError
@@ -44,7 +46,7 @@ from .multisets import (
     packed_C,
     presentations,
 )
-from .permutation import Permutation, ScanOutcome, chain_value, sweep
+from .permutation import Findings, Permutation, ScanOutcome, chain_value, sweep
 from .poly import SparsePoly, key_multisets, multiset_key, x_exps
 from .series import n_factor_product, numerator_carry, numerator_P
 
@@ -669,6 +671,20 @@ def scan_siinc(n: int) -> ScanOutcome:
     return sweep("siinc", n, one, numerator_carry(tmax=2))
 
 
+def _table_ids(table: list, decode: Callable[[Any], Any]) -> Callable[[Any], int]:
+    """The id of a key in table: the index of its decoded value, appended
+    the first time the key is seen."""
+    ids: dict = {}
+
+    def key_id(key) -> int:
+        if key not in ids:
+            ids[key] = len(table)
+            table.append(decode(key))
+        return ids[key]
+
+    return key_id
+
+
 def scan_formpw3(n: int) -> ScanOutcome:
     """Cubic terms live on the triple-presentation sets and are positive.
 
@@ -677,28 +693,26 @@ def scan_formpw3(n: int) -> ScanOutcome:
     at least 1).  Both compare packed keys: P_w's T-degree-3 terms grouped by
     T-monomial against the keys of ``packed_C``, whose order (that of the
     sorted tuples) is the order of the positivity findings; support findings
-    come in ascending key order.  Only findings are decoded, through one text
-    memo held for this sweep.
+    come in ascending key order.  Findings are packed rows (``Findings``)
+    over levels and tau tables held for this sweep; a tau is decoded to its
+    text once, when it is first found.
     """
     strata = [(levels, multiset_key(levels=levels))
               for levels in itertools.combinations_with_replacement(range(1, n + 1), 3)]
     fixed = {t for _, t in strata}
-    texts: dict[int, str] = {}  # packed tau -> its text
-
-    def text(tau: int) -> str:
-        if tau not in texts:
-            texts[tau] = format_seq(key_multisets(tau)[0])
-        return texts[tau]
+    found = Findings(("positivity", "support"))
+    level_id = _table_ids(found.levels, lambda levels: levels)
+    tau_id = _table_ids(found.taus, lambda tau: format_seq(key_multisets(tau)[0]))
 
     def one(w: Permutation, p_w: SparsePoly):
-        w_text = w.one_line()  # one string shared by every finding of w
         by_t = p_w.t_strata(3)
         own = strata
         if extra := by_t.keys() - fixed:
             own = sorted(strata + [(key_multisets(t)[1], t) for t in extra])
         top = max(levels[-1] for levels, _ in own)
         bounds = [()] + [w_upper(w, m) for m in range(1, top + 1)]
-        ces: list[dict] = []
+        rows = array("q")
+        pack = found.pack
         checked = 0
         c_elements = 0
         for levels, t in own:
@@ -707,16 +721,15 @@ def scan_formpw3(n: int) -> ScanOutcome:
             terms = by_t.get(t, {})
             c_elements += len(cs)
             checked += len(cs) + len(terms)
+            lid = level_id(levels)
             get = terms.get
             for tau in cs:
                 m = get(tau, 0)
                 if m < 1:
-                    ces.append({"claim": "positivity", "w": w_text,
-                                "levels": levels, "tau": text(tau), "m": m})
+                    rows.append(pack(0, lid, tau_id(tau), m))
             for tau in sorted(terms.keys() - cs.keys()):
-                ces.append({"claim": "support", "w": w_text,
-                            "levels": levels, "tau": text(tau), "m": terms[tau]})
-        return ces, {"terms": checked, "c_elements": c_elements}
+                rows.append(pack(1, lid, tau_id(tau), terms[tau]))
+        return found.block(w.one_line(), rows), {"terms": checked, "c_elements": c_elements}
 
     return sweep("formpw3", n, one, numerator_carry(tmax=3))
 

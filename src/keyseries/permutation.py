@@ -21,14 +21,19 @@ one-line order.  Every check, scan and verify suite is run by it.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator
+from array import array
+from bisect import bisect_right
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
+
+from .config import ResourceCapError
 
 __all__ = [
     "Permutation",
     "all_permutations",
     "parse_permutation",
+    "Findings",
     "ScanOutcome",
     "descent_walk",
     "chain_value",
@@ -188,20 +193,136 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(vals)
 
 
+# The fields of a packed finding row, low bits first: the claim (an index
+# into the claims), the levels id and the tau id (indices into the tables),
+# and m, signed, in the bits above them.
+_LEVELS_SHIFT, _TAU_SHIFT, _M_SHIFT = 1, 13, 40
+_LEVELS_MASK = (1 << (_TAU_SHIFT - _LEVELS_SHIFT)) - 1
+_TAU_MASK = (1 << (_M_SHIFT - _TAU_SHIFT)) - 1
+_M_LIMIT = 1 << (63 - _M_SHIFT)
+
+
+class Findings(Sequence):
+    """Read-only findings of a claim check, held as packed rows.
+
+    Each finding is the dict ``{"claim", "w", "levels", "tau", "m"}``, in that
+    key order, with ``levels`` a tuple and ``m`` an int.  Rows are kept in
+    per-w blocks, each the w text and an ``array('q')`` of ints packed by
+    ``pack``; the claims, the levels tuples and the tau texts are decode
+    tables shared by every block of one sweep, which the scan fills as it
+    goes.  A finding is decoded only when it is read: iteration and indexing
+    yield fresh dicts, ``[:k]`` decodes k rows, and ``==`` against a list
+    compares the decoded dicts.  ``rows()`` yields the field values, in key
+    order, for the report encoder.
+    """
+
+    KEYS = ("claim", "w", "levels", "tau", "m")
+    __slots__ = ("claims", "levels", "taus", "_blocks", "_ends")
+    __hash__ = None
+
+    def __init__(self, claims: tuple[str, str], levels: list[tuple[int, ...]] | None = None,
+                 taus: list[str] | None = None):
+        self.claims = claims
+        self.levels = [] if levels is None else levels
+        self.taus = [] if taus is None else taus
+        self._blocks: list[tuple[str, array]] = []
+        self._ends: list[int] = []  # the row count up to the end of each block
+
+    def pack(self, claim: int, levels_id: int, tau_id: int, m: int) -> int:
+        """One row: claim (0 or 1) and the ids of its levels and tau texts."""
+        if levels_id > _LEVELS_MASK or tau_id > _TAU_MASK or not -_M_LIMIT <= m < _M_LIMIT:
+            raise ResourceCapError("a finding does not fit its packed row")
+        return (m << _M_SHIFT) | (tau_id << _TAU_SHIFT) | (levels_id << _LEVELS_SHIFT) | claim
+
+    def block(self, w_text: str, rows: array) -> "Findings":
+        """The findings of one w: its rows, over this object's tables."""
+        out = Findings(self.claims, self.levels, self.taus)
+        if rows:
+            out._blocks.append((w_text, rows))
+            out._ends.append(len(rows))
+        return out
+
+    def extend(self, other: "Findings") -> None:
+        """Append the blocks of other, over the same tables, undecoded."""
+        if not isinstance(other, Findings) or other.taus is not self.taus:
+            raise TypeError("only findings over the same tables join")
+        total = len(self)
+        for w_text, rows in other._blocks:
+            total += len(rows)
+            self._blocks.append((w_text, rows))
+            self._ends.append(total)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def _packed(self) -> Iterator[tuple[str, int]]:
+        for w_text, rows in self._blocks:
+            for row in rows:
+                yield w_text, row
+
+    def _values(self, w_text: str, row: int) -> tuple:
+        return (self.claims[row & 1], w_text, self.levels[(row >> _LEVELS_SHIFT) & _LEVELS_MASK],
+                self.taus[(row >> _TAU_SHIFT) & _TAU_MASK], row >> _M_SHIFT)
+
+    def _decode(self, w_text: str, row: int) -> dict:
+        return dict(zip(self.KEYS, self._values(w_text, row)))
+
+    def rows(self) -> Iterator[tuple]:
+        """Each finding's field values, in KEYS order."""
+        values = self._values
+        for w_text, row in self._packed():
+            yield values(w_text, row)
+
+    def __iter__(self) -> Iterator[dict]:
+        decode = self._decode
+        for w_text, row in self._packed():
+            yield decode(w_text, row)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step < 0:
+                return [self[i] for i in range(start, stop, step)]
+            return [self._decode(*pair)
+                    for pair in itertools.islice(self._packed(), start, stop, step)]
+        size = len(self)
+        if not -size <= index < size:
+            raise IndexError("findings index out of range")
+        index %= size
+        b = bisect_right(self._ends, index)
+        w_text, rows = self._blocks[b]
+        return self._decode(w_text, rows[index - (self._ends[b - 1] if b else 0)])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Findings, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<Findings: {len(self)} rows in {len(self._blocks)} blocks>"
+
+
 @dataclass
 class ScanOutcome:
     name: str
     n: int
-    counterexamples: list[dict] = field(default_factory=list)
+    # a list of finding dicts, or packed Findings when the scan makes them
+    counterexamples: list[dict] | Findings = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.counterexamples
 
-    def merge(self, counterexamples: list[dict], counts: dict[str, int]) -> None:
-        """Append findings and add counts into stats, in place."""
-        self.counterexamples.extend(counterexamples)
+    def merge(self, counterexamples: list[dict] | Findings, counts: dict[str, int]) -> None:
+        """Append findings and add counts into stats, in place.  Packed
+        findings join the outcome's blocks undecoded; the first of them turns
+        an outcome with no findings yet into Findings over their tables."""
+        found = self.counterexamples
+        if isinstance(counterexamples, Findings) and type(found) is list and not found:
+            found = self.counterexamples = Findings(
+                counterexamples.claims, counterexamples.levels, counterexamples.taus)
+        found.extend(counterexamples)
         for key, val in counts.items():
             self.stats[key] = self.stats.get(key, 0) + val
 

@@ -597,18 +597,25 @@ def _monomial_factors(factors: Iterable[SparsePoly]) -> list[tuple[int, int, int
 
 
 def _binomial_pass(f: SparsePoly, shifts: list[tuple[int, int, int]], D: int,
-                   ascending: bool) -> SparsePoly:
+                   ascending: bool, max_terms: int | None = None) -> SparsePoly:
     """One pass per factor c*m of shifts over f's T-degree levels 0..D: add c*m
     times each level to the level td(m) above it.  Ascending, each source has
     already taken its own update, so the pass divides by 1 - c*m; descending,
-    none has, so it multiplies by 1 + c*m.  Terms past D are never formed."""
+    none has, so it multiplies by 1 + c*m.  Terms past D are never formed.
+    Past max_terms held terms (None: no cap) the pass raises ResourceCapError."""
     levels = _levels(f.terms, D)
+    held = sum(map(len, levels))
     for m, coeff, td in shifts:
         sources = range(D + 1 - td) if ascending else range(D - td, -1, -1)
         for s in sources:
             # a source key with a field past MAX_EXP could carry into the next field
             _checked(reduce(or_, levels[s], 0))
-            _add_shifted(levels[s + td], levels[s], m, coeff)
+            dst = levels[s + td]
+            held -= len(dst)
+            _add_shifted(dst, levels[s], m, coeff)
+            held += len(dst)
+            if max_terms is not None and held > max_terms:
+                raise ResourceCapError(f"a series product passed max_terms={max_terms} terms")
     top = levels.pop()
     for level in levels:
         top.update(level)
@@ -629,17 +636,20 @@ def series_quotient(f: SparsePoly, factors: Iterable[SparsePoly], D: int) -> Spa
     return _binomial_pass(f, _monomial_factors(factors), min(D, MAX_EXP + 1), True)
 
 
-def series_product(f: SparsePoly, factors: Iterable[SparsePoly], D: int | None) -> SparsePoly:
+def series_product(f: SparsePoly, factors: Iterable[SparsePoly], D: int | None,
+                   max_terms: int | None = None) -> SparsePoly:
     """f * prod over factors (1 + c*m), truncated past total T-degree D (None: exact).
 
     The mirror of ``series_quotient``, with the same single-monomial factors:
     the same pass, highest source level first, so no product is ever built.
+    A product that comes to hold more than max_terms terms on the way raises
+    ResourceCapError.
     """
     if D is not None and D < 0:
         raise ValueError(f"truncation degree must be >= 0, got {D}")
     shifts = _monomial_factors(factors)
     exact = f.t_degree() + sum(td for _, _, td in shifts)
-    return _binomial_pass(f, shifts, exact if D is None else min(D, exact), False)
+    return _binomial_pass(f, shifts, exact if D is None else min(D, exact), False, max_terms)
 
 
 def series_inverse_product(factors: Iterable[SparsePoly], D: int) -> SparsePoly:

@@ -9,14 +9,18 @@ of obj to ``write`` in chunks of about ``CHUNK_PIECES`` pieces, so a report
 streams into its file (or a digest) without its whole text ever being held;
 ``canonical_json`` joins the same chunks into one string.  It encodes
 exactly the types reports hold: dicts with ``str`` keys (emitted in sorted
-order), lists and tuples, ``str``, ``int``, ``True``, ``False`` and ``None``;
-any other value, a float or a set for one, or a non-``str`` key raises
+order), lists and tuples, ``permutation.Findings`` (encoded as the list of
+its decoded dicts), ``str``, ``int``, ``True``, ``False`` and ``None``; any
+other value, a float or a set for one, or a non-``str`` key raises
 ``TypeError``, after the chunks before it were written.  The text is
 byte-identical to ``json.dumps(obj, sort_keys=True, indent=2,
 ensure_ascii=False)`` plus a newline, but built in one recursive pass that
 appends one joined string per dict or list item, since ``json.dumps`` with
-an indent runs its pure-Python encoder.  The chunked form follows the
-contract of ``json.JSONEncoder.iterencode``: the joined chunks are the text.
+an indent runs its pure-Python encoder.  A ``Findings`` is encoded through
+one row template: its keys are sorted once, each field's text is memoised
+per distinct value, and each row is appended as one string.  The chunked
+form follows the contract of ``json.JSONEncoder.iterencode``: the joined
+chunks are the text.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from datetime import datetime, timezone
 from itertools import repeat
 from json.encoder import encode_basestring
 
-from .permutation import ScanOutcome
+from .permutation import Findings, ScanOutcome
 
 VOLATILE_FIELDS = ("elapsed_ms", "timestamp")
 # pieces the encoder holds before it hands them, joined, to write
@@ -35,7 +39,7 @@ CHUNK_PIECES = 8192
 
 
 def _scalar(obj) -> str | None:
-    """The JSON text of a scalar, None for a dict, list or tuple."""
+    """The JSON text of a scalar, None for a dict, list, tuple or Findings."""
     if isinstance(obj, str):
         return encode_basestring(obj)
     if obj is None:
@@ -46,7 +50,7 @@ def _scalar(obj) -> str | None:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, (dict, list, tuple)):
+    if isinstance(obj, (dict, list, tuple, Findings)):
         return None
     raise TypeError(f"report JSON cannot encode {type(obj).__name__}")
 
@@ -69,15 +73,57 @@ def _encode(obj, out: list[str], newline: str, flush: Callable[[], None]) -> Non
             out.append(sep + label + encode_basestring(value))
         elif cls is int:
             out.append(sep + label + repr(value))
-        elif cls is dict or cls is list or (text := _scalar(value)) is None:
+        elif cls is dict or cls is list:
             out.append(sep + label)
             _encode(value, out, inner, flush)
+        elif (text := _scalar(value)) is None:
+            out.append(sep + label)
+            (_encode_rows if cls is Findings else _encode)(value, out, inner, flush)
         else:
             out.append(sep + label + text)
         sep = "," + inner
         if len(out) >= CHUNK_PIECES:
             flush()
     out.append(newline + ("}" if is_dict else "]"))
+
+
+def _encode_rows(rows: Findings, out: list[str], newline: str,
+                 flush: Callable[[], None]) -> None:
+    """Append the text of rows, the list of its decoded dicts, nested at
+    newline: one string per row, from a template of the sorted keys and the
+    memoised text of each field value."""
+    if not rows:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    field_newline = inner + "  "
+    order = sorted(range(len(rows.KEYS)), key=rows.KEYS.__getitem__)
+    template = ("{" + ",".join(field_newline + encode_basestring(rows.KEYS[i]).replace("%", "%%")
+                               + ": %s" for i in order) + inner + "}")
+    fields: list[tuple[int, dict]] = [(i, {}) for i in order]  # (index, text memo)
+
+    def field_text(value) -> str:
+        text = _scalar(value)
+        if text is None:
+            pieces: list[str] = []
+            _encode(value, pieces, field_newline, lambda: None)
+            text = "".join(pieces)
+        return text
+
+    sep = "[" + inner
+    for values in rows.rows():
+        texts = []
+        for i, memo in fields:
+            value = values[i]
+            text = memo.get(value)
+            if text is None:
+                text = memo[value] = field_text(value)
+            texts.append(text)
+        out.append(sep + template % tuple(texts))
+        sep = "," + inner
+        if len(out) >= CHUNK_PIECES:
+            flush()
+    out.append(newline + "]")
 
 
 def write_json(obj, write: Callable[[str], object]) -> None:
@@ -93,7 +139,7 @@ def write_json(obj, write: Callable[[str], object]) -> None:
         write("".join(out))
         out.clear()
 
-    _encode(obj, out, "\n", flush)
+    (_encode_rows if type(obj) is Findings else _encode)(obj, out, "\n", flush)
     out.append("\n")
     flush()
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .bseq import a_keys, enum_A, moved_levels, w_upper
-from .config import InvariantError
+from .config import InvariantError, ResourceCapError
 from .permutation import (
     Carry, Permutation, ScanOutcome, all_permutations, chain_value, cover_mismatches,
     descent_walk, sweep,
@@ -193,11 +193,17 @@ def n_factor_product(
 
 
 def numerator_step(
-    p: SparsePoly, v: Permutation, i: int, xi_mode: bool = False, tmax: int | None = None
+    p: SparsePoly, v: Permutation, i: int, xi_mode: bool = False, tmax: int | None = None,
+    max_terms: int | None = None,
 ) -> SparsePoly:
-    """P_{s_i v} = pi_i(P_v * N_{v,i}) from p = P_v, at an ascent i of v."""
-    staged = series_product(p, _n_factors(v, i), tmax)
+    """P_{s_i v} = pi_i(P_v * N_{v,i}) from p = P_v, at an ascent i of v.
+    A product or a value of more than max_terms terms (None: no cap) raises
+    ResourceCapError."""
+    staged = series_product(p, _n_factors(v, i), tmax, max_terms)
     out = pi_xi(i, staged) if xi_mode else pi(i, staged)
+    if max_terms is not None and len(out.terms) > max_terms:
+        raise ResourceCapError(
+            f"P_{v.left_mul_s(i).one_line()} has more than max_terms={max_terms} terms")
     # constant term 1, no other T-free term and, outside xi mode, no T-linear one
     low = 1 if xi_mode else 2
     if out.coefficient() != 1 or out.count_below(low) != 1:
@@ -206,18 +212,26 @@ def numerator_step(
     return out
 
 
-def numerator_carry(xi_mode: bool = False, tmax: int | None = None) -> Carry:
+def numerator_carry(xi_mode: bool = False, tmax: int | None = None,
+                    max_terms: int | None = None) -> Carry:
     """The numerators as a value carried down a sweep: P at the identity and
-    the step at (xi_mode, tmax), so that the sweep hands each w its P_w."""
-    return SparsePoly.one(), lambda p, v, i: numerator_step(p, v, i, xi_mode, tmax)
+    the step at (xi_mode, tmax, max_terms), so that the sweep hands each w
+    its P_w."""
+    return SparsePoly.one(), lambda p, v, i: numerator_step(p, v, i, xi_mode, tmax, max_terms)
 
 
 def numerator_P(
-    w: Permutation, xi_mode: bool = False, tmax: int | None = None
+    w: Permutation, xi_mode: bool = False, tmax: int | None = None,
+    max_terms: int | None = None,
 ) -> SparsePoly:
     """P_w truncated past T-degree tmax (None: exact), memoised with every
-    numerator on its chain of first left descents."""
-    return chain_value(w, numerator_carry(xi_mode, tmax), _P_CACHE, (xi_mode, tmax))
+    numerator on its chain of first left descents.  A cap of max_terms terms
+    changes no value it lets through, so the memo is shared across caps; a
+    value held past the cap raises as its computation would have."""
+    out = chain_value(w, numerator_carry(xi_mode, tmax, max_terms), _P_CACHE, (xi_mode, tmax))
+    if max_terms is not None and len(out.terms) > max_terms:
+        raise ResourceCapError(f"P_{w.one_line()} has more than max_terms={max_terms} terms")
+    return out
 
 
 def numerator_P_along(

@@ -464,6 +464,22 @@ def test_resource_caps(tmp_path, capsys):
     assert code == 3
 
 
+def test_untruncated_pw_is_bounded_by_max_terms(tmp_path, capsys):
+    # P_654321 has millions of terms: the default cap stops its induction
+    # within seconds, inside a series product.  A configured cap bounds the
+    # answers pw gives; P_4321 has 54 terms.
+    path = tmp_path / "pw.json"
+    code = main(["pw", "--w", "654321", "--out", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("resource cap: ") and len(err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+    cfg = tmp_path / "terms.cfg"
+    for cap, expected in (("53", 3), ("1000", 0)):
+        cfg.write_text(f"max_terms={cap}\n")
+        assert run(capsys, "pw", "--w", "4321", "--config", str(cfg))[0] == expected
+
+
 def test_exponent_past_field_width_is_resource_error(tmp_path, capsys):
     # a config may lift max_tdeg past what a monomial field holds
     cfg = tmp_path / "wide.cfg"

@@ -356,3 +356,17 @@ def test_series_product_rejects():
     with pytest.raises(ValueError, match=">= 0"):
         series_product(SparsePoly.one(), [x1 * t1], -1)
     assert series_product(x1, [-x1 * t1, x1 * t1], 2) == x1 - x1 ** 3 * t1 * t1
+
+
+def test_series_product_term_cap():
+    # The cap bounds the terms held during the pass, not just the result:
+    # x1 * (1 - m) * (1 + m) = x1 - x1*m^2 holds three terms on the way.
+    x1, t1 = SparsePoly.x_var(1), SparsePoly.term(t=(1,))
+    m = x1 * t1
+    assert series_product(x1, [-m, m], 2, max_terms=3) == x1 - x1 * m * m
+    with pytest.raises(ResourceCapError, match="max_terms=2"):
+        series_product(x1, [-m, m], 2, max_terms=2)
+    factors = [SparsePoly.x_var(j) * t1 for j in range(1, 5)]
+    assert len(series_product(SparsePoly.one(), factors, None, max_terms=16).terms) == 16
+    with pytest.raises(ResourceCapError):
+        series_product(SparsePoly.one(), factors, None, max_terms=15)

@@ -48,11 +48,13 @@ def test_parse_config_defaults():
     assert parse_config("") == EngineConfig()
     assert EngineConfig().max_n == 7
     assert EngineConfig().max_tdeg == 8
+    assert EngineConfig().max_terms == 1_000_000
+    assert parse_config("max_terms=500\n") == EngineConfig(max_terms=500)
 
 
 @pytest.mark.parametrize("text", [
     "max_n", "depth=3", "max_n=abc", "max_n=0", "threads=-1", "threads=2",
-    "max_tdeg=2.5", "max_n=3\nmax_n=9",
+    "max_tdeg=2.5", "max_n=3\nmax_n=9", "max_terms=0", "max_terms=1e6",
 ])
 def test_parse_config_rejects(text):
     with pytest.raises(ValueError, match=r"^config line \d+: "):

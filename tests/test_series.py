@@ -1,6 +1,7 @@
 import pytest
 
 from keyseries.bseq import moved_levels, si_image, split_A
+from keyseries.config import ResourceCapError
 from keyseries.permutation import (
     Permutation,
     all_permutations,
@@ -342,3 +343,19 @@ def test_xi_linear_slice_shape():
     p = lascoux_linear_part(parse_permutation("42531"))
     for (x, t, xi), c in p.exponent_items():
         assert xi == 1 and sum(t) == 1 and c >= 1
+
+
+def test_numerator_term_cap():
+    # P_4321 has 54 terms.  A cap below that raises, whether the induction
+    # runs or the value is already held; a cap that lets the induction's
+    # products through (they hold more terms than P) changes nothing.
+    w = parse_permutation("4321")
+    series._P_CACHE.clear()
+    with pytest.raises(ResourceCapError, match="max_terms=53"):
+        numerator_P(w, max_terms=53)
+    exact = numerator_P(w)
+    assert len(exact.terms) == 54
+    with pytest.raises(ResourceCapError, match="P_4321 has more than max_terms=53"):
+        numerator_P(w, max_terms=53)
+    series._P_CACHE.clear()
+    assert numerator_P(w, max_terms=1000) == exact
