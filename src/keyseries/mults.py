@@ -12,11 +12,14 @@ lower bounds).
 The multiplicity tables are packed views, `MultView`: a lookup packs its key
 and reads the numerator's terms, and only iteration decodes the slice, lazily
 and in ascending packed-key order, a function of the polynomial's value only.
-`check_lketa23` builds its rows (B set, presentations, position patterns) once
-per bound w_upper(w, k), in strata local to one sweep.  `scan_formpw3` reads
-no table: it groups P_w's cubic terms by T-monomial (`SparsePoly.t_strata`)
-and compares each group's packed keys with `multisets.packed_C` by set
-difference, holding what it finds as packed rows (`permutation.Findings`).
+The transfer rules (`check_multsiw`, `scan_siinc`, `scan_formpw2bound`) read
+packed keys split by their (x_i, x_{i+1}) exponents and decode only the keys
+they report.  `check_lketa23` builds its rows (B set, presentations, position
+patterns) once per bound w_upper(w, k), in strata local to one sweep.
+`scan_formpw3` reads no table: it groups P_w's cubic terms by T-monomial
+(`SparsePoly.t_strata`) and compares each group's packed keys with
+`multisets.packed_C` by set difference, holding what it finds as packed rows
+(`permutation.Findings`).
 
 Every check and scan is a function of one permutation w and its numerator
 P_w, run over S_n by `sweep`, which lives in `permutation` with `ScanOutcome`
@@ -24,9 +27,10 @@ and is re-exported here.  The sweep walks the tree of first left descents and
 hands each w its own P_w (`series.numerator_carry`), holding only the
 numerators on the current path; findings come out in one-line order.  The two
 checks that also read the cover s_i w (`check_multsiw`, `scan_formpw2bound`)
-read P_w and P_{s_i w} through `permutation.chain_value` with a memo local
-to the sweep, which ends up holding every P_w of it.  The checks and scans
-are listed once, with the subcommand that runs each, in `cli.CHECKS`.
+climb P_{s_i w} up to that path (`permutation.chain_value` through
+`permutation.path_memo`), so they too hold O(length of w) numerators.  The
+checks and scans are listed once, with the subcommand that runs each, in
+`cli.CHECKS`.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .multisets import (
     packed_C,
     presentations,
 )
-from .permutation import Findings, Permutation, ScanOutcome, chain_value, sweep
+from .permutation import Findings, Permutation, ScanOutcome, chain_value, path_memo, sweep
 from .poly import SparsePoly, key_multisets, multiset_key, x_exps
 from .series import n_factor_product, numerator_carry, numerator_P
 
@@ -83,8 +87,8 @@ class MultView:
     times `sign`, keyed (levels..., eta) with sorted index multisets: (k, l,
     eta) at grade 2, (p, k, l, tau) at grade 3, (mu,) at grade 0.  `get`
     packs its key (x_exps counts the levels as T-exponents, (2, 3) -> (0, 1,
-    1)) and reads the terms; `items` and `keys` decode the slice lazily, in
-    ascending packed-key order, a function of the polynomial's value only."""
+    1)) and reads the terms; `items` decodes the slice lazily, in ascending
+    packed-key order, a function of the polynomial's value only."""
 
     __slots__ = ("poly", "grade", "sign")
 
@@ -100,11 +104,6 @@ class MultView:
     def items(self) -> Iterator[tuple[tuple, int]]:
         for (eta, levels, _), c in self.poly.t_slice(self.grade).multiset_items():
             yield levels + (eta,), self.sign * c
-
-    def keys(self) -> Iterator[tuple]:
-        return (key for key, _ in self.items())
-
-    __iter__ = keys
 
     def __len__(self) -> int:
         return self.poly.count_below(self.grade + 1) - self.poly.count_below(self.grade)
@@ -188,16 +187,7 @@ def decompose_quadratic(f: SparsePoly, i: int) -> dict[tuple[int, int], SparsePo
     return comp
 
 
-# -- multiset bookkeeping for the transfer rules ----------------------------------
-
-
-def _pair_counts(eta: tuple[int, ...], i: int) -> tuple[int, int]:
-    return eta.count(i), eta.count(i + 1)
-
-
-def _rebalance(eta: tuple[int, ...], i: int, a: int, b: int) -> tuple[int, ...]:
-    rest = [v for v in eta if v != i and v != i + 1]
-    return tuple(sorted(rest + [i] * a + [i + 1] * b))
+# -- closed formulas for the small slices ------------------------------------------
 
 
 def _b_keys(
@@ -208,9 +198,6 @@ def _b_keys(
         for l in range(k + gap, n + 1):
             for eta in enum_B(w, k, l):
                 yield k, l, eta
-
-
-# -- closed formulas for the small slices ------------------------------------------
 
 
 def check_quadratic_support(n: int) -> ScanOutcome:
@@ -400,107 +387,97 @@ def check_lowbdr2(n: int) -> ScanOutcome:
 
 
 # -- transfer rules along weak-order covers -----------------------------------------
+#
+# A rule moves the (x_i, x_{i+1}) exponents (a, b) of a packed key: with the
+# terms split by them (`_pair_split`), a moved key is a lookup at another
+# (a, b) for the same rest of the key.  P_{s_i w} is the tree's value, climbed
+# from s_i w up to the walk's root-to-w path (`permutation.path_memo`).
 
 
-def _key_closure(i: int, cap: int, *views: MultView) -> set[tuple]:
-    """Keys (levels..., eta) of the views with the i, i+1 entries of eta
-    redistributed in every way that keeps both counts at most cap."""
-    keys: set[tuple] = set()
-    for src in views:
-        for key in src:
-            eta = key[-1]
-            a, b = _pair_counts(eta, i)
-            for a2 in range(min(a + b, cap) + 1):
-                b2 = a + b - a2
-                if b2 <= cap:
-                    keys.add(key[:-1] + (_rebalance(eta, i, a2, b2),))
-    return keys
+def _pair_split(poly: SparsePoly, i: int) -> dict[tuple[int, int], dict[int, int]]:
+    """The terms of poly by their (x_i, x_{i+1}) exponents (a, b): (a, b) ->
+    {the rest of the key: coeff}."""
+    return {ab: part.terms for ab, part in poly.pair_components(i).items()}
+
+
+def _pair_key(i: int, a: int, b: int, rest: int) -> int:
+    """The packed key rest * x_i^a x_{i+1}^b."""
+    return rest + a * multiset_key((i,)) + b * multiset_key((i + 1,))
+
+
+def _key_tuple(key: int) -> tuple:
+    """(levels..., eta) of a packed key, the keys of `MultView`."""
+    eta, levels = key_multisets(key)
+    return levels + (eta,)
+
+
+def _transfer_mismatches(
+    i: int, cap: int, sources: tuple[dict, ...], w: dict, sw: dict, corr: dict, nfac: dict
+) -> Iterator[tuple[tuple, int, int]]:
+    """One grade of a transfer rule, from the split tables of w to those of
+    s_i w: (key, value at s_i w, value the rule gives) where the two differ.
+
+    The keys are those of the sources with (a, b) redistributed in every way
+    that keeps both at most cap, in ascending (a + b, rest, a) order.  With
+    (h, l) = (max(a, b), min(a, b)) the rule gives w(h, l), plus w(h + 1,
+    l - 1) - w(l - 1, h + 1) + corr(h, l) + nfac(l - 1, h + 1) when l >= 1
+    and h < cap."""
+    empty: dict[int, int] = {}
+    sums = sorted({(a + b, rest) for table in sources
+                   for (a, b), part in table.items() if a + b <= 2 * cap for rest in part})
+    for s, rest in sums:
+        for a in range(max(0, s - cap), min(s, cap) + 1):
+            h, l = max(a, s - a), min(a, s - a)
+            expect = w.get((h, l), empty).get(rest, 0)
+            if l and h < cap:
+                expect += (w.get((h + 1, l - 1), empty).get(rest, 0)
+                           - w.get((l - 1, h + 1), empty).get(rest, 0)
+                           + corr.get((h, l), empty).get(rest, 0)
+                           + nfac.get((l - 1, h + 1), empty).get(rest, 0))
+            got = sw.get((a, s - a), empty).get(rest, 0)
+            if got != expect:
+                yield _key_tuple(_pair_key(i, a, s - a, rest)), got, expect
 
 
 def check_multsiw(n: int) -> ScanOutcome:
-    """Multiplicities of s_i w from those of w across every cover in weak order."""
-    carry, memo = numerator_carry(tmax=3), {}
+    """Multiplicities of s_i w from those of w across every cover in weak order.
 
-    def one(w: Permutation):
+    Quadratic keys (k, l, eta) move up to pair exponent 2, with N_{w,i}'s
+    quadratic slice, all at (0, 2); cubic keys (p, k, l, tau) up to 3, with
+    N's cubic slice, all at (0, 3), and the correction x_i N_1 (c_10 + x_i
+    c_20 + x_i x_{i+1} c_21), where N_1 is N's linear slice and the c_ab are
+    the components of w's quadratic slice (`decompose_quadratic`)."""
+    carry = numerator_carry(tmax=3)
+    path: list[tuple[Permutation, SparsePoly]] = []  # root to w, with each P
+
+    def one(w: Permutation, p_w: SparsePoly):
+        path[w.length():] = [(w, p_w)]
         w_text = w.one_line()
         ces: list[dict] = []
         pairs = 0
-        p_w = chain_value(w, carry, memo)
-        quad_w = quadratic_multiplicities(w, p_w)
-        cub_w = cubic_multiplicities(w, p_w)
-        p2 = -p_w.t_slice(2)
+        p2, p3 = -p_w.t_slice(2), p_w.t_slice(3)
         for i in range(1, n):
             if not w.is_ascent(i):
                 continue
             pairs += 1
-            sw = w.left_mul_s(i)
-            p_sw = chain_value(sw, carry, memo)
-            quad_sw = quadratic_multiplicities(sw, p_sw)
+            p_sw = chain_value(w.left_mul_s(i), carry, path_memo(path))
             nfac = n_factor_product(w, i, tmax=3)
-            n2 = MultView(nfac, 2)
-            for key in _key_closure(i, 2, quad_w, quad_sw, n2):
-                k, l, eta = key
-                a, b = _pair_counts(eta, i)
-                got = quad_sw.get(key, 0)
-                if (a, b) == (1, 1):
-                    expect = (
-                        quad_w.get(key, 0)
-                        + quad_w.get((k, l, _rebalance(eta, i, 2, 0)), 0)
-                        - quad_w.get((k, l, _rebalance(eta, i, 0, 2)), 0)
-                        + n2.get((k, l, _rebalance(eta, i, 0, 2)), 0)
-                    )
-                else:
-                    expect = quad_w.get((k, l, _rebalance(eta, i, max(a, b), min(a, b))), 0)
-                if got != expect:
-                    ces.append(
-                        {"w": w_text, "i": i, "grade": 2, "key": key,
-                         "m": got, "expected": expect}
-                    )
-            cub_sw = cubic_multiplicities(sw, p_sw)
-            n1 = -nfac.t_slice(1)
-            n3 = MultView(nfac, 3, -1)
             comp = decompose_quadratic(p2, i)
-            xi_var = SparsePoly.x_var(i)
-            xip1 = SparsePoly.x_var(i + 1)
-            corr11 = MultView(xi_var * comp[(1, 0)] * n1, 3)
-            corr22 = MultView(xi_var * xi_var * xip1 * comp[(2, 1)] * n1, 3)
-            corr21 = MultView(xi_var * xi_var * comp[(2, 0)] * n1, 3)
-            for (p, k, l, tau) in _key_closure(i, 3, cub_w, cub_sw):
-                a, b = _pair_counts(tau, i)
-                var = lambda a2, b2: (p, k, l, _rebalance(tau, i, a2, b2))
-                got = cub_sw.get((p, k, l, tau), 0)
-                if (a, b) == (1, 1):
-                    expect = (
-                        cub_w.get((p, k, l, tau), 0)
-                        + cub_w.get(var(2, 0), 0)
-                        - cub_w.get(var(0, 2), 0)
-                        + corr11.get((p, k, l, tau))
-                    )
-                elif (a, b) == (2, 2):
-                    expect = (
-                        cub_w.get((p, k, l, tau), 0)
-                        + cub_w.get(var(3, 1), 0)
-                        - cub_w.get(var(1, 3), 0)
-                        + corr22.get((p, k, l, tau))
-                    )
-                elif {a, b} == {1, 2}:
-                    expect = (
-                        cub_w.get(var(2, 1), 0)
-                        + cub_w.get(var(3, 0), 0)
-                        - cub_w.get(var(0, 3), 0)
-                        + corr21.get(var(2, 1))
-                        + n3.get(var(0, 3))
-                    )
-                else:
-                    expect = cub_w.get(var(max(a, b), min(a, b)), 0)
-                if got != expect:
-                    ces.append(
-                        {"w": w_text, "i": i, "grade": 3,
-                         "key": (p, k, l, tau), "m": got, "expected": expect}
-                    )
+            x_i = SparsePoly.x_var(i)
+            corr = x_i * -nfac.t_slice(1) * (
+                comp[(1, 0)] + x_i * (comp[(2, 0)] + SparsePoly.x_var(i + 1) * comp[(2, 1)]))
+            q_w, q_sw, n2 = (_pair_split(f, i) for f in (p2, -p_sw.t_slice(2), nfac.t_slice(2)))
+            c_w, c_sw = _pair_split(p3, i), _pair_split(p_sw.t_slice(3), i)
+            for grade, found in (
+                (2, _transfer_mismatches(i, 2, (q_w, q_sw, n2), q_w, q_sw, {}, n2)),
+                (3, _transfer_mismatches(i, 3, (c_w, c_sw), c_w, c_sw, _pair_split(corr, i),
+                                         _pair_split(-nfac.t_slice(3), i))),
+            ):
+                ces += [{"w": w_text, "i": i, "grade": grade, "key": key,
+                         "m": got, "expected": expect} for key, got, expect in found]
         return ces, {"covers": pairs}
 
-    return sweep("multsiw", n, one)
+    return sweep("multsiw", n, one, carry)
 
 
 # -- presentation posets --------------------------------------------------------
@@ -647,25 +624,24 @@ def scan_siinc(n: int) -> ScanOutcome:
     """At an ascent i, swapping i for i+1 inside eta cannot lower m."""
 
     def one(w: Permutation, p: SparsePoly):
-        quad = quadratic_multiplicities(w, p)
+        p2 = -p.t_slice(2)
         w_text = w.one_line()
-        entries = list(quad.items())  # decoded once, read at every ascent
         ces: list[dict] = []
         checked = 0
         for i in range(1, n):
             if not w.is_ascent(i):
                 continue
-            for (k, l, eta), m in entries:
-                a, b = _pair_counts(eta, i)
-                if (a, b) not in ((0, 1), (0, 2), (1, 2)):
-                    continue
-                checked += 1
-                other = quad.get((k, l, _rebalance(eta, i, b, a)), 0)
-                if m > other:
-                    ces.append(
-                        {"w": w_text, "i": i, "k": k, "l": l,
-                         "eta": format_seq(eta), "m": m, "swapped_m": other}
-                    )
+            split = _pair_split(p2, i)
+            found = []
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                part, swapped = split.get((a, b), {}), split.get((b, a), {})
+                checked += len(part)
+                found += [(_pair_key(i, a, b, rest), m, swapped.get(rest, 0))
+                          for rest, m in part.items() if m > swapped.get(rest, 0)]
+            for key, m, other in sorted(found):
+                k, l, eta = _key_tuple(key)
+                ces.append({"w": w_text, "i": i, "k": k, "l": l,
+                            "eta": format_seq(eta), "m": m, "swapped_m": other})
         return ces, {"comparisons": checked}
 
     return sweep("siinc", n, one, numerator_carry(tmax=2))
@@ -736,26 +712,22 @@ def scan_formpw3(n: int) -> ScanOutcome:
 
 def scan_formpw2bound(n: int) -> ScanOutcome:
     """Lower bound 2^r - 1 on the quadratic slice plus cover monotonicity."""
-    carry, memo = numerator_carry(tmax=2), {}
+    carry = numerator_carry(tmax=2)
+    path: list[tuple[Permutation, SparsePoly]] = []  # root to w, with each P
 
-    def one(w: Permutation):
+    def one(w: Permutation, p_w: SparsePoly):
+        path[w.length():] = [(w, p_w)]
         w_text = w.one_line()
-        quad_w = quadratic_multiplicities(w, chain_value(w, carry, memo))
-        entries = list(quad_w.items())  # decoded once, read at every ascent
-        ces, counts = _lowbdr2_one(w, n, quad_w)
+        ces, counts = _lowbdr2_one(w, n, quadratic_multiplicities(w, p_w))
+        entries = sorted((-p_w.t_slice(2)).terms.items())  # read at every ascent
         for i in range(1, n):
             if not w.is_ascent(i):
                 continue
-            sw = w.left_mul_s(i)
-            quad_sw = quadratic_multiplicities(sw, chain_value(sw, carry, memo))
+            cover = chain_value(w.left_mul_s(i), carry, path_memo(path)).terms
             for key, m in entries:
-                cover = quad_sw.get(key, 0)
-                if cover < m:
-                    ces.append(
-                        {"w": w_text, "i": i, "key": key,
-                         "m": m, "cover_m": cover}
-                    )
+                if (cover_m := -cover.get(key, 0)) < m:
+                    ces.append({"w": w_text, "i": i, "key": _key_tuple(key),
+                                "m": m, "cover_m": cover_m})
         return ces, counts
 
-    return sweep("formpw2bound", n, one)
-
+    return sweep("formpw2bound", n, one, carry)

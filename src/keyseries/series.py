@@ -227,10 +227,17 @@ def numerator_P(
     """P_w truncated past T-degree tmax (None: exact), memoised with every
     numerator on its chain of first left descents.  A cap of max_terms terms
     changes no value it lets through, so the memo is shared across caps; a
-    value held past the cap raises as its computation would have."""
-    out = chain_value(w, numerator_carry(xi_mode, tmax, max_terms), _P_CACHE, (xi_mode, tmax))
-    if max_terms is not None and len(out.terms) > max_terms:
-        raise ResourceCapError(f"P_{w.one_line()} has more than max_terms={max_terms} terms")
+    value held past the cap raises as its computation would have, and a
+    call the cap refuses leaves the memo as it found it."""
+    held = len(_P_CACHE)
+    try:
+        out = chain_value(w, numerator_carry(xi_mode, tmax, max_terms), _P_CACHE, (xi_mode, tmax))
+        if max_terms is not None and len(out.terms) > max_terms:
+            raise ResourceCapError(f"P_{w.one_line()} has more than max_terms={max_terms} terms")
+    except ResourceCapError:
+        for key in list(_P_CACHE)[held:]:  # the chain climbed by this call
+            del _P_CACHE[key]
+        raise
     return out
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from keyseries import cli
+from keyseries import cache_stats, cli
 from keyseries.cli import main
 from keyseries.permutation import ScanOutcome
 from keyseries.poly import MAX_EXP
@@ -468,12 +468,15 @@ def test_untruncated_pw_is_bounded_by_max_terms(tmp_path, capsys):
     # P_654321 has millions of terms: the default cap stops its induction
     # within seconds, inside a series product.  A configured cap bounds the
     # answers pw gives; P_4321 has 54 terms.
+    # The refused call leaves the numerator memo as it found it.
     path = tmp_path / "pw.json"
+    held = cache_stats()["series._P_CACHE"]
     code = main(["pw", "--w", "654321", "--out", str(path)])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err.startswith("resource cap: ") and len(err.splitlines()) == 1
     assert not list(tmp_path.iterdir())
+    assert cache_stats()["series._P_CACHE"] == held
     cfg = tmp_path / "terms.cfg"
     for cap, expected in (("53", 3), ("1000", 0)):
         cfg.write_text(f"max_terms={cap}\n")

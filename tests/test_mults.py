@@ -63,7 +63,7 @@ def test_quadratic_table_matches_single_lookups():
     quad = quadratic_multiplicities(W)
     for (k, l, eta), m in quad.items():
         assert m == multiplicity2(W, k, l, eta)
-    keys23 = {eta for (k, l, eta) in quad if (k, l) == (2, 3)}
+    keys23 = {eta for (k, l, eta), _ in quad.items() if (k, l) == (2, 3)}
     assert keys23 == set(enum_B(W, 2, 3))
 
 
@@ -114,7 +114,8 @@ def test_multiplicity_tables_match_decoded_slices(n):
             cubic_multiplicities(w), _decoded_slice(numerator_P(w, tmax=3), 3, 1), n)
         for i in range(1, n):
             if w.is_ascent(i):
-                # check_multsiw's table of the cover factor product
+                # a view of a polynomial that is not a numerator: the cover
+                # factor product
                 nfac = n_factor_product(w, i, tmax=3)
                 _assert_view_matches(MultView(nfac, 2), _decoded_slice(nfac, 2, 1), n)
 
@@ -369,7 +370,7 @@ def test_formpw3_reports_all_of_c_on_an_empty_stratum():
     found = scan_formpw3(4).counterexamples
     empty = 0
     for w in all_permutations(4):
-        cubic = {key[:3] for key in cubic_multiplicities(w).keys()}
+        cubic = {key[:3] for key, _ in cubic_multiplicities(w).items()}
         for levels in itertools.combinations_with_replacement(range(1, 5), 3):
             cs = enum_C(w, *levels)
             if levels in cubic or not cs:
@@ -379,6 +380,96 @@ def test_formpw3_reports_all_of_c_on_an_empty_stratum():
                     if ce["w"] == w.one_line() and ce["levels"] == levels] == [
                 ("positivity", format_seq(tau), 0) for tau in cs]
     assert empty == 8
+
+
+def _quad_term(coeff, levels, eta):
+    return SparsePoly.term(coeff, x=x_exps(eta), t=x_exps(levels))
+
+
+def _faulty_covers(monkeypatch, target, fault):
+    """Every P_{s_i w} a check reads as target comes back as P + fault; the
+    walk's own values are untouched."""
+    real_chain_value = mults.chain_value
+
+    def faulty(v, *args):
+        value = real_chain_value(v, *args)
+        return value + fault if v == target else value
+
+    monkeypatch.setattr(mults, "chain_value", faulty)
+
+
+def test_multsiw_reports_injected_faults(monkeypatch):
+    # 3142 has one lower cover, 2143 at i = 2.  Read there, its quadratic m
+    # at T1T2 x^123 and T2T3 x^11234 goes 1 -> 2 (both at pair exponents
+    # (1, 1) of x2, x3), and its cubic m at T1T2T3 x^112234 (pair exponents
+    # (2, 1)) goes 1 -> 2: one finding per key, quadratic before cubic and
+    # in ascending (a + b, rest, a) order, each with its decoded key.
+    target = parse_permutation("3142")
+    fault = (_quad_term(-1, (1, 2), (1, 2, 3)) + _quad_term(-1, (2, 3), (1, 1, 2, 3, 4))
+             + _quad_term(1, (1, 2, 3), (1, 1, 2, 2, 3, 4)))
+    assert check_multsiw(4).ok
+    _faulty_covers(monkeypatch, target, fault)
+    assert check_multsiw(4).counterexamples == [
+        {"w": "2143", "i": 2, "grade": 2, "key": (1, 2, (1, 2, 3)), "m": 2, "expected": 1},
+        {"w": "2143", "i": 2, "grade": 2, "key": (2, 3, (1, 1, 2, 3, 4)), "m": 2,
+         "expected": 1},
+        {"w": "2143", "i": 2, "grade": 3, "key": (1, 2, 3, (1, 1, 2, 2, 3, 4)), "m": 2,
+         "expected": 1},
+    ]
+
+
+def test_formpw2bound_reports_injected_faults(monkeypatch):
+    # 3412 has one lower cover, 2413 at i = 2, where m = 1 at T1T2 x^124
+    # and at T2T3 x^11234 on both sides.  Read there, both drop to 0: two
+    # findings, in ascending packed-key order.
+    target = parse_permutation("3412")
+    fault = _quad_term(1, (1, 2), (1, 2, 4)) + _quad_term(1, (2, 3), (1, 1, 2, 3, 4))
+    assert scan_formpw2bound(4).ok
+    _faulty_covers(monkeypatch, target, fault)
+    assert scan_formpw2bound(4).counterexamples == [
+        {"w": "2413", "i": 2, "key": (1, 2, (1, 2, 4)), "m": 1, "cover_m": 0},
+        {"w": "2413", "i": 2, "key": (2, 3, (1, 1, 2, 3, 4)), "m": 1, "cover_m": 0},
+    ]
+
+
+def test_siinc_reports_injected_faults(monkeypatch):
+    # 2341 has ascents 2 and 3.  Its m at T2T3 x^12334 (pair exponents (1, 2)
+    # of x2, x3) goes 1 -> 2, above its swap x^12234 (m = 1), and it gains
+    # T1T3 x^1334 (pair exponents (0, 2)), whose swap x^1224 has no term.
+    # Neither key compares at ascent 3, where the pair exponents are (2, 1).
+    target = parse_permutation("2341")
+    fault = _quad_term(-1, (2, 3), (1, 2, 3, 3, 4)) + _quad_term(-1, (1, 3), (1, 3, 3, 4))
+    real_sweep = mults.sweep
+
+    def faulty_sweep(name, n, one, carry):
+        return real_sweep(name, n, lambda w, p: one(w, p + fault if w == target else p), carry)
+
+    clean = scan_siinc(4)
+    assert clean.ok
+    monkeypatch.setattr(mults, "sweep", faulty_sweep)
+    out = scan_siinc(4)
+    assert out.counterexamples == [
+        {"w": "2341", "i": 2, "k": 1, "l": 3, "eta": "1334", "m": 1, "swapped_m": 0},
+        {"w": "2341", "i": 2, "k": 2, "l": 3, "eta": "12334", "m": 2, "swapped_m": 1},
+    ]
+    assert out.stats["comparisons"] == clean.stats["comparisons"] + 1
+
+
+def test_cover_checks_hold_only_the_path(monkeypatch):
+    # Each P_{s_i w} is climbed up to the walk's root-to-w path: no memo holds
+    # more than 2 * length(w) + 2 numerators, at most 21 on S5 (length <= 10).
+    sizes = []
+    real_chain_value = mults.chain_value
+
+    def recording(v, carry, memo):
+        value = real_chain_value(v, carry, memo)
+        sizes.append(len(memo))
+        return value
+
+    monkeypatch.setattr(mults, "chain_value", recording)
+    check_multsiw(5)
+    scan_formpw2bound(5)
+    assert len(sizes) == 2 * 240 and max(sizes) <= 2 * 10 + 1
 
 
 @pytest.mark.slow
@@ -403,6 +494,22 @@ def test_scans_at_n5():
     for ce in out.counterexamples:
         claims[ce["claim"]] = claims.get(ce["claim"], 0) + 1
     assert claims == {"support": 1240, "positivity": 1992}
+
+
+# The S6 bodies of the cover checks and the ascent scan, pinned like the n=5
+# bodies above.
+PINNED_S6_BODIES = {
+    "multsiw": "0fb96adc6e03c85973d9c066b49413c39558ad1bb1df630af486683d4cd54721",
+    "siinc": "659e8629944cb23d8b1c80ab826e4a6ab5fc54fcb5ff4d10ad0cdeca6b613727",
+    "formpw2bound": "07e0a8a19cea6059573ace71c4f8e099001c0db5a38de32731b143e72aa65df5",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(PINNED_S6_BODIES))
+def test_pinned_s6_body_digest(name):
+    out = PINNED_FUNCTIONS[name](6)
+    assert body_digest(outcome_report(out, {}, 0)) == PINNED_S6_BODIES[name]
 
 
 @pytest.mark.slow
