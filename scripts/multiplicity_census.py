@@ -18,7 +18,7 @@ from collections import Counter
 from keyseries.cli import guarded
 from keyseries.config import EngineConfig
 from keyseries.multisets import presentations
-from keyseries.mults import _b_keys, _r_value, quadratic_multiplicities
+from keyseries.mults import _bound_rows, _eta, _freedom, _pairs
 from keyseries.permutation import descent_walk
 from keyseries.series import numerator_carry
 
@@ -29,17 +29,19 @@ def run(n: int) -> int:
     by_poset_size: dict[int, Counter] = {}
     tight = 0
     total = 0
+    # r and the presentation count of each two-presentation multiset, once
+    # per pair of bounds; only m is read per permutation
+    rows_of = _bound_rows(_pairs(n), lambda w, k, l, eta: (
+        eta, _freedom(k, l, eta), presentations(w, k, l, _eta(eta)).count))
     for w, p in descent_walk(n, numerator_carry(tmax=2)):
-        quad = quadratic_multiplicities(w, p)
-        for k, l, eta in _b_keys(w, n):
-            m = quad.get((k, l, eta), 0)
-            r = _r_value(k, l, eta)
-            size = len(presentations(w, k, l, eta).pairs)
-            by_r.setdefault(r, Counter())[m] += 1
-            by_poset_size.setdefault(size, Counter())[m] += 1
-            total += 1
-            if m == 2**r - 1:
-                tight += 1
+        for _, _, t, rows in rows_of(w):
+            for eta, r, size in rows:
+                m = -p.terms.get(eta + t, 0)
+                by_r.setdefault(r, Counter())[m] += 1
+                by_poset_size.setdefault(size, Counter())[m] += 1
+                total += 1
+                if m == 2**r - 1:
+                    tight += 1
 
     print(f"S_{n}: {total} two-presentation multisets")
     print(f"floor 2^r-1 tight on {tight}/{total}")

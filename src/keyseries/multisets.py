@@ -16,11 +16,12 @@ builds it.
 
 B-tilde, B and C are built and memoised as packed x-monomial keys
 (``poly.multiset_key``), where a multiset union is one integer add and
-|eta_2| is a bit count: ``packed_Btilde``, ``packed_B`` and ``packed_C``,
-keyed by the bounds ``w_upper(w, m)`` of their levels, through which alone
-they depend on w.  Each holds its keys in the order of their sorted tuples;
-``enum_Btilde``, ``enum_B`` and ``enum_C`` decode them to those tuples.
-``sum_seqs`` is the tuple form of the same union, kept for ``enum_Ctilde``.
+|eta_2| is one bit count (``doubled``): ``packed_Btilde``, ``packed_B`` and
+``packed_C``, keyed by the bounds ``w_upper(w, m)`` of their levels, through
+which alone they depend on w.  Each holds its keys in the order of their
+sorted tuples; ``enum_Btilde``, ``enum_B`` and ``enum_C`` decode them to
+those tuples.  ``sum_seqs`` is the tuple form of the same union, kept for
+``enum_Ctilde``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "sum_seqs",
     "eta_parts",
     "eta_minus",
+    "doubled",
     "enum_Btilde",
     "enum_B",
     "packed_Btilde",
@@ -109,10 +111,14 @@ _BTILDE_CACHE: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
 _B_CACHE: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
 _C_CACHE: dict[tuple[tuple[int, ...], ...], dict[int, None]] = {}
 
-# The lowest bit of every x field: for a key whose fields are at most 2,
-# ((key >> 1) & _UNITS).bit_count() is the number of doubled values |eta_2|.
 _UNITS = sum(1 << (FIELD_BITS * f) for f in range(NVARS))
 _X_BYTES = (FIELD_BITS * NVARS + 7) // 8
+
+
+def doubled(eta: int) -> int:
+    """|eta_2|, the number of doubled values, of a packed x-key whose fields
+    are at most 2: one bit count, over the second bit of each field."""
+    return ((eta >> 1) & _UNITS).bit_count()
 
 
 def _decoded(key: int) -> EtaMultiSet:
@@ -154,7 +160,7 @@ def packed_B(k_bound: tuple[int, ...], l_bound: tuple[int, ...]) -> tuple[int, .
         cap = k - (k == len(l_bound))
         cached = _B_CACHE[key] = tuple(
             eta for eta in packed_Btilde(k_bound, l_bound)
-            if ((eta >> 1) & _UNITS).bit_count() < cap
+            if doubled(eta) < cap
         )
     return cached
 

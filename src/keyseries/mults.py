@@ -9,17 +9,17 @@ weak-order covers, and runs the conjecture scans (presentation poset
 invariance and monotonicity, multiplicity growth under s_i, cubic support,
 lower bounds).
 
-The multiplicity tables are packed views, `MultView`: a lookup packs its key
-and reads the numerator's terms, and only iteration decodes the slice, lazily
-and in ascending packed-key order, a function of the polynomial's value only.
-The transfer rules (`check_multsiw`, `scan_siinc`, `scan_formpw2bound`) read
-packed keys split by their (x_i, x_{i+1}) exponents and decode only the keys
-they report.  `check_lketa23` builds its rows (B set, presentations, position
-patterns) once per bound w_upper(w, k), in strata local to one sweep.
-`scan_formpw3` reads no table: it groups P_w's cubic terms by T-monomial
-(`SparsePoly.t_strata`) and compares each group's packed keys with
+The multiplicity tables are packed views, `MultView`, behind `multiplicity2`
+and `multiplicity3`: a lookup packs its key and reads the numerator's terms;
+iteration decodes the slice in ascending packed-key order.  No sweep reads a
+view.  The quadratic checks read m straight from P_w's terms, against rows
+built once per pair of bounds (w_upper(w, k), w_upper(w, l)) and held for one
+sweep (`_bound_rows`), presentations computed once per row.  The transfer
+rules (`check_multsiw`, `scan_siinc`, `scan_formpw2bound`) split packed keys
+by their (x_i, x_{i+1}) exponents.  `scan_formpw3` compares P_w's cubic
+terms, grouped by T-monomial (`SparsePoly.t_strata`), with
 `multisets.packed_C` by set difference, holding what it finds as packed rows
-(`permutation.Findings`).
+(`permutation.Findings`).  Only the keys a check reports are decoded.
 
 Every check and scan is a function of one permutation w and its numerator
 P_w, run over S_n by `sweep`, which lives in `permutation` with `ScanOutcome`
@@ -36,6 +36,7 @@ checks and scans are listed once, with the subcommand that runs each, in
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -43,13 +44,7 @@ from typing import Any
 
 from .bseq import format_seq, w_upper
 from .config import InvariantError
-from .multisets import (
-    enum_B,
-    enum_Btilde,
-    eta_parts,
-    packed_C,
-    presentations,
-)
+from .multisets import doubled, eta_parts, packed_B, packed_C, presentations
 from .permutation import Findings, Permutation, ScanOutcome, chain_value, path_memo, sweep
 from .poly import SparsePoly, key_multisets, multiset_key, x_exps
 from .series import n_factor_product, numerator_carry, numerator_P
@@ -109,21 +104,16 @@ class MultView:
         return self.poly.count_below(self.grade + 1) - self.poly.count_below(self.grade)
 
 
-def quadratic_multiplicities(w: Permutation, p: SparsePoly | None = None) -> MultView:
-    """m with keys (k, l, eta), from the T-quadratic slice of P_w.
-
-    P_w is p when given (truncated at T-degree 2 or above, as a sweep hands
-    it in), else numerator_P(w, tmax=2).  The slice carries a global minus
-    sign, so the values are positive whenever the structure theory says they
-    should be.
-    """
-    return MultView(numerator_P(w, tmax=2) if p is None else p, 2, -1)
+def quadratic_multiplicities(w: Permutation) -> MultView:
+    """m with keys (k, l, eta), from the T-quadratic slice of
+    numerator_P(w, tmax=2).  The slice carries a global minus sign, so the
+    values are positive whenever the structure theory says they should be."""
+    return MultView(numerator_P(w, tmax=2), 2, -1)
 
 
-def cubic_multiplicities(w: Permutation, p: SparsePoly | None = None) -> MultView:
-    """m with keys (p, k, l, tau), from the T-cubic slice of P_w: of p when
-    given (truncated at T-degree 3 or above), else of numerator_P(w, tmax=3)."""
-    return MultView(numerator_P(w, tmax=3) if p is None else p, 3)
+def cubic_multiplicities(w: Permutation) -> MultView:
+    """m with keys (p, k, l, tau), from the T-cubic slice of numerator_P(w, tmax=3)."""
+    return MultView(numerator_P(w, tmax=3), 3)
 
 
 def multiplicity2(w: Permutation, k: int, l: int, eta: tuple[int, ...]) -> int:
@@ -187,71 +177,120 @@ def decompose_quadratic(f: SparsePoly, i: int) -> dict[tuple[int, int], SparsePo
     return comp
 
 
+# -- the two-presentation rows, one table per sweep ----------------------------
+#
+# What a quadratic check compares m_eta with depends on w only through the
+# bounds; m is one read of P_w's terms at eta + T_k T_l (keys carry T-degree).
+
+
+def _bound_rows(
+    pairs: list[tuple[int, int]], row: Callable[[Permutation, int, int, int], Any]
+) -> Callable[[Permutation], Iterator[tuple[int, int, int, list]]]:
+    """rows_of(w) yields (k, l, packed T_k T_l, rows) for each (k, l) in
+    pairs, where rows holds row(w, k, l, eta) for each packed eta of B_{k,l}(w)
+    in tuple order, None dropped.  The rows are built once per pair of bounds
+    and held for as long as rows_of, that is for one sweep."""
+    levels = [(k, l, multiset_key(levels=(k, l))) for k, l in pairs]
+    top = max((l for _, l in pairs), default=0)
+    table: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}
+
+    def rows_of(w: Permutation) -> Iterator[tuple[int, int, int, list]]:
+        bounds = [()] + [w_upper(w, m) for m in range(1, top + 1)]
+        for k, l, t in levels:
+            key = (bounds[k], bounds[l])
+            rows = table.get(key)
+            if rows is None:
+                rows = table[key] = [r for eta in packed_B(*key)
+                                     if (r := row(w, k, l, eta)) is not None]
+            yield k, l, t, rows
+
+    return rows_of
+
+
+def _pairs(n: int, gap: int = 0) -> list[tuple[int, int]]:
+    """(k, l) with 1 <= k, k + gap <= l <= n."""
+    return [(k, l) for k in range(1, n + 1) for l in range(k + gap, n + 1)]
+
+
+def _freedom(k: int, l: int, eta: int) -> int:
+    """r = k - [k = l] - |eta_2| of a packed eta."""
+    return k - (k == l) - doubled(eta)
+
+
+def _eta(key: int) -> tuple[int, ...]:
+    """The multiset eta of a packed x-key."""
+    return key_multisets(key)[0]
+
+
+def _row_findings(
+    w: Permutation, p: SparsePoly, rows_of: Callable, finding: Callable[..., dict]
+) -> tuple[list[dict], dict[str, int]]:
+    """One w of a check over rows (eta, lo, hi, tag, info): where m falls
+    outside [lo, hi], a finding {w, eta, m} with the fields finding(k, l, lo,
+    info) gives; the count of rows as "multisets", and of the rows that hold
+    per tag."""
+    terms = p.terms
+    w_text = w.one_line()
+    ces: list[dict] = []
+    counts = {"multisets": 0}
+    for k, l, t, rows in rows_of(w):
+        counts["multisets"] += len(rows)
+        for eta, lo, hi, tag, info in rows:
+            m = -terms.get(eta + t, 0)
+            if not lo <= m <= hi:
+                ces.append({"w": w_text, "eta": format_seq(_eta(eta)), "m": m,
+                            **finding(k, l, lo, info)})
+            elif tag:
+                counts[tag] = counts.get(tag, 0) + 1
+    return ces, counts
+
+
+def _exactly(expect: int | None, valid: bool) -> tuple[int, int]:
+    """The [lo, hi] of a row that holds for m = expect alone, or for no m."""
+    return (expect, expect) if valid else (1, 0)
+
+
+def _row_check(
+    name: str, n: int, pairs: list[tuple[int, int]], row: Callable, finding: Callable[..., dict]
+) -> ScanOutcome:
+    rows_of = _bound_rows(pairs, row)
+    return sweep(name, n, lambda w, p: _row_findings(w, p, rows_of, finding),
+                 numerator_carry(tmax=2))
+
+
 # -- closed formulas for the small slices ------------------------------------------
 
 
-def _b_keys(
-    w: Permutation, n: int, gap: int = 0
-) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """(k, l, eta) for every eta in B_{k,l}(w) with 1 <= k, k + gap <= l <= n."""
-    for k in range(1, n + 1):
-        for l in range(k + gap, n + 1):
-            for eta in enum_B(w, k, l):
-                yield k, l, eta
-
-
 def check_quadratic_support(n: int) -> ScanOutcome:
-    """The quadratic support is exactly the two-presentation sets, positively."""
+    """The quadratic support is exactly the two-presentation sets, positively:
+    terms off the sets or below 1, then set members with no term, by key."""
+    rows_of = _bound_rows(_pairs(n), lambda w, k, l, eta: eta)
 
     def one(w: Permutation, p: SparsePoly):
-        quad = quadratic_multiplicities(w, p)
+        quad = p.t_slice(2).terms
+        expected = {eta + t for _, _, t, rows in rows_of(w) for eta in rows}
         w_text = w.one_line()
-        expected = set(_b_keys(w, n))
         ces = [
-            {"w": w_text, "key": key, "m": m,
+            {"w": w_text, "key": _key_tuple(key), "m": -quad[key],
              "reason": "negative or outside the two-presentation sets"}
-            for key, m in quad.items() if key not in expected or m < 1
+            for key in sorted(quad) if key not in expected or -quad[key] < 1
         ]
         ces += [
-            {"w": w_text, "key": key, "m": quad.get(key, 0),
+            {"w": w_text, "key": _key_tuple(key), "m": 0,
              "reason": "vanishes on a two-presentation multiset"}
-            for key in expected if quad.get(key, 0) < 1
+            for key in sorted(expected - quad.keys())
         ]
         return ces, {"terms": len(quad)}
 
     return sweep("quadratic_support", n, one, numerator_carry(tmax=2))
 
 
-def _r_value(k: int, l: int, eta: tuple[int, ...]) -> int:
-    _, eta2 = eta_parts(eta)
-    return k - (1 if k == l else 0) - len(eta2)
-
-
 def check_diff1(n: int) -> ScanOutcome:
     """Slices with one unit of freedom carry multiplicity exactly 1."""
-
-    def one(w: Permutation, p: SparsePoly):
-        quad = quadratic_multiplicities(w, p)
-        w_text = w.one_line()
-        ces: list[dict] = []
-        checked = 0
-        for k in range(1, n + 1):
-            for l in range(k, n + 1):
-                b_set = set(enum_B(w, k, l))
-                for eta in enum_Btilde(w, k, l):
-                    if _r_value(k, l, eta) != 1:
-                        continue
-                    checked += 1
-                    expect = 1 if eta in b_set else 0
-                    got = quad.get((k, l, eta), 0)
-                    if got != expect:
-                        ces.append(
-                            {"w": w_text, "k": k, "l": l,
-                             "eta": format_seq(eta), "m": got, "expected": expect}
-                        )
-        return ces, {"multisets": checked}
-
-    return sweep("diff1", n, one, numerator_carry(tmax=2))
+    return _row_check(
+        "diff1", n, _pairs(n),
+        lambda w, k, l, eta: (eta, 1, 1, None, None) if _freedom(k, l, eta) == 1 else None,
+        lambda k, l, lo, info: {"k": k, "l": l, "expected": 1})
 
 
 def _gamma_positions(eta: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, ...]:
@@ -268,34 +307,20 @@ def _gamma_positions(eta: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, 
 
 
 def check_diff2(n: int) -> ScanOutcome:
-    """Two units of freedom at k < l: the position formula for m."""
+    """Two units of freedom at k < l: the position formula for m, in [3, l - k + 4]."""
 
-    def one(w: Permutation, p: SparsePoly):
-        quad = quadratic_multiplicities(w, p)
-        w_text = w.one_line()
-        ces: list[dict] = []
-        checked = 0
-        for k, l, eta in _b_keys(w, n, gap=1):
-            if _r_value(k, l, eta) != 2:
-                continue
-            checked += 1
-            ps = presentations(w, k, l, eta)
-            betas = sorted(beta for _, beta in ps.pairs)
-            a, b = _gamma_positions(eta, betas[0])
-            cc, d = _gamma_positions(eta, betas[-1])
-            eps = 1 if b > cc else 0
-            expect = d - a + 1 - eps * (b - cc)
-            got = quad.get((k, l, eta), 0)
-            hi = l - k + 4
-            if got != expect or not 3 <= got <= hi:
-                ces.append(
-                    {"w": w_text, "k": k, "l": l,
-                     "eta": format_seq(eta), "m": got, "expected": expect,
-                     "range": [3, hi]}
-                )
-        return ces, {"multisets": checked}
+    def row(w: Permutation, k: int, l: int, key: int):
+        if _freedom(k, l, key) != 2:
+            return None
+        eta = _eta(key)
+        betas = sorted(beta for _, beta in presentations(w, k, l, eta).pairs)
+        a, b = _gamma_positions(eta, betas[0])
+        cc, d = _gamma_positions(eta, betas[-1])
+        expect = d - a + 1 - (b - cc if b > cc else 0)
+        return key, *_exactly(expect, 3 <= expect <= l - k + 4), None, expect
 
-    return sweep("diff2", n, one, numerator_carry(tmax=2))
+    return _row_check("diff2", n, _pairs(n, gap=1), row, lambda k, l, lo, expect: {
+        "k": k, "l": l, "expected": expect, "range": [3, l - k + 4]})
 
 
 _LKETA_PATTERNS = {
@@ -307,83 +332,43 @@ _LKETA_PATTERNS = {
 }
 
 
-def _lketa23_rows(w: Permutation, k: int) -> list[tuple]:
-    """(eta, lo, hi, pattern, unified, tag) for each eta in B_{k,k}(w) with
-    |eta_2| = k - 3; all of it depends on w only through w_upper(w, k)."""
-    rows = []
-    for eta in enum_B(w, k, k):
-        if len(eta_parts(eta)[1]) != k - 3:
-            continue
-        ps = presentations(w, k, k, eta)
-        sides = sorted({side for pair in ps.pairs for side in pair})
-        lo = _gamma_positions(eta, sides[0])
-        hi = _gamma_positions(eta, sides[-1])
-        pattern = _LKETA_PATTERNS.get((frozenset(lo), frozenset(hi)))
-        a, b, cpos = lo
-        d, e, f = hi
-        eps = 1 if b > d else 0
-        delta = 1 if cpos > e else 0
-        unified = f - a - eps * (b - d) - delta * (cpos - e)
-        tag = "pattern_{}_{}".format("".join(map(str, lo)), "".join(map(str, hi)))
-        rows.append((eta, lo, hi, pattern, unified, tag))
-    return rows
+def _lketa23_row(w: Permutation, k: int, l: int, key: int):
+    """The row of an eta in B_{k,k}(w) with |eta_2| = k - 3 (r = 2): m must
+    equal both its position pattern's value and the unified formula, in [3, 5]."""
+    if _freedom(k, l, key) != 2:
+        return None
+    eta = _eta(key)
+    ps = presentations(w, k, l, eta)
+    sides = sorted({side for pair in ps.pairs for side in pair})
+    lo = _gamma_positions(eta, sides[0])
+    hi = _gamma_positions(eta, sides[-1])
+    pattern = _LKETA_PATTERNS.get((frozenset(lo), frozenset(hi)))
+    a, b, cpos = lo
+    d, e, f = hi
+    unified = f - a - (b - d if b > d else 0) - (cpos - e if cpos > e else 0)
+    tag = "pattern_{}_{}".format("".join(map(str, lo)), "".join(map(str, hi)))
+    fields = {"k": k, "pattern": pattern, "unified": unified, "positions": [list(lo), list(hi)]}
+    return key, *_exactly(pattern, pattern == unified and 3 <= unified <= 5), tag, fields
 
 
 def check_lketa23(n: int) -> ScanOutcome:
     """Two units of freedom at k = l: five position patterns, m in [3, 5]."""
-    # w_upper(w, k) -> _lketa23_rows(w, k), held for this sweep only
-    strata: dict[tuple[int, ...], list[tuple]] = {}
-
-    def one(w: Permutation, p: SparsePoly):
-        quad = quadratic_multiplicities(w, p)
-        w_text = w.one_line()
-        ces: list[dict] = []
-        counts = {"multisets": 0}
-        for k in range(3, n + 1):
-            bound = w_upper(w, k)
-            if bound not in strata:
-                strata[bound] = _lketa23_rows(w, k)
-            for eta, lo, hi, pattern, unified, tag in strata[bound]:
-                counts["multisets"] += 1
-                got = quad.get((k, k, eta), 0)
-                if pattern is None or got != pattern or got != unified or not 3 <= got <= 5:
-                    ces.append(
-                        {"w": w_text, "k": k, "eta": format_seq(eta),
-                         "m": got, "pattern": pattern, "unified": unified,
-                         "positions": [list(lo), list(hi)]}
-                    )
-                else:
-                    counts[tag] = counts.get(tag, 0) + 1
-        return ces, counts
-
-    return sweep("lketa23", n, one, numerator_carry(tmax=2))
+    return _row_check("lketa23", n, [(k, k) for k in range(3, n + 1)], _lketa23_row,
+                      lambda k, l, lo, fields: fields)
 
 
-def _lowbdr2_one(
-    w: Permutation, n: int, quad: MultView
-) -> tuple[list[dict], dict[str, int]]:
-    """The 2^r - 1 floor on every two-presentation multiset of one w."""
-    w_text = w.one_line()
-    ces: list[dict] = []
-    checked = 0
-    for k, l, eta in _b_keys(w, n):
-        checked += 1
-        r = _r_value(k, l, eta)
-        got = quad.get((k, l, eta), 0)
-        if got < 2**r - 1:
-            ces.append(
-                {"w": w_text, "k": k, "l": l,
-                 "eta": format_seq(eta), "m": got, "bound": 2**r - 1}
-            )
-    return ces, {"multisets": checked}
+def _floor_row(w: Permutation, k: int, l: int, eta: int):
+    """m >= 2^r - 1 on every two-presentation multiset."""
+    return eta, 2 ** _freedom(k, l, eta) - 1, math.inf, None, None
+
+
+def _floor_finding(k: int, l: int, floor: int, info: None) -> dict:
+    return {"k": k, "l": l, "bound": floor}
 
 
 def check_lowbdr2(n: int) -> ScanOutcome:
     """On every two-presentation multiset, m is at least 2^r - 1."""
-    return sweep(
-        "lowbdr2", n, lambda w, p: _lowbdr2_one(w, n, quadratic_multiplicities(w, p)),
-        numerator_carry(tmax=2),
-    )
+    return _row_check("lowbdr2", n, _pairs(n), _floor_row, _floor_finding)
 
 
 # -- transfer rules along weak-order covers -----------------------------------------
@@ -580,44 +565,48 @@ def _order_embeds(
 
 def scan_poset(n: int) -> ScanOutcome:
     """m is an invariant of the presentation poset and grows under embeddings."""
-    # w.values -> (canonical poset, m, witness) for each multiset of w.  The
-    # sweep visits w in tree order, so the first witness of each poset is
-    # taken after it, in one-line order.
-    rows: dict[tuple[int, ...], list[tuple]] = {}
+    canons: list[tuple] = []  # canonical posets by id, in the order first built
+    canon_id = _table_ids(canons, lambda canon: canon)
+    rows_of = _bound_rows(_pairs(n), lambda w, k, l, eta: (
+        eta, canon_id(presentation_poset(w, k, l, _eta(eta)).canonical())))
+    # w.values -> (w's text, [(k, l, rows, the m of each row)]).  The sweep
+    # visits w in tree order, so the first witness of each poset is taken
+    # after it, in one-line order.
+    blocks: dict[tuple[int, ...], tuple[str, list[tuple]]] = {}
 
     def one(w: Permutation, p: SparsePoly):
-        quad = quadratic_multiplicities(w, p)
-        w_text = w.one_line()
-        found = rows[w.values] = []
-        for k, l, eta in _b_keys(w, n):
-            m = quad.get((k, l, eta), 0)
-            canon = presentation_poset(w, k, l, eta).canonical()
-            witness = {"w": w_text, "k": k, "l": l,
-                       "eta": format_seq(eta), "m": m}
-            found.append((canon, m, witness))
+        get = p.terms.get
+        blocks[w.values] = (w.one_line(), [
+            (k, l, rows, [-get(eta + t, 0) for eta, _ in rows])
+            for k, l, t, rows in rows_of(w)])
         return [], {}
 
     out = sweep("poset", n, one, numerator_carry(tmax=2))
-    buckets: dict[tuple, tuple[int, dict]] = {}
-    for key in sorted(rows):
-        for canon, m, witness in rows[key]:
-            if canon not in buckets:
-                buckets[canon] = (m, witness)
-            elif buckets[canon][0] != m:
-                out.counterexamples.append(
-                    {"reason": "same poset, different m",
-                     "first": buckets[canon][1], "second": witness}
-                )
-    mats = list(buckets)
-    for pa, pb in itertools.permutations(mats, 2):
-        if len(pa) <= len(pb) and _order_embeds(pa, pb):
-            if buckets[pa][0] > buckets[pb][0]:
-                out.counterexamples.append(
-                    {"reason": "embedding with larger m on the smaller poset",
-                     "small": buckets[pa][1], "large": buckets[pb][1]}
-                )
-    out.stats["posets"] = len(buckets)
+    firsts: dict[int, tuple[int, dict]] = {}  # canon id -> (m, witness)
+    for key in sorted(blocks):
+        w_text, found = blocks[key]
+        for k, l, rows, ms in found:
+            for (eta, cid), m in zip(rows, ms):
+                if cid not in firsts:
+                    firsts[cid] = (m, _witness(w_text, k, l, eta, m))
+                elif firsts[cid][0] != m:
+                    out.counterexamples.append(
+                        {"reason": "same poset, different m",
+                         "first": firsts[cid][1], "second": _witness(w_text, k, l, eta, m)}
+                    )
+    for a, b in itertools.permutations(firsts, 2):
+        # _order_embeds is pure: the cheap m test first
+        if firsts[a][0] > firsts[b][0] and _order_embeds(canons[a], canons[b]):
+            out.counterexamples.append(
+                {"reason": "embedding with larger m on the smaller poset",
+                 "small": firsts[a][1], "large": firsts[b][1]}
+            )
+    out.stats["posets"] = len(firsts)
     return out
+
+
+def _witness(w_text: str, k: int, l: int, eta: int, m: int) -> dict:
+    return {"w": w_text, "k": k, "l": l, "eta": format_seq(_eta(eta)), "m": m}
 
 
 def scan_siinc(n: int) -> ScanOutcome:
@@ -678,7 +667,7 @@ def scan_formpw3(n: int) -> ScanOutcome:
     fixed = {t for _, t in strata}
     found = Findings(("positivity", "support"))
     level_id = _table_ids(found.levels, lambda levels: levels)
-    tau_id = _table_ids(found.taus, lambda tau: format_seq(key_multisets(tau)[0]))
+    tau_id = _table_ids(found.taus, lambda tau: format_seq(_eta(tau)))
 
     def one(w: Permutation, p_w: SparsePoly):
         by_t = p_w.t_strata(3)
@@ -713,12 +702,13 @@ def scan_formpw3(n: int) -> ScanOutcome:
 def scan_formpw2bound(n: int) -> ScanOutcome:
     """Lower bound 2^r - 1 on the quadratic slice plus cover monotonicity."""
     carry = numerator_carry(tmax=2)
+    floors = _bound_rows(_pairs(n), _floor_row)
     path: list[tuple[Permutation, SparsePoly]] = []  # root to w, with each P
 
     def one(w: Permutation, p_w: SparsePoly):
         path[w.length():] = [(w, p_w)]
         w_text = w.one_line()
-        ces, counts = _lowbdr2_one(w, n, quadratic_multiplicities(w, p_w))
+        ces, counts = _row_findings(w, p_w, floors, _floor_finding)
         entries = sorted((-p_w.t_slice(2)).terms.items())  # read at every ascent
         for i in range(1, n):
             if not w.is_ascent(i):

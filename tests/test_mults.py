@@ -6,7 +6,7 @@ import pytest
 from keyseries.cli import CHECKS, check_names
 from keyseries.config import InvariantError
 from keyseries import mults
-from keyseries.bseq import format_seq
+from keyseries.bseq import format_seq, w_upper
 from keyseries.multisets import enum_B, enum_C
 from keyseries.mults import (
     MultView,
@@ -455,6 +455,55 @@ def test_siinc_reports_injected_faults(monkeypatch):
     assert out.stats["comparisons"] == clean.stats["comparisons"] + 1
 
 
+def test_quadratic_checks_report_injected_faults(monkeypatch):
+    # 3142 is clean at n=4, with m = 1 at T1T2 x^123, T1T3 x^1234 and T2T3
+    # x^11234, each of freedom r = 1.  Hand the checks a P_w where T1T3
+    # x^1234 drops to 0, T1T2 x^122 (outside B) gains m = 2 and T2T3 x^11234
+    # goes to 2: the support check sees the first two, diff1 the first and
+    # the third, the floor only the first, each with its decoded key.
+    target = parse_permutation("3142")
+    fault = (_quad_term(1, (1, 3), (1, 2, 3, 4)) + _quad_term(-2, (1, 2), (1, 2, 2))
+             + _quad_term(-1, (2, 3), (1, 1, 2, 3, 4)))
+    real_sweep = mults.sweep
+
+    def faulty_sweep(name, n, one, carry):
+        return real_sweep(name, n, lambda w, p: one(w, p + fault if w == target else p), carry)
+
+    checks = (check_quadratic_support, check_diff1, check_lowbdr2)
+    clean = [fn(4) for fn in checks]
+    assert all(out.ok for out in clean)
+    monkeypatch.setattr(mults, "sweep", faulty_sweep)
+    faulty = [fn(4) for fn in checks]
+    assert [out.counterexamples for out in faulty] == [
+        [{"w": "3142", "key": (1, 2, (1, 2, 2)), "m": 2,
+          "reason": "negative or outside the two-presentation sets"},
+         {"w": "3142", "key": (1, 3, (1, 2, 3, 4)), "m": 0,
+          "reason": "vanishes on a two-presentation multiset"}],
+        [{"w": "3142", "k": 1, "l": 3, "eta": "1234", "m": 0, "expected": 1},
+         {"w": "3142", "k": 2, "l": 3, "eta": "11234", "m": 2, "expected": 1}],
+        [{"w": "3142", "k": 1, "l": 3, "eta": "1234", "m": 0, "bound": 1}],
+    ]
+    # one term gone and one gained: every count is unchanged
+    assert [out.stats for out in faulty] == [out.stats for out in clean]
+
+
+def test_presentations_once_per_bound_row(monkeypatch):
+    # A sweep builds its rows once per pair of bounds, so presentations runs
+    # at most once per (w_upper(w, k), w_upper(w, l), eta) in one sweep.
+    seen = []
+    real = mults.presentations
+
+    def recording(w, k, l, eta):
+        seen.append((w_upper(w, k), w_upper(w, l), eta))
+        return real(w, k, l, eta)
+
+    monkeypatch.setattr(mults, "presentations", recording)
+    for fn in (scan_poset, check_diff2):
+        seen.clear()
+        assert fn(5).ok
+        assert seen and len(seen) == len(set(seen)), fn.__name__
+
+
 def test_cover_checks_hold_only_the_path(monkeypatch):
     # Each P_{s_i w} is climbed up to the walk's root-to-w path: no memo holds
     # more than 2 * length(w) + 2 numerators, at most 21 on S5 (length <= 10).
@@ -496,9 +545,14 @@ def test_scans_at_n5():
     assert claims == {"support": 1240, "positivity": 1992}
 
 
-# The S6 bodies of the cover checks and the ascent scan, pinned like the n=5
-# bodies above.
+# The S6 bodies of the quadratic checks, the cover checks and the scans that
+# read no cubic slice, pinned like the n=5 bodies above.
 PINNED_S6_BODIES = {
+    "quadratic_support": "13d0070b1090e0d840d4664d41ba4cc9f064a76d3de55360c3253bc3925c9be7",
+    "diff1": "24cf3cc979f6baa06a85fa43f4cbc1e87bde22f975a12b86283e616ad2667659",
+    "diff2": "b7a5504539006a7e6fe1df190248729c60343b35d069f0aa9816018ab21ab94e",
+    "lowbdr2": "2dc5da1e90b086569a484c1d09966bbe07677fa55132eeb785adb1405b5d863f",
+    "poset": "1c1a94556e8abb94c3407971717d6f679aae5b8b229bfd1fd16301a30e25bb62",
     "multsiw": "0fb96adc6e03c85973d9c066b49413c39558ad1bb1df630af486683d4cd54721",
     "siinc": "659e8629944cb23d8b1c80ab826e4a6ab5fc54fcb5ff4d10ad0cdeca6b613727",
     "formpw2bound": "07e0a8a19cea6059573ace71c4f8e099001c0db5a38de32731b143e72aa65df5",

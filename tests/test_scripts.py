@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -117,6 +118,14 @@ def test_multiplicity_census_script():
         "  2 presentations: m=1: 2",
         "  3 presentations: m=1: 1",
     ]
+
+
+def test_multiplicity_census_n4_pinned():
+    # the whole S4 census, pinned so that a rewrite of its rows keeps every count
+    proc = run_script("multiplicity_census.py", "--n", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "ad4e085d77a5ba214d318e7960d73fadf8d42a22e802b06c64b47b94685349f0")
 
 
 @pytest.mark.parametrize("n, code, message", [
