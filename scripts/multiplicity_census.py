@@ -17,8 +17,8 @@ from collections import Counter
 
 from keyseries.cli import guarded
 from keyseries.config import EngineConfig
-from keyseries.multisets import presentations
-from keyseries.mults import _bound_rows, _eta, _freedom, _pairs
+from keyseries.multisets import _decoded, presentations
+from keyseries.mults import _bound_rows, _freedom, _pairs
 from keyseries.permutation import descent_walk
 from keyseries.series import numerator_carry
 
@@ -32,7 +32,7 @@ def run(n: int) -> int:
     # r and the presentation count of each two-presentation multiset, once
     # per pair of bounds; only m is read per permutation
     rows_of = _bound_rows(_pairs(n), lambda w, k, l, eta: (
-        eta, _freedom(k, l, eta), presentations(w, k, l, _eta(eta)).count))
+        eta, _freedom(k, l, eta), presentations(w, k, l, _decoded(eta)).count))
     for w, p in descent_walk(n, numerator_carry(tmax=2)):
         for _, _, t, rows in rows_of(w):
             for eta, r, size in rows:

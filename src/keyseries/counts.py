@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 
 from .bseq import enum_A, format_seq
 from .multisets import EtaMultiSet, sum_seqs
-from .mults import MultView, cubic_multiplicities, quadratic_multiplicities
+from .mults import cubic_multiplicities, quadratic_multiplicities
 from .permutation import Permutation, ScanOutcome, sweep
 from .poly import SparsePoly, series_inverse_product, x_exps
 from .series import _trim_partition, partitions, t_exps
@@ -220,7 +220,7 @@ def suite_fcoeff(group_n: int = 3, max_weight: int = 6) -> ScanOutcome:
                      "detail": "enumeration disagrees with series block"}
                 )
                 continue
-            for (mu,), c in MultView(block, 0).items():
+            for (mu, _, _), c in block.multiset_items():
                 coeffs += 1
                 got = F_coefficient(lam, w, mu)
                 if got != c:

@@ -122,6 +122,7 @@ def doubled(eta: int) -> int:
 
 
 def _decoded(key: int) -> EtaMultiSet:
+    """The multiset of a packed x-key, as its sorted tuple."""
     return key_multisets(key)[0]
 
 

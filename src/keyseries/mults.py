@@ -27,10 +27,11 @@ and is re-exported here.  The sweep walks the tree of first left descents and
 hands each w its own P_w (`series.numerator_carry`), holding only the
 numerators on the current path; findings come out in one-line order.  The two
 checks that also read the cover s_i w (`check_multsiw`, `scan_formpw2bound`)
-climb P_{s_i w} up to that path (`permutation.chain_value` through
-`permutation.path_memo`), so they too hold O(length of w) numerators.  The
-checks and scans are listed once, with the subcommand that runs each, in
-`cli.CHECKS`.
+take P_{s_i w} as one induction step from P_w (`series.numerator_step`), at
+the sweep's tmax: one step per cover, and one P_{s_i w} held at a time.  The
+step is the tree's value by the word property, which `verify --suite
+formofkw` checks at every cover off the tree.  The checks and scans are
+listed once, with the subcommand that runs each, in `cli.CHECKS`.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from typing import Any
 
 from .bseq import format_seq, w_upper
 from .config import InvariantError
-from .multisets import doubled, eta_parts, packed_B, packed_C, presentations
-from .permutation import Findings, Permutation, ScanOutcome, chain_value, path_memo, sweep
+from .multisets import _decoded, doubled, eta_parts, packed_B, packed_C, presentations
+from .permutation import Findings, Permutation, ScanOutcome, sweep
 from .poly import SparsePoly, key_multisets, multiset_key, x_exps
-from .series import n_factor_product, numerator_carry, numerator_P
+from .series import n_factor_product, numerator_carry, numerator_P, numerator_step
 
 __all__ = [
     "MultView",
@@ -80,10 +81,10 @@ __all__ = [
 class MultView:
     """Read-only table of the T-degree `grade` slice of a xi-free polynomial,
     times `sign`, keyed (levels..., eta) with sorted index multisets: (k, l,
-    eta) at grade 2, (p, k, l, tau) at grade 3, (mu,) at grade 0.  `get`
-    packs its key (x_exps counts the levels as T-exponents, (2, 3) -> (0, 1,
-    1)) and reads the terms; `items` decodes the slice lazily, in ascending
-    packed-key order, a function of the polynomial's value only."""
+    eta) at grade 2, (p, k, l, tau) at grade 3.  `get` packs its key (x_exps
+    counts the levels as T-exponents, (2, 3) -> (0, 1, 1)) and reads the
+    terms; `items` decodes the slice lazily, in ascending packed-key order, a
+    function of the polynomial's value only."""
 
     __slots__ = ("poly", "grade", "sign")
 
@@ -217,11 +218,6 @@ def _freedom(k: int, l: int, eta: int) -> int:
     return k - (k == l) - doubled(eta)
 
 
-def _eta(key: int) -> tuple[int, ...]:
-    """The multiset eta of a packed x-key."""
-    return key_multisets(key)[0]
-
-
 def _row_findings(
     w: Permutation, p: SparsePoly, rows_of: Callable, finding: Callable[..., dict]
 ) -> tuple[list[dict], dict[str, int]]:
@@ -238,7 +234,7 @@ def _row_findings(
         for eta, lo, hi, tag, info in rows:
             m = -terms.get(eta + t, 0)
             if not lo <= m <= hi:
-                ces.append({"w": w_text, "eta": format_seq(_eta(eta)), "m": m,
+                ces.append({"w": w_text, "eta": format_seq(_decoded(eta)), "m": m,
                             **finding(k, l, lo, info)})
             elif tag:
                 counts[tag] = counts.get(tag, 0) + 1
@@ -312,7 +308,7 @@ def check_diff2(n: int) -> ScanOutcome:
     def row(w: Permutation, k: int, l: int, key: int):
         if _freedom(k, l, key) != 2:
             return None
-        eta = _eta(key)
+        eta = _decoded(key)
         betas = sorted(beta for _, beta in presentations(w, k, l, eta).pairs)
         a, b = _gamma_positions(eta, betas[0])
         cc, d = _gamma_positions(eta, betas[-1])
@@ -337,7 +333,7 @@ def _lketa23_row(w: Permutation, k: int, l: int, key: int):
     equal both its position pattern's value and the unified formula, in [3, 5]."""
     if _freedom(k, l, key) != 2:
         return None
-    eta = _eta(key)
+    eta = _decoded(key)
     ps = presentations(w, k, l, eta)
     sides = sorted({side for pair in ps.pairs for side in pair})
     lo = _gamma_positions(eta, sides[0])
@@ -375,8 +371,8 @@ def check_lowbdr2(n: int) -> ScanOutcome:
 #
 # A rule moves the (x_i, x_{i+1}) exponents (a, b) of a packed key: with the
 # terms split by them (`_pair_split`), a moved key is a lookup at another
-# (a, b) for the same rest of the key.  P_{s_i w} is the tree's value, climbed
-# from s_i w up to the walk's root-to-w path (`permutation.path_memo`).
+# (a, b) for the same rest of the key.  P_{s_i w} is one induction step from
+# P_w, pi_i(P_w N_{w,i}) (`series.numerator_step`).
 
 
 def _pair_split(poly: SparsePoly, i: int) -> dict[tuple[int, int], dict[int, int]]:
@@ -432,11 +428,7 @@ def check_multsiw(n: int) -> ScanOutcome:
     N's cubic slice, all at (0, 3), and the correction x_i N_1 (c_10 + x_i
     c_20 + x_i x_{i+1} c_21), where N_1 is N's linear slice and the c_ab are
     the components of w's quadratic slice (`decompose_quadratic`)."""
-    carry = numerator_carry(tmax=3)
-    path: list[tuple[Permutation, SparsePoly]] = []  # root to w, with each P
-
     def one(w: Permutation, p_w: SparsePoly):
-        path[w.length():] = [(w, p_w)]
         w_text = w.one_line()
         ces: list[dict] = []
         pairs = 0
@@ -445,7 +437,7 @@ def check_multsiw(n: int) -> ScanOutcome:
             if not w.is_ascent(i):
                 continue
             pairs += 1
-            p_sw = chain_value(w.left_mul_s(i), carry, path_memo(path))
+            p_sw = numerator_step(p_w, w, i, tmax=3)
             nfac = n_factor_product(w, i, tmax=3)
             comp = decompose_quadratic(p2, i)
             x_i = SparsePoly.x_var(i)
@@ -462,7 +454,7 @@ def check_multsiw(n: int) -> ScanOutcome:
                          "m": got, "expected": expect} for key, got, expect in found]
         return ces, {"covers": pairs}
 
-    return sweep("multsiw", n, one, carry)
+    return sweep("multsiw", n, one, numerator_carry(tmax=3))
 
 
 # -- presentation posets --------------------------------------------------------
@@ -568,7 +560,7 @@ def scan_poset(n: int) -> ScanOutcome:
     canons: list[tuple] = []  # canonical posets by id, in the order first built
     canon_id = _table_ids(canons, lambda canon: canon)
     rows_of = _bound_rows(_pairs(n), lambda w, k, l, eta: (
-        eta, canon_id(presentation_poset(w, k, l, _eta(eta)).canonical())))
+        eta, canon_id(presentation_poset(w, k, l, _decoded(eta)).canonical())))
     # w.values -> (w's text, [(k, l, rows, the m of each row)]).  The sweep
     # visits w in tree order, so the first witness of each poset is taken
     # after it, in one-line order.
@@ -606,7 +598,7 @@ def scan_poset(n: int) -> ScanOutcome:
 
 
 def _witness(w_text: str, k: int, l: int, eta: int, m: int) -> dict:
-    return {"w": w_text, "k": k, "l": l, "eta": format_seq(_eta(eta)), "m": m}
+    return {"w": w_text, "k": k, "l": l, "eta": format_seq(_decoded(eta)), "m": m}
 
 
 def scan_siinc(n: int) -> ScanOutcome:
@@ -667,7 +659,7 @@ def scan_formpw3(n: int) -> ScanOutcome:
     fixed = {t for _, t in strata}
     found = Findings(("positivity", "support"))
     level_id = _table_ids(found.levels, lambda levels: levels)
-    tau_id = _table_ids(found.taus, lambda tau: format_seq(_eta(tau)))
+    tau_id = _table_ids(found.taus, lambda tau: format_seq(_decoded(tau)))
 
     def one(w: Permutation, p_w: SparsePoly):
         by_t = p_w.t_strata(3)
@@ -701,23 +693,20 @@ def scan_formpw3(n: int) -> ScanOutcome:
 
 def scan_formpw2bound(n: int) -> ScanOutcome:
     """Lower bound 2^r - 1 on the quadratic slice plus cover monotonicity."""
-    carry = numerator_carry(tmax=2)
     floors = _bound_rows(_pairs(n), _floor_row)
-    path: list[tuple[Permutation, SparsePoly]] = []  # root to w, with each P
 
     def one(w: Permutation, p_w: SparsePoly):
-        path[w.length():] = [(w, p_w)]
         w_text = w.one_line()
         ces, counts = _row_findings(w, p_w, floors, _floor_finding)
         entries = sorted((-p_w.t_slice(2)).terms.items())  # read at every ascent
         for i in range(1, n):
             if not w.is_ascent(i):
                 continue
-            cover = chain_value(w.left_mul_s(i), carry, path_memo(path)).terms
+            cover = numerator_step(p_w, w, i, tmax=2).terms
             for key, m in entries:
                 if (cover_m := -cover.get(key, 0)) < m:
                     ces.append({"w": w_text, "i": i, "key": _key_tuple(key),
                                 "m": m, "cover_m": cover_m})
         return ces, counts
 
-    return sweep("formpw2bound", n, one, carry)
+    return sweep("formpw2bound", n, one, numerator_carry(tmax=2))

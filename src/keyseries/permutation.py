@@ -10,14 +10,13 @@ series) is a ``Carry`` folded down the tree of first left descents: the
 parent of w is s_i w for i the first left descent of w, so the tree spans the
 weak order and is rooted at the identity.  ``descent_walk`` folds all of S_n
 depth first, holding only the values on the current root-to-w path;
-``chain_value`` folds one w's chain, optionally through a memo, and
-``path_memo`` seeds that memo with the walk's path, so that the value at a
-cover of w is climbed only up to it.  If ``cover_mismatches`` finds no cover
-off the tree where a carry's step fails, every reduced word gives the tree's
-value (the word property).  ``sweep``, the one loop over a whole S_n, runs a
-function of one permutation on every w of the walk and gathers findings and
-counts into a ``ScanOutcome`` in one-line order.  Every check, scan and verify
-suite is run by it.
+``chain_value`` folds one w's chain, optionally through a memo.  If
+``cover_mismatches`` finds no cover off the tree where a carry's step fails,
+every reduced word gives the tree's value (the word property); it climbs the
+value at each such cover up to the walk's path, seeded as a memo.  ``sweep``,
+the one loop over a whole S_n, runs a function of one permutation on every w
+of the walk and gathers findings and counts into a ``ScanOutcome`` in
+one-line order.  Every check, scan and verify suite is run by it.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "ScanOutcome",
     "descent_walk",
     "chain_value",
-    "path_memo",
     "cover_mismatches",
     "sweep",
 ]
@@ -381,21 +379,16 @@ def chain_value(w: Permutation, carry: Carry, memo: dict | None = None, tag: Any
     return value
 
 
-def path_memo(path: list[tuple[Permutation, Any]]) -> dict:
-    """A ``chain_value`` memo of path, the walk's root-to-w (v, value) list.
-    The value at a cover s_i w climbs from s_i w up to the path, so a memo
-    made for one cover holds at most 2 * length(w) + 2 values."""
-    return {((), v.core): value for v, value in path}
-
-
 def cover_mismatches(path: list[tuple[Permutation, Any]], carry: Carry) -> list[int]:
     """The ascents i of w off the tree (not the first left descent of s_i w)
     where the carry's step from w's value is not the value at s_i w, climbed up
-    to path, the walk's root-to-w (v, value) list, through ``path_memo``."""
+    to path, the walk's root-to-w (v, value) list: each climb gets a memo of
+    path, so it holds at most 2 * length(w) + 2 values."""
     (w, value), step = path[-1], carry[1]
     return [i for i in range(1, w.n) if w.is_ascent(i)
             and (sw := w.left_mul_s(i)).left_descents()[0] != i
-            and step(value, w, i) != chain_value(sw, carry, path_memo(path))]
+            and step(value, w, i) != chain_value(
+                sw, carry, {((), v.core): held for v, held in path})]
 
 
 def sweep(

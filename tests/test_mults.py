@@ -389,13 +389,13 @@ def _quad_term(coeff, levels, eta):
 def _faulty_covers(monkeypatch, target, fault):
     """Every P_{s_i w} a check reads as target comes back as P + fault; the
     walk's own values are untouched."""
-    real_chain_value = mults.chain_value
+    real_step = mults.numerator_step
 
-    def faulty(v, *args):
-        value = real_chain_value(v, *args)
-        return value + fault if v == target else value
+    def faulty(p, v, i, **kwargs):
+        value = real_step(p, v, i, **kwargs)
+        return value + fault if v.left_mul_s(i) == target else value
 
-    monkeypatch.setattr(mults, "chain_value", faulty)
+    monkeypatch.setattr(mults, "numerator_step", faulty)
 
 
 def test_multsiw_reports_injected_faults(monkeypatch):
@@ -504,21 +504,23 @@ def test_presentations_once_per_bound_row(monkeypatch):
         assert seen and len(seen) == len(set(seen)), fn.__name__
 
 
-def test_cover_checks_hold_only_the_path(monkeypatch):
-    # Each P_{s_i w} is climbed up to the walk's root-to-w path: no memo holds
-    # more than 2 * length(w) + 2 numerators, at most 21 on S5 (length <= 10).
-    sizes = []
-    real_chain_value = mults.chain_value
+def test_cover_checks_step_once_per_cover(monkeypatch):
+    # Each P_{s_i w} is one induction step from P_w: a check over S5 steps
+    # once across each of the 240 covers of the weak order, and the walk
+    # once more across each of the 119 on its tree.
+    steps = []
+    real_step = series.numerator_step
 
-    def recording(v, carry, memo):
-        value = real_chain_value(v, carry, memo)
-        sizes.append(len(memo))
-        return value
+    def counting(*args, **kwargs):
+        steps.append(args[1:3])
+        return real_step(*args, **kwargs)
 
-    monkeypatch.setattr(mults, "chain_value", recording)
-    check_multsiw(5)
-    scan_formpw2bound(5)
-    assert len(sizes) == 2 * 240 and max(sizes) <= 2 * 10 + 1
+    monkeypatch.setattr(series, "numerator_step", counting)
+    monkeypatch.setattr(mults, "numerator_step", counting)
+    for check in (check_multsiw, scan_formpw2bound):
+        steps.clear()
+        assert check(5).ok
+        assert (len(steps), len(set(steps))) == (119 + 240, 240), check.__name__
 
 
 @pytest.mark.slow
@@ -530,6 +532,16 @@ def test_lketa23_s7():
     assert len(patterns) == 5
     assert body_digest(outcome_report(out, {}, 0)) == (
         "d53ed34de14473a45ab4a7225d995c6694af3bce60d20f5b7a144cd341f1f7eb"
+    )
+
+
+@pytest.mark.slow
+def test_formpw2bound_s7():
+    # the whole S7 report body: the floor rows and every cover, one step each
+    out = scan_formpw2bound(7)
+    assert out.ok
+    assert body_digest(outcome_report(out, {}, 0)) == (
+        "0829372ce74be298f0a1b7e1378be1695027b603808c01249b7caa366d806bdc"
     )
 
 
