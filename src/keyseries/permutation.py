@@ -274,6 +274,11 @@ class Findings(Sequence):
         for w_text, row in self._packed():
             yield values(w_text, row)
 
+    @staticmethod
+    def value(field):
+        """The JSON value of a field that rows() yields: the field itself."""
+        return field
+
     def __iter__(self) -> Iterator[dict]:
         decode = self._decode
         for w_text, row in self._packed():

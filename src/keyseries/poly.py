@@ -11,8 +11,10 @@ keeps each field's top bit clear: a sum of two keys never carries between
 fields, and a product, exponent or variable index that does not fit raises
 ``ResourceCapError``, never wraps.  The public surface speaks exponent tuples
 ``(x, t, xi)``; ``exponent_items`` and ``multiset_items`` decode each distinct
-x-part and T-part once per call, in packed-key order, and ``render`` gives
-the text and JSON forms from one sorted pass that renders each part once.
+x-part and T-part once per call, in packed-key order.  ``render`` gives the
+text form and the JSON terms from one sorted pass that renders each part
+once; the terms are a ``Terms`` row table over that pass's rows, which reads
+as a list of dicts and which the report encoder writes without building one.
 ``multiset_key`` and ``key_multisets`` convert between a key and the sorted
 index multisets (eta, levels) of x^eta T^levels, the multiset layer's form.
 
@@ -43,14 +45,14 @@ inverse.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Iterable, Iterator, Mapping
 
 from .config import ResourceCapError
 
 __all__ = [
-    "FIELD_BITS", "MAX_EXP", "NVARS", "Monomial", "SparsePoly", "divided_difference",
+    "FIELD_BITS", "MAX_EXP", "NVARS", "Monomial", "SparsePoly", "Terms", "divided_difference",
     "key_multisets", "multiset_key", "pi", "pi_xi", "pi_word", "series_inverse_product",
     "series_product", "series_quotient", "x_exps",
 ]
@@ -157,13 +159,27 @@ def key_multisets(key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return _unpack_multiset(key & _PART), _unpack_multiset((key >> T_SHIFT) & _PART)
 
 
-def _part_view(part: int, name: str) -> tuple[tuple[int, ...], str, dict[str, int]]:
-    """An x-part or T-part (name "x" or "T") as its exponent tuple, its text
-    factors ("x1*x3^2", "" for no variable) and its JSON exponent dict."""
-    exps = _unpack(part)
-    used = [(str(i), e) for i, e in enumerate(exps, start=1) if e]
-    return (exps, "*".join([name + i if e == 1 else f"{name}{i}^{e}" for i, e in used]),
-            dict(used))
+class _Part:
+    """One distinct x-part or T-part of a rendering: its exponent tuple, its
+    text factors ("x1*x3^2", "" for no variable) and its JSON exponent dict.
+    It hashes by identity, as a rendering builds one per distinct part."""
+
+    __slots__ = ("exps", "text", "json")
+
+    def __init__(self, part: int, name: str):
+        exps: list[int] = []
+        factors: list[str] = []
+        self.json: dict[str, int] = {}
+        while part:  # one field per step, as _unpack
+            e = part & _FIELD
+            exps.append(e)
+            if e:
+                i = str(len(exps))
+                self.json[i] = e
+                factors.append(name + i if e == 1 else f"{name}{i}^{e}")
+            part >>= FIELD_BITS
+        self.exps = tuple(exps)
+        self.text = "*".join(factors)
 
 
 def _graded_key(exps: tuple[int, ...]) -> tuple:
@@ -174,8 +190,8 @@ def _graded_key(exps: tuple[int, ...]) -> tuple:
 def _text(rows) -> str:
     """The text form of _graded_rows."""
     chunks: list[str] = []
-    for (_, xtext, _), (_, ttext, _), xi, c in rows:
-        factors = [f for f in (xtext, ttext) if f]
+    for c, xpart, tpart, xi in rows:
+        factors = [f for f in (xpart.text, tpart.text) if f]
         if xi:
             factors.append("xi" if xi == 1 else f"xi^{xi}")
         mag = abs(c)
@@ -187,10 +203,58 @@ def _text(rows) -> str:
     return " ".join(chunks) if chunks else "0"
 
 
-def _json_obj(rows) -> dict:
-    """The JSON object of _graded_rows; no two terms share a dict."""
-    return {"terms": [{"coeff": c, "x": dict(xv[2]), "T": dict(tv[2]), "xi": xi}
-                      for xv, tv, xi, c in rows]}
+class Terms(Sequence):
+    """Read-only JSON terms of a polynomial, held as the rows of _graded_rows.
+
+    Each term is the dict ``{"coeff", "x", "T", "xi"}``, in that key order,
+    with the x and T exponents keyed by variable index.  A row is the
+    coefficient, the ``_Part`` of its x-part and of its T-part (one shared
+    object per distinct part) and the xi exponent.  A term is decoded only
+    when it is read: iteration and indexing yield fresh dicts, so no two terms
+    share a dict, and ``==`` against a list compares the decoded dicts.
+    ``rows()`` yields the rows, in key order, for the report encoder, which
+    keys its memo on each part by identity and reads its JSON through
+    ``value``.  ``json.dumps`` does not know the table; ``list`` of it does.
+    """
+
+    KEYS = ("coeff", "x", "T", "xi")
+    __slots__ = ("_rows",)
+    __hash__ = None
+
+    def __init__(self, rows: list[tuple[int, _Part, _Part, int]]):
+        self._rows = rows
+
+    def rows(self) -> Iterator[tuple]:
+        return iter(self._rows)
+
+    @staticmethod
+    def value(field):
+        """The JSON value of a row field: a part's exponent dict, else the field."""
+        return field.json if type(field) is _Part else field
+
+    @staticmethod
+    def _decode(row: tuple) -> dict:
+        c, xpart, tpart, xi = row
+        return {"coeff": c, "x": dict(xpart.json), "T": dict(tpart.json), "xi": xi}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(self._decode, self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._decode(row) for row in self._rows[index]]
+        return self._decode(self._rows[index])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Terms, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<Terms: {len(self)} rows>"
 
 
 def x_exps(eta: tuple[int, ...]) -> tuple[int, ...]:
@@ -406,31 +470,32 @@ class SparsePoly:
 
     # -- presentation -----------------------------------------------------
 
-    def _graded_rows(self) -> list[tuple[tuple, tuple, int, int]]:
-        """Terms in graded order as (x view, T view, xi, coeff), each view an
-        ``_part_view``.  One pass decodes and renders each distinct x-part and
-        each distinct T-part once, in separate memos (x1 and T1 are the same
-        part integer), and ranks them so that a term's sort key is one int."""
+    def _graded_rows(self) -> list[tuple[int, _Part, _Part, int]]:
+        """Terms in graded order as the rows (coeff, x-part, T-part, xi) of
+        ``Terms``.  One pass decodes and renders each distinct x-part and each
+        distinct T-part once, as one ``_Part`` in separate memos (x1 and T1 are
+        the same part integer), and ranks them so that a term's sort key is
+        one int."""
         ranked = []
         for shift, name in ((0, "x"), (T_SHIFT, "T")):
-            views = {p: _part_view(p, name) for p in {(k >> shift) & _PART for k in self.terms}}
-            order = sorted(views, key=lambda p: _graded_key(views[p][0]))
-            ranked.append({p: (rank, views[p]) for rank, p in enumerate(order)})
+            parts = {p: _Part(p, name) for p in {(k >> shift) & _PART for k in self.terms}}
+            order = sorted(parts, key=lambda p: _graded_key(parts[p].exps))
+            ranked.append({p: (rank, parts[p]) for rank, p in enumerate(order)})
         xs, ts = ranked
         rows = []
         for k, c in self.terms.items():
-            xrank, xview = xs[k & _PART]
-            trank, tview = ts[(k >> T_SHIFT) & _PART]
+            xrank, xpart = xs[k & _PART]
+            trank, tpart = ts[(k >> T_SHIFT) & _PART]
             xi = (k >> XI_SHIFT) & _FIELD
-            rows.append(((xi << 64) | (trank << 32) | xrank, xview, tview, xi, c))
-        rows.sort()  # the int keys are distinct, so no view is ever compared
+            rows.append(((xi << 64) | (trank << 32) | xrank, c, xpart, tpart, xi))
+        rows.sort()  # the int keys are distinct, so no part is ever compared
         return [row[1:] for row in rows]
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms as ((x, t, xi), coeff) in graded order: by xi degree, then
         T-part, then x-part, each part by total degree and dominance-descending
         within it (x1 before x2); the order of to_text and to_json_obj."""
-        return [((xv[0], tv[0], xi), c) for xv, tv, xi, c in self._graded_rows()]
+        return [((xpart.exps, tpart.exps, xi), c) for c, xpart, tpart, xi in self._graded_rows()]
 
     def __repr__(self) -> str:
         return f"SparsePoly({self.to_text()})"
@@ -438,19 +503,24 @@ class SparsePoly:
     def render(self) -> tuple[str, dict]:
         """(to_text(), to_json_obj()) from one sorted pass over the terms."""
         rows = self._graded_rows()
-        return _text(rows), _json_obj(rows)
+        return _text(rows), {"terms": Terms(rows)}
 
     def to_text(self) -> str:
         """The canonical text form, terms in sorted_terms order."""
         return _text(self._graded_rows())
 
     def to_json_obj(self) -> dict:
-        """{"terms": [...]}, one fresh {"coeff", "x", "T", "xi"} dict per term
-        in sorted_terms order, exponents keyed by variable index."""
-        return _json_obj(self._graded_rows())
+        """{"terms": Terms}, the terms in sorted_terms order as a row table that
+        reads as a list of fresh {"coeff", "x", "T", "xi"} dicts, exponents
+        keyed by variable index; the report encoder writes it without
+        building them."""
+        return {"terms": Terms(self._graded_rows())}
 
     @staticmethod
     def _accumulate(out: dict[int, int], xd: dict, td: dict, xi: int, coeff: int) -> None:
+        for name, d in (("x", xd), ("T", td)):
+            if min(d, default=1) < 1:
+                raise ValueError(f"variable index must be >= 1, got {name}{min(d)}")
         x = (xd.get(i, 0) for i in range(1, max(xd, default=0) + 1))
         t = [td.get(l, 0) for l in range(1, max(td, default=0) + 1)]
         k = _pack(x, t, xi)
@@ -501,8 +571,6 @@ class SparsePoly:
                 else:
                     d = xd if m.group(1) == "x" else td
                     idx = int(m.group(2))
-                    if idx < 1:
-                        raise ValueError(f"variable index must be >= 1 in {factor!r}")
                     d[idx] = d.get(idx, 0) + int(m.group(3) or 1)
             cls._accumulate(out, xd, td, xi, coeff)
         return cls(out, _trusted=True)

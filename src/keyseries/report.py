@@ -9,18 +9,19 @@ of obj to ``write`` in chunks of about ``CHUNK_PIECES`` pieces, so a report
 streams into its file (or a digest) without its whole text ever being held;
 ``canonical_json`` joins the same chunks into one string.  It encodes
 exactly the types reports hold: dicts with ``str`` keys (emitted in sorted
-order), lists and tuples, ``permutation.Findings`` (encoded as the list of
-its decoded dicts), ``str``, ``int``, ``True``, ``False`` and ``None``; any
-other value, a float or a set for one, or a non-``str`` key raises
-``TypeError``, after the chunks before it were written.  The text is
-byte-identical to ``json.dumps(obj, sort_keys=True, indent=2,
-ensure_ascii=False)`` plus a newline, but built in one recursive pass that
-appends one joined string per dict or list item, since ``json.dumps`` with
-an indent runs its pure-Python encoder.  A ``Findings`` is encoded through
-one row template: its keys are sorted once, each field's text is memoised
-per distinct value, and each row is appended as one string.  The chunked
-form follows the contract of ``json.JSONEncoder.iterencode``: the joined
-chunks are the text.
+order), lists and tuples, the row tables ``permutation.Findings`` and
+``poly.Terms`` (each encoded as the list of its decoded dicts), ``str``,
+``int``, ``True``, ``False`` and ``None``; any other value, a float or a set
+for one, or a non-``str`` key raises ``TypeError``, after the chunks before
+it were written.  The text is byte-identical to ``json.dumps(obj,
+sort_keys=True, indent=2, ensure_ascii=False)`` plus a newline, but built in
+one recursive pass that appends one joined string per dict or list item,
+since ``json.dumps`` with an indent runs its pure-Python encoder.  A row
+table is encoded through one row template, without building its dicts: its
+keys are sorted once, each field's text is memoised per distinct value (an
+x-part of a polynomial's terms is rendered once, however many terms share
+it), and each row is appended as one string.  The chunked form follows the
+contract of ``json.JSONEncoder.iterencode``: the joined chunks are the text.
 """
 
 from __future__ import annotations
@@ -32,14 +33,17 @@ from itertools import repeat
 from json.encoder import encode_basestring
 
 from .permutation import Findings, ScanOutcome
+from .poly import Terms
 
 VOLATILE_FIELDS = ("elapsed_ms", "timestamp")
 # pieces the encoder holds before it hands them, joined, to write
 CHUNK_PIECES = 8192
+# the row tables, which the encoder writes through _encode_rows
+_ROW_TABLES = (Findings, Terms)
 
 
 def _scalar(obj) -> str | None:
-    """The JSON text of a scalar, None for a dict, list, tuple or Findings."""
+    """The JSON text of a scalar, None for a dict, list, tuple or row table."""
     if isinstance(obj, str):
         return encode_basestring(obj)
     if obj is None:
@@ -50,7 +54,7 @@ def _scalar(obj) -> str | None:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, (dict, list, tuple, Findings)):
+    if isinstance(obj, (dict, list, tuple, Findings, Terms)):
         return None
     raise TypeError(f"report JSON cannot encode {type(obj).__name__}")
 
@@ -78,7 +82,7 @@ def _encode(obj, out: list[str], newline: str, flush: Callable[[], None]) -> Non
             _encode(value, out, inner, flush)
         elif (text := _scalar(value)) is None:
             out.append(sep + label)
-            (_encode_rows if cls is Findings else _encode)(value, out, inner, flush)
+            (_encode_rows if cls in _ROW_TABLES else _encode)(value, out, inner, flush)
         else:
             out.append(sep + label + text)
         sep = "," + inner
@@ -87,11 +91,20 @@ def _encode(obj, out: list[str], newline: str, flush: Callable[[], None]) -> Non
     out.append(newline + ("}" if is_dict else "]"))
 
 
-def _encode_rows(rows: Findings, out: list[str], newline: str,
+def _encode_rows(rows: Findings | Terms, out: list[str], newline: str,
                  flush: Callable[[], None]) -> None:
-    """Append the text of rows, the list of its decoded dicts, nested at
-    newline: one string per row, from a template of the sorted keys and the
-    memoised text of each field value."""
+    """Append the text of the row table rows, the list of its decoded dicts,
+    nested at newline: one string per row, from a template of the sorted keys
+    and one text memo per field, calling flush as the rows pass about
+    CHUNK_PIECES pieces' worth of characters.
+
+    A row table has ``KEYS``; ``rows()``, which yields each row's fields in
+    KEYS order; and ``value(field)``, a field's JSON value.  Fields are the
+    memo keys: they are hashable, and fields that compare equal have the same
+    value, whose text is built once per encode.  A ``Findings`` field is its
+    own value.  A ``Terms`` x or T field is the one ``_Part`` that every term
+    with that part shares; it hashes by identity, and its value is the
+    part's exponent dict."""
     if not rows:
         out.append("[]")
         return
@@ -101,8 +114,10 @@ def _encode_rows(rows: Findings, out: list[str], newline: str,
     template = ("{" + ",".join(field_newline + encode_basestring(rows.KEYS[i]).replace("%", "%%")
                                + ": %s" for i in order) + inner + "}")
     fields: list[tuple[int, dict]] = [(i, {}) for i in order]  # (index, text memo)
+    to_json = rows.value
 
-    def field_text(value) -> str:
+    def field_text(field) -> str:
+        value = to_json(field)
         text = _scalar(value)
         if text is None:
             pieces: list[str] = []
@@ -110,6 +125,9 @@ def _encode_rows(rows: Findings, out: list[str], newline: str,
             text = "".join(pieces)
         return text
 
+    # A row's dict would make one piece per line, of about 16 characters: the
+    # rows flush once they hold the characters of CHUNK_PIECES such pieces.
+    budget, held = 16 * CHUNK_PIECES, 0
     sep = "[" + inner
     for values in rows.rows():
         texts = []
@@ -119,10 +137,13 @@ def _encode_rows(rows: Findings, out: list[str], newline: str,
             if text is None:
                 text = memo[value] = field_text(value)
             texts.append(text)
-        out.append(sep + template % tuple(texts))
+        row = sep + template % tuple(texts)
+        out.append(row)
         sep = "," + inner
-        if len(out) >= CHUNK_PIECES:
+        held += len(row)
+        if held >= budget:
             flush()
+            held = 0
     out.append(newline + "]")
 
 
@@ -139,7 +160,7 @@ def write_json(obj, write: Callable[[str], object]) -> None:
         write("".join(out))
         out.clear()
 
-    (_encode_rows if type(obj) is Findings else _encode)(obj, out, "\n", flush)
+    (_encode_rows if type(obj) in _ROW_TABLES else _encode)(obj, out, "\n", flush)
     out.append("\n")
     flush()
 

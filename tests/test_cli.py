@@ -184,6 +184,15 @@ ANSWER_PINS = {
     "sets-4715263-C235": (
         ("sets", "--w", "4715263", "--C", "2,3,5"),
         "858294fe04a42a22b955897b1ca12af54aaa4d1b6fc408e2e2b5aca89c55ef52"),
+    "pw-654321-tdeg3": (
+        ("pw", "--w", "654321", "--tdeg", "3"),
+        "b0e91b7bfc3154d5c85a8de4d4df576d991571a5512c977d9c63877e2fd6116a"),
+    "pw-3412-grade1": (  # "terms": []
+        ("pw", "--w", "3412", "--grade", "1"),
+        "5b518bcfe46113076e1a5a1a265e0617b6fd5f3f7f25d1a03ce932f1e9d5896a"),
+    "key-nu021-xi": (
+        ("key", "--nu", "0,2,1", "--xi"),
+        "19929cdf72b3f689f50dcab2fc3ccb50a3eb286a936bca127b148bf337a770d0"),
 }
 
 

@@ -1,18 +1,24 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from keyseries import report
+from keyseries.cli import main
 from keyseries.config import ResourceCapError
+from keyseries.report import canonical_json
 from keyseries.permutation import all_permutations
 from keyseries.series import denominator_factors, numerator_P
 from keyseries.poly import (
     MAX_EXP,
     NVARS,
     SparsePoly,
+    Terms,
     divided_difference,
     pi,
     pi_word,
@@ -159,6 +165,22 @@ def test_json_roundtrip(p):
     assert SparsePoly.from_json_obj(p.to_json_obj()) == p
 
 
+@pytest.mark.parametrize("obj", [
+    {"terms": [{"coeff": 1, "x": {"0": 5}}]},
+    {"terms": [{"coeff": 3, "x": {"-2": 1}, "T": {"0": 1}}]},
+    {"terms": [{"coeff": 1, "T": {"0": 2}}]},
+])
+def test_json_rejects_a_variable_index_below_1(obj):
+    with pytest.raises(ValueError, match="variable index must be >= 1"):
+        SparsePoly.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("text", ["x0", "3*x1*T0", "x0^2 + 1"])
+def test_text_rejects_a_variable_index_below_1(text):
+    with pytest.raises(ValueError, match="variable index must be >= 1"):
+        SparsePoly.parse(text)
+
+
 @given(polys)
 def test_sorted_terms_graded_order(p):
     # xi degree, then T-part, then x-part; a part by total degree, then
@@ -177,6 +199,39 @@ def test_render_is_text_and_json_with_fresh_dicts(p):
     assert (text, obj) == (p.to_text(), p.to_json_obj())
     dicts = [d for term in obj["terms"] for d in (term, term["x"], term["T"])]
     assert len({id(d) for d in dicts}) == len(dicts)
+
+
+@given(polys, st.integers(0, 3))
+@example(SparsePoly.zero(), 1)
+@example(SparsePoly.parse("2*x1*x3^2*T1*xi - x1 + 3*T2^2"), 3)
+def test_encoded_terms_are_the_json_of_the_decoded_dicts(p, depth):
+    # The row table, bare or nested in the answer's shape, encodes to the
+    # text of its decoded list, with a flush after every row, every third
+    # piece and at the shipped size.
+    text, obj = p.render()
+    nest = [lambda v: v["terms"], lambda v: v,
+            lambda v: {"command": "pw", "polynomial": v, "text": text},
+            lambda v: {"a": [v, {"b": v}], "c": []}][depth]
+    decoded = {"terms": list(obj["terms"])}
+    want = json.dumps(nest(decoded), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    for pieces in (1, 3, report.CHUNK_PIECES):
+        with mock.patch.object(report, "CHUNK_PIECES", pieces):
+            assert canonical_json(nest(obj)) == want
+
+
+def test_encoding_terms_builds_no_term_dict(monkeypatch, capsys):
+    p = SparsePoly.parse("2*x1*x3^2*T1*xi - x1 + 3*T2^2 + x2*T2^2")
+    want = json.dumps({"terms": list(p.to_json_obj()["terms"])}, sort_keys=True, indent=2,
+                      ensure_ascii=False) + "\n"
+    decoded = []
+    real_decode = Terms._decode
+    monkeypatch.setattr(Terms, "_decode", staticmethod(
+        lambda row: decoded.append(row) or real_decode(row)))
+    assert canonical_json(p.to_json_obj()) == want
+    assert main(["pw", "--w", "52341", "--tdeg", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["polynomial"]["terms"]
+    assert decoded == []
+    assert len(p.to_json_obj()["terms"][1:3]) == 2 and len(decoded) == 2
 
 
 def test_render_keeps_x_and_t_parts_apart():

@@ -170,6 +170,21 @@ def test_write_json_streams_a_large_report():
         json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
 
 
+def test_write_json_streams_a_large_polynomial():
+    # Each term of P is one row of its table, here up to five x variables
+    # each: the rows stream in chunks under the bound above.
+    p = poly.SparsePoly({((a, b, a % 5, b % 4, 1), (0, c), a % 2): 1 + a % 3
+                         for a in range(1, 64) for b in range(24) for c in range(12)})
+    assert len(p.terms) > 2 * report.CHUNK_PIECES
+    obj = {"command": "pw", "polynomial": p.to_json_obj()}
+    chunks = _chunks(obj)
+    assert len(chunks) > 1
+    assert max(map(len, chunks)) < 30 * report.CHUNK_PIECES
+    assert "".join(chunks) == canonical_json(obj) == json.dumps(
+        {"command": "pw", "polynomial": {"terms": list(obj["polynomial"]["terms"])}},
+        sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
 def test_write_json_holds_one_chunk_at_a_time():
     # Encoding 100k findings into a sink that drops them holds one chunk of
     # pieces, not the report's text (about 30 MB of pieces when joined whole).
