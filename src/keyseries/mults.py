@@ -47,7 +47,7 @@ from .bseq import format_seq, w_upper
 from .config import InvariantError
 from .multisets import _decoded, doubled, eta_parts, packed_B, packed_C, presentations
 from .permutation import Findings, Permutation, ScanOutcome, sweep
-from .poly import SparsePoly, key_multisets, multiset_key, x_exps
+from .poly import TD_SHIFT, SparsePoly, key_multisets, multiset_key, x_exps
 from .series import n_factor_product, numerator_carry, numerator_P, numerator_step
 
 __all__ = [
@@ -102,7 +102,8 @@ class MultView:
             yield levels + (eta,), self.sign * c
 
     def __len__(self) -> int:
-        return self.poly.count_below(self.grade + 1) - self.poly.count_below(self.grade)
+        lo, hi = self.grade << TD_SHIFT, (self.grade + 1) << TD_SHIFT
+        return len([k for k in self.poly.terms if lo <= k < hi])
 
 
 def quadratic_multiplicities(w: Permutation) -> MultView:

@@ -25,9 +25,13 @@ The isobaric operators act on the x variables only:
     pi_xi(i, f)              = pi(i, (1 + xi * x_{i+1}) * f)
 
 all implemented term by term: each term's (x_i, x_{i+1}) exponents (a, b)
-select a packed closed one-pair formula, added to the rest of its key, so no
-rational division ever happens.  There is one table of formulas, the divided
-difference's; pi reads its row (a + 1, b).  No operation promises a storage
+select a packed closed one-pair formula, added to its key, so no rational
+division ever happens.  There is one table of formulas, the divided
+difference's; pi reads its row (a + 1, b).  The pair table
+(``_apply_pair_table``) reads several sources into one output dict, each a
+term dict times a monomial shift: pi being linear, pi of a sum is read from
+its summands without adding them first, and pi_xi adds pi of each summand
+shifted by xi * x_{i+1} into pi's dict.  No operation promises a storage
 order; the decoded views sort the packed keys, so what they yield depends on
 the value only.
 
@@ -37,9 +41,15 @@ level into another.  ``mul_trunc`` adds each term of the smaller operand times
 each level of the larger within the bound.  ``series_quotient`` divides by a
 product of binomials 1 - c*m truncated past a total T-degree, and
 ``series_product`` multiplies by a product of binomials 1 + c*m; both are one
-pass per factor over the levels (``_binomial_pass``), ascending for the
+pass per factor over the levels (``_levelled_pass``), ascending for the
 quotient and descending for the product, never building the product or its
-inverse.
+inverse.  ``pi_product`` gives pi_i(f * prod (1 + c*m)), the numerator
+induction's step, with f's dict left untouched: the pass reads f's lower
+levels as read-only sources and writes every update into per-level deltas,
+and the pair table reads f and then each delta, so f's terms go through the
+pair table's loop and one comprehension that takes the lower levels.  The
+pass guards a shift in O(1) with a per-level OR bound of the keys: only when
+bound + m has a guard bit set are the shifted keys themselves read.
 """
 
 from __future__ import annotations
@@ -53,7 +63,8 @@ from .config import ResourceCapError
 
 __all__ = [
     "FIELD_BITS", "MAX_EXP", "NVARS", "Monomial", "SparsePoly", "Terms", "divided_difference",
-    "key_multisets", "multiset_key", "pi", "pi_xi", "pi_word", "series_inverse_product",
+    "key_multisets", "multiset_key", "pi", "pi_product", "pi_xi", "pi_word",
+    "series_inverse_product",
     "series_product", "series_quotient", "x_exps",
 ]
 
@@ -396,11 +407,6 @@ class SparsePoly:
                 out.setdefault(k - rest, {})[rest] = c
         return out
 
-    def count_below(self, d: int) -> int:
-        """Number of terms of total T-degree below d, counted without a copy."""
-        limit = d << TD_SHIFT
-        return sum(k < limit for k in self.terms)
-
     def t_truncate(self, tmax: int | None) -> "SparsePoly":
         if tmax is None:
             return self
@@ -424,15 +430,6 @@ class SparsePoly:
         hi, low = _pack((), t, 0) >> T_SHIFT, (1 << T_SHIFT) - 1
         return SparsePoly({k & low: c for k, c in self.terms.items() if k >> T_SHIFT == hi},
                           _trusted=True)
-
-    def swap_x(self, i: int) -> "SparsePoly":
-        """The transposition of x_i and x_{i+1} applied to every term."""
-        sa, sb = _pair_shifts(i)
-        out: dict[int, int] = {}
-        for k, c in self.terms.items():
-            d = ((k >> sa) & _FIELD) - ((k >> sb) & _FIELD)
-            out[k - (d << sa) + (d << sb)] = c
-        return SparsePoly(out, _trusted=True)
 
     def pair_components(self, i: int) -> dict[tuple[int, int], "SparsePoly"]:
         """Terms grouped by their exponents (a, b) of (x_i, x_{i+1}), which are removed."""
@@ -589,53 +586,84 @@ def _pair_shifts(i: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=1 << 14)
-def _dd_pair(i: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
-    """divided_difference on x_i^a x_{i+1}^b as (packed offset, sign) pairs."""
+def _dd_pair(i: int, a: int, b: int, da: int) -> tuple[int, tuple[int, ...]]:
+    """divided_difference on x_i^(a + da) x_{i+1}^b as a sign and packed
+    offsets relative to x_i^a x_{i+1}^b: the sign times the sum over the
+    offsets of that monomial times x^offset."""
     sa, sb = _pair_shifts(i)
+    pair, a = (a << sa) + (b << sb), a + da
     if a > b:
-        return tuple((((b + u) << sa) + ((a - 1 - u) << sb), 1) for u in range(a - b))
-    return tuple((((a + u) << sa) + ((b - 1 - u) << sb), -1) for u in range(b - a))
+        return 1, tuple(((b + u) << sa) + ((a - 1 - u) << sb) - pair for u in range(a - b))
+    return -1, tuple(((a + u) << sa) + ((b - 1 - u) << sb) - pair for u in range(b - a))
 
 
-def _apply_pair_table(f: SparsePoly, i: int, da: int) -> SparsePoly:
-    """Each term x_i^a x_{i+1}^b * rest of f replaced by _dd_pair(i, a + da, b) * rest."""
+def _apply_pair_table(sources: Iterable[tuple[dict[int, int], int, int]], i: int,
+                      da: int, out: dict[int, int] | None = None) -> dict[int, int]:
+    """out (None: a new dict) plus the sum over sources (terms, m, fields) of
+    the terms times the monomial m, each term x_i^a x_{i+1}^b * rest replaced
+    by the divided difference of x_i^(a + da) x_{i+1}^b, times rest.  fields
+    masks every field m moves outside the pair (0 when m is 1).
+
+    A key's row (``_dd_pair``) is read relative to the key, memoised per shift
+    and per masked key part (the pair and the fields).  A shift that carries
+    a field past MAX_EXP raises ResourceCapError when its row is made."""
     sa, sb = _pair_shifts(i)
     pair_mask = (_FIELD << sa) | (_FIELD << sb)
-    rows: dict[int, tuple[tuple[int, int], ...]] = {}  # packed pair -> its table row
-    out: dict[int, int] = {}
+    memo: dict[int, dict] = {}  # m -> masked part -> row
+    out = {} if out is None else out
     get = out.get
-    for k, c in f.terms.items():
-        pair = k & pair_mask
-        base = k - pair
-        row = rows.get(pair)
-        if row is None:
-            row = rows[pair] = _dd_pair(i, ((pair >> sa) & _FIELD) + da, pair >> sb)
-        for offset, sign in row:
-            key = base + offset
-            s = get(key, 0) + sign * c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return SparsePoly(out, _trusted=True)
+    for terms, m, fields in sources:
+        mask, rows = pair_mask | fields, memo.setdefault(m, {})
+        for k, c in terms.items():
+            q = k & mask
+            row = rows.get(q)
+            if row is None:
+                t = q + m
+                _checked(t)
+                row = _dd_pair(i, (t >> sa) & _FIELD, (t >> sb) & _FIELD, da)
+                if m:
+                    row = row[0], tuple([m + off for off in row[1]])
+                rows[q] = row
+            sign, offsets = row
+            if sign < 0:
+                c = -c
+            for off in offsets:
+                key = k + off
+                s = get(key, 0) + c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return out
+
+
+def _xi_sources(i: int, sources: list[dict[int, int]]) -> list[tuple[dict[int, int], int, int]]:
+    """The pair-table sources of xi * x_{i+1} times each term dict of sources,
+    the second half of pi_xi."""
+    return [(terms, (1 << _pair_shifts(i)[1]) + (1 << XI_SHIFT), _FIELD << XI_SHIFT)
+            for terms in sources]
 
 
 def divided_difference(i: int, f: SparsePoly) -> SparsePoly:
     """(f - s_i f) / (x_i - x_{i+1}), computed without any division."""
-    return _apply_pair_table(f, i, 0)
+    return SparsePoly(_apply_pair_table([(f.terms, 0, 0)], i, 0), _trusted=True)
 
 
-def pi(i: int, f: SparsePoly) -> SparsePoly:
-    """The idempotent isobaric operator: divided_difference(i, x_i * f)."""
-    return _apply_pair_table(f, i, 1)
+def pi(i: int, f: SparsePoly, *more: SparsePoly) -> SparsePoly:
+    """The idempotent isobaric operator: divided_difference(i, x_i * f).
+    pi(i, f, g, ...) is pi of f + g + ..., read from the summands (pi is
+    linear), so the sum is never built."""
+    return SparsePoly(_apply_pair_table([(g.terms, 0, 0) for g in (f, *more)], i, 1),
+                      _trusted=True)
 
 
-def pi_xi(i: int, f: SparsePoly) -> SparsePoly:
-    """The xi-deformed operator: pi(i, (1 + xi x_{i+1}) f)."""
-    g = dict(f.terms)
-    _add_shifted(g, f.terms, (1 << _pair_shifts(i)[1]) + (1 << XI_SHIFT), 1)
-    _checked(reduce(or_, g, 0))
-    return pi(i, SparsePoly(g, _trusted=True))
+def pi_xi(i: int, f: SparsePoly, *more: SparsePoly) -> SparsePoly:
+    """The xi-deformed operator: pi(i, (1 + xi x_{i+1}) f), and of a sum of
+    summands as pi: pi of the summands, then pi of each summand shifted by
+    xi x_{i+1} added into the same dict."""
+    out = pi(i, f, *more)
+    _apply_pair_table(_xi_sources(i, [g.terms for g in (f, *more)]), i, 1, out.terms)
+    return out
 
 
 def pi_word(word: Iterable[int], f: SparsePoly, xi_mode: bool = False) -> SparsePoly:
@@ -664,30 +692,69 @@ def _monomial_factors(factors: Iterable[SparsePoly]) -> list[tuple[int, int, int
     return out
 
 
+def _staged_count(fixed: dict[int, int], deltas: list[dict[int, int]]) -> int:
+    """Terms of fixed plus the deltas, counted exactly: a delta's key adds a
+    term unless fixed holds it, and removes one where the two cancel."""
+    held, get = len(fixed), fixed.get
+    for delta in deltas:
+        for k, c in delta.items():
+            f = get(k)
+            held += 1 if f is None else -(f + c == 0)
+    return held
+
+
+def _levelled_pass(deltas: list[dict[int, int]], shifts: list[tuple[int, int, int]],
+                   ascending: bool, base: Sequence[dict[int, int]] = (),
+                   fixed: dict[int, int] | None = None, max_terms: int | None = None) -> None:
+    """One pass per factor c*m of shifts over the T-degree levels 0..D of a
+    staged product, D = len(deltas) - 1: add c*m times each source level to
+    the level td(m) above it.  Level d is base[d] + deltas[d] (base is empty
+    past its length); base is read only, and every update goes into deltas.
+    Ascending, each source has already taken its own update, so the pass
+    divides by 1 - c*m; descending, none has, so it multiplies by 1 + c*m.
+
+    A shift is guarded in O(1) by a per-level bound, a key with no guard bit
+    whose every field is at least that field of every key level d has held:
+    the OR of the level's keys to start with, then ORed with bound[s] + m
+    for each shift from level s into it.  A bound + m with no guard bit
+    proves that no shifted key passes MAX_EXP; only when the bit is set are
+    the shifted keys themselves checked, and their OR is what the bound takes.
+
+    The staged product holds the terms of fixed (a dict holding base, or
+    none) plus the deltas; past max_terms (None: no cap) the pass raises
+    ResourceCapError."""
+    D = len(deltas) - 1
+    levels = [(base[d], deltas[d]) if d < len(base) else (deltas[d],) for d in range(D + 1)]
+    bound = [reduce(or_, (reduce(or_, src, 0) for src in level)) for level in levels[:D]] + [0]
+    fixed = {} if fixed is None else fixed
+    held = len(fixed) + sum(map(len, deltas))
+    for m, coeff, td in shifts:
+        for s in range(D + 1 - td) if ascending else range(D - td, -1, -1):
+            reach = bound[s] + m
+            if reach & _GUARD:  # the bound is loose: check the shifted keys
+                reach = reduce(or_, (reduce(or_, map(m.__add__, src), 0) for src in levels[s]))
+                _checked(reach)
+            bound[s + td] |= reach
+            dst = deltas[s + td]
+            held -= len(dst)
+            for src in levels[s]:
+                if src:
+                    _add_shifted(dst, src, m, coeff)
+            held += len(dst)
+            if max_terms is not None and held > max_terms and (
+                    _staged_count(fixed, deltas) > max_terms):
+                raise ResourceCapError(f"a series product passed max_terms={max_terms} terms")
+
+
 def _binomial_pass(f: SparsePoly, shifts: list[tuple[int, int, int]], D: int,
                    ascending: bool, max_terms: int | None = None) -> SparsePoly:
-    """One pass per factor c*m of shifts over f's T-degree levels 0..D: add c*m
-    times each level to the level td(m) above it.  Ascending, each source has
-    already taken its own update, so the pass divides by 1 - c*m; descending,
-    none has, so it multiplies by 1 + c*m.  Terms past D are never formed.
-    Past max_terms held terms (None: no cap) the pass raises ResourceCapError."""
+    """f times or divided by the binomials of shifts, truncated past T-degree
+    D: the levelled pass on f's levels, which are then merged."""
     levels = _levels(f.terms, D)
-    held = sum(map(len, levels))
-    for m, coeff, td in shifts:
-        sources = range(D + 1 - td) if ascending else range(D - td, -1, -1)
-        for s in sources:
-            # a source key with a field past MAX_EXP could carry into the next field
-            _checked(reduce(or_, levels[s], 0))
-            dst = levels[s + td]
-            held -= len(dst)
-            _add_shifted(dst, levels[s], m, coeff)
-            held += len(dst)
-            if max_terms is not None and held > max_terms:
-                raise ResourceCapError(f"a series product passed max_terms={max_terms} terms")
+    _levelled_pass(levels, shifts, ascending, max_terms=max_terms)
     top = levels.pop()
     for level in levels:
         top.update(level)
-    _checked(reduce(or_, top, 0))
     return SparsePoly(top, _trusted=True)
 
 
@@ -718,6 +785,38 @@ def series_product(f: SparsePoly, factors: Iterable[SparsePoly], D: int | None,
     shifts = _monomial_factors(factors)
     exact = f.t_degree() + sum(td for _, _, td in shifts)
     return _binomial_pass(f, shifts, exact if D is None else min(D, exact), False, max_terms)
+
+
+def pi_product(i: int, f: SparsePoly, shifts: list[tuple[int, int, int]], D: int,
+               xi_mode: bool, low: int,
+               max_terms: int | None = None) -> tuple[SparsePoly, dict[int, int]]:
+    """pi_i (pi_xi_i) of f times the binomials 1 + c*m of shifts ((packed m,
+    c, T-degree of m) with T-degree >= 1), truncated past T-degree D, where f
+    holds no term past D; and the terms of that value below T-degree low.
+
+    The product is never built and f's dict is never copied.  One
+    comprehension takes f's levels below max(D, low) (on CPython 3.11 it is
+    twice as fast as ``filter(limit.__gt__, ...)``); the levelled pass reads
+    them and adds the factors' updates into per-level deltas; the pair table
+    reads f and then each delta into one dict, as pi is linear.  The value's
+    terms below low are pi of f's and the deltas' levels below low alone, as
+    pi keeps the T-degree.  A product of more than max_terms terms raises
+    ResourceCapError."""
+    if D < 0:
+        raise ValueError(f"truncation degree must be >= 0, got {D}")
+    terms = f.terms
+    top = max(D, low)
+    base: list[dict[int, int]] = [{} for _ in range(top)]
+    limit = top << TD_SHIFT
+    for k in [k for k in terms if k < limit]:
+        base[k >> TD_SHIFT][k] = terms[k]
+    deltas: list[dict[int, int]] = [{} for _ in range(D + 1)]
+    _levelled_pass(deltas, shifts, False, base, terms, max_terms)
+    op = pi_xi if xi_mode else pi
+    out = op(i, f, *(SparsePoly(delta, _trusted=True) for delta in deltas))
+    lows = base[:low] + deltas[:low]
+    sources = [(terms, 0, 0) for terms in lows] + (_xi_sources(i, lows) if xi_mode else [])
+    return out, _apply_pair_table(sources, i, 1)
 
 
 def series_inverse_product(factors: Iterable[SparsePoly], D: int) -> SparsePoly:

@@ -9,11 +9,12 @@ closed form is a single numerator polynomial P_w over the product of
 
 P_w is computed by exact induction on weak order: if i is a left ascent of w
 then P_{s_i w} = pi_i(P_w * N_{w,i}) with N_{w,i} the product of
-(1 - x^{s_i alpha} T_l) over the sequences alpha moved by s_i.  N_{w,i} is
-never built: P_w is multiplied by its factors one at a time
-(``series_product``).  Truncating every product past a total T-degree bound
-commutes with the induction, which keeps sweeps over whole symmetric groups
-cheap.
+(1 - x^{s_i alpha} T_l) over the sequences alpha moved by s_i.  Neither
+N_{w,i} nor the product is built: P_w's dict is left as it is, the factors'
+updates go into per-level deltas, and pi_i reads P_w and the deltas into
+one dict (``poly.pi_product``).  Truncating every product past a total
+T-degree bound commutes with the induction, which keeps sweeps over whole
+symmetric groups cheap.
 
 Both objects are carries down the tree of first left descents: P_w
 (``numerator_carry``, stepped by ``numerator_step``) and the key series, the
@@ -37,10 +38,12 @@ from .permutation import (
     descent_walk, sweep,
 )
 from .poly import (
+    NVARS,
     Monomial,
     SparsePoly,
     multiset_key,
     pi,
+    pi_product,
     pi_xi,
     series_product,
     series_quotient,
@@ -163,9 +166,15 @@ def key_by_composition(nu: tuple[int, ...], xi_mode: bool = False) -> SparsePoly
 _P_CACHE: dict[tuple[tuple[bool, int | None], tuple[int, ...]], SparsePoly] = {}
 
 
-def _n_factors(w: Permutation, i: int) -> list[SparsePoly]:
+# the packed keys of x_j and of T_l, at index j - 1 and l - 1
+_X_KEYS = tuple(multiset_key((j,)) for j in range(1, NVARS + 1))
+_T_KEYS = tuple(multiset_key(levels=(l,)) for l in range(1, NVARS + 1))
+
+
+def _n_factors(w: Permutation, i: int) -> list[tuple[int, int, int]]:
     """The monomials -x^{s_i alpha} T_l over sequences moved at an ascent i, so
-    that N_{w,i} is the product of the binomials 1 + m.
+    that N_{w,i} is the product of the binomials 1 + m, each as the factor
+    (packed key, -1, T-degree 1) of ``poly.pi_product``.
 
     Read off the packed members of each level set (``bseq.a_keys``): with
     delta = x_{i+1} - x_i as a key difference, alpha moves exactly when its
@@ -174,14 +183,13 @@ def _n_factors(w: Permutation, i: int) -> list[SparsePoly]:
     """
     if not w.is_ascent(i):
         raise ValueError(f"{i} is not an ascent of {w.one_line()}")
-    lo, hi = multiset_key((i,)), multiset_key((i + 1,))
+    lo, hi = _X_KEYS[i - 1], _X_KEYS[i]
     out = []
     for l in moved_levels(w, i):
         members = a_keys(w_upper(w, l))
-        shift = hi - lo + multiset_key(levels=(l,))
-        for alpha in members:  # member fields are 0 or 1, so one bit tests each
-            if alpha & lo and not alpha & hi and alpha + hi - lo not in members:
-                out.append(SparsePoly.from_key(alpha + shift, -1))
+        shift = hi - lo + _T_KEYS[l - 1]
+        out += [(alpha + shift, -1, 1) for alpha in members  # fields are 0 or 1
+                if alpha & lo and not alpha & hi and alpha + hi - lo not in members]
     return out
 
 
@@ -189,24 +197,27 @@ def n_factor_product(
     w: Permutation, i: int, tmax: int | None = None
 ) -> SparsePoly:
     """Product of (1 - x^{s_i alpha} T_l) over sequences moved at an ascent i."""
-    return series_product(SparsePoly.one(), _n_factors(w, i), tmax)
+    factors = [SparsePoly.from_key(m, c) for m, c, _ in _n_factors(w, i)]
+    return series_product(SparsePoly.one(), factors, tmax)
 
 
 def numerator_step(
     p: SparsePoly, v: Permutation, i: int, xi_mode: bool = False, tmax: int | None = None,
     max_terms: int | None = None,
 ) -> SparsePoly:
-    """P_{s_i v} = pi_i(P_v * N_{v,i}) from p = P_v, at an ascent i of v.
-    A product or a value of more than max_terms terms (None: no cap) raises
-    ResourceCapError."""
-    staged = series_product(p, _n_factors(v, i), tmax, max_terms)
-    out = pi_xi(i, staged) if xi_mode else pi(i, staged)
+    """P_{s_i v} = pi_i(P_v * N_{v,i}) from p = P_v truncated past tmax (None:
+    exact), at an ascent i of v.  The product is never built
+    (``poly.pi_product``).  A product or a value of more than max_terms terms
+    (None: no cap) raises ResourceCapError."""
+    shifts = _n_factors(v, i)
+    D = p.t_degree() + len(shifts) if tmax is None else tmax
+    # constant term 1, no other T-free term and, outside xi mode, no T-linear one
+    low = 1 if xi_mode else 2
+    out, below = pi_product(i, p, shifts, D, xi_mode, low, max_terms)
     if max_terms is not None and len(out.terms) > max_terms:
         raise ResourceCapError(
             f"P_{v.left_mul_s(i).one_line()} has more than max_terms={max_terms} terms")
-    # constant term 1, no other T-free term and, outside xi mode, no T-linear one
-    low = 1 if xi_mode else 2
-    if out.coefficient() != 1 or out.count_below(low) != 1:
+    if below != {0: 1}:
         w = v.left_mul_s(i)
         raise InvariantError(f"P_{w.one_line()} has a wrong term of T-degree below {low}")
     return out

@@ -368,8 +368,11 @@ def test_invariant_failure_exits_4_under_O():
         "import sys\n"
         "from keyseries import cli, series\n"
         "from keyseries.poly import SparsePoly\n"
-        "real = series.pi\n"
-        "series.pi = lambda i, f: real(i, f) + SparsePoly.term(x=(1,), t=(1,))\n"
+        "real, stray = series.pi_product, SparsePoly.term(x=(1,), t=(1,))\n"
+        "def faulty(*args):\n"
+        "    out, below = real(*args)\n"
+        "    return out + stray, (SparsePoly(below, _trusted=True) + stray).terms\n"
+        "series.pi_product = faulty\n"
         "sys.exit(cli.main(['pw', '--w', '21', '--tdeg', '2']))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -6,14 +6,15 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from conftest import swap_x
 from hypothesis import example, given, settings, strategies as st
 
 from keyseries import report
 from keyseries.cli import main
 from keyseries.config import ResourceCapError
 from keyseries.report import canonical_json
-from keyseries.permutation import all_permutations
-from keyseries.series import denominator_factors, numerator_P
+from keyseries.permutation import Permutation, all_permutations
+from keyseries.series import denominator_factors, numerator_P, numerator_step
 from keyseries.poly import (
     MAX_EXP,
     NVARS,
@@ -85,6 +86,8 @@ def test_product_past_field_is_a_cap_error():
         SparsePoly.term(t=(MAX_EXP,)).mul_trunc(t1, None)
     with pytest.raises(ResourceCapError):
         pi_xi(1, SparsePoly.term(x=(0, MAX_EXP)))
+    with pytest.raises(ResourceCapError, match="exponent exceeds"):  # the xi field
+        pi_xi(1, SparsePoly.x_var(1) + SparsePoly.term(xi=MAX_EXP))
     with pytest.raises(ResourceCapError):
         series_inverse_product([SparsePoly.term(x=(MAX_EXP // 2 + 1,), t=(1,))], 2)
     for D in (1, None):  # the overflowing term lands on the top level
@@ -95,6 +98,13 @@ def test_product_past_field_is_a_cap_error():
     m = SparsePoly.term(x=(MAX_EXP,), t=(1,))
     with pytest.raises(ResourceCapError):
         series_product(top, [m, -m], 2)
+    # N_{12,1} = 1 - x2*T1 pushes the x2 field of a source level of P_v past
+    # MAX_EXP; pi_xi's shift by xi*x2 does so on the top level, never a source
+    v, x2 = Permutation.identity(2), SparsePoly.term(x=(0, MAX_EXP))
+    for xi_mode, tmax, p in ((False, 2, 1 + x2 * t1), (False, None, 1 + x2 * t1),
+                             (True, 2, 1 + x2 * t1 * t1)):
+        with pytest.raises(ResourceCapError, match="exponent exceeds"):
+            numerator_step(p, v, 1, xi_mode, tmax)
     assert top * SparsePoly.x_var(2) == SparsePoly.term(x=(MAX_EXP, 1))
 
 
@@ -102,12 +112,17 @@ def test_overflow_raises_under_optimize():
     code = (
         "from keyseries.config import ResourceCapError\n"
         "from keyseries.poly import MAX_EXP, SparsePoly\n"
-        "from keyseries.poly import series_product, series_quotient\n"
+        "from keyseries.poly import pi_xi, series_product, series_quotient\n"
+        "from keyseries.permutation import Permutation\n"
+        "from keyseries.series import numerator_step\n"
         "f = SparsePoly.term(x=(MAX_EXP - 1,)) - 3 * SparsePoly.term(x=(0, 2), t=(1,))\n"
+        "p = 1 + SparsePoly.term(x=(0, MAX_EXP), t=(1,))\n"
         "for make in (lambda: SparsePoly.term(x=(MAX_EXP + 1,)),\n"
         "             lambda: SparsePoly.term(x=(MAX_EXP,)) * SparsePoly.x_var(1),\n"
         "             lambda: series_quotient(f, [SparsePoly.term(x=(1,), t=(1,))], 2),\n"
-        "             lambda: series_product(f, [SparsePoly.term(x=(2,), t=(1,))], 2)):\n"
+        "             lambda: series_product(f, [SparsePoly.term(x=(2,), t=(1,))], 2),\n"
+        "             lambda: numerator_step(p, Permutation.identity(2), 1, False, 2),\n"
+        "             lambda: pi_xi(1, SparsePoly.term(x=(0, MAX_EXP)))):\n"
         "    try:\n"
         "        make()\n"
         "    except ResourceCapError:\n"
@@ -118,7 +133,7 @@ def test_overflow_raises_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 4
+    assert proc.stdout.split() == ["raised"] * 6
 
 
 def test_arithmetic():
@@ -247,7 +262,7 @@ def test_render_keeps_x_and_t_parts_apart():
 
 @given(polys, letters)
 def test_swap_is_involution(p, i):
-    assert p.swap_x(i).swap_x(i) == p
+    assert swap_x(swap_x(p, i), i) == p
 
 
 @given(polys, letters)
@@ -258,14 +273,14 @@ def test_dd_square_zero(p, i):
 @given(polys, letters)
 def test_dd_output_symmetric(p, i):
     d = divided_difference(i, p)
-    assert d.swap_x(i) == d
+    assert swap_x(d, i) == d
 
 
 @given(polys, letters)
 def test_pi_idempotent(p, i):
     q = pi(i, p)
     assert pi(i, q) == q
-    assert q.swap_x(i) == q
+    assert swap_x(q, i) == q
 
 
 @given(polys, letters)
@@ -276,7 +291,7 @@ def test_pi_xi_idempotent(p, i):
 
 @given(polys, letters)
 def test_pi_fixes_symmetric_and_extends_dd(p, i):
-    sym = p + p.swap_x(i)
+    sym = p + swap_x(p, i)
     assert pi(i, sym) == sym
     xi_poly = SparsePoly.x_var(i)
     assert pi(i, p) == divided_difference(i, xi_poly * p)
@@ -297,7 +312,7 @@ def test_pi_at_the_top_exponent(i, a, b):
 @given(polys, polys, letters)
 def test_dd_leibniz(p, q, i):
     lhs = divided_difference(i, p * q)
-    rhs = divided_difference(i, p) * q + p.swap_x(i) * divided_difference(i, q)
+    rhs = divided_difference(i, p) * q + swap_x(p, i) * divided_difference(i, q)
     assert lhs == rhs
 
 

@@ -10,6 +10,7 @@ truncated products can be checked degree by degree.
 
 from fractions import Fraction
 
+from conftest import swap_x
 from hypothesis import assume, given, strategies as st
 
 from keyseries.poly import (
@@ -148,7 +149,7 @@ def test_results_store_no_zero(m1, m2, i, facs, tmax):
     # compares term dicts.  The second input of each operator cancels to zero
     # in whole or in part, so the deletion of zero sums is reached.
     f, g = SparsePoly(m1), SparsePoly(m2)
-    symmetric = f + f.swap_x(i)
+    symmetric = f + swap_x(f, i)
     denominator = SparsePoly.one()
     for fac in facs:
         denominator = denominator * (1 - fac)

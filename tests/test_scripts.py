@@ -12,7 +12,7 @@ import pytest
 import keyseries
 from keyseries import series
 from keyseries.cli import CHECKS, check_names, main
-from keyseries.poly import SparsePoly, pi
+from keyseries.poly import SparsePoly
 from keyseries.report import body_digest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -153,8 +153,13 @@ def test_verify_all_invariant_failure_exits_4(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("verify_all", ROOT / "scripts" / "verify_all.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    t_linear = SparsePoly.term(t=(1,))
-    monkeypatch.setattr(series, "pi", lambda i, f: pi(i, f) + t_linear)
+    t_linear, real = SparsePoly.term(t=(1,)), series.pi_product
+
+    def faulty(*args):  # a numerator step that leaves a T-linear term
+        out, below = real(*args)
+        return out + t_linear, (SparsePoly(below, _trusted=True) + t_linear).terms
+
+    monkeypatch.setattr(series, "pi_product", faulty)
     keyseries.clear_caches()
     try:
         assert script.main() == 4

@@ -1,7 +1,7 @@
 import pytest
 
 from keyseries.bseq import moved_levels, si_image, split_A
-from keyseries.config import ResourceCapError
+from keyseries.config import InvariantError, ResourceCapError
 from keyseries.permutation import (
     Permutation,
     all_permutations,
@@ -23,6 +23,7 @@ from keyseries.series import (
     numerator_carry,
     numerator_P,
     numerator_P_along,
+    numerator_step,
     partitions,
     series_Kw_direct,
     suite_formofkw,
@@ -141,6 +142,11 @@ def test_numerator_along_rejects_bad_words(word):
         numerator_P_along(word)
 
 
+def test_numerator_rejects_a_negative_truncation():
+    with pytest.raises(ValueError, match="truncation degree must be >= 0"):
+        numerator_step(SparsePoly.one(), Permutation.identity(3), 1, tmax=-1)
+
+
 def staged_numerator(w, xi_mode, tmax, memo):
     """P_w by the staged step: N_{v,i} built as a chain of truncated products of
     the binomials (1 - x^{s_i alpha} T_l), P_v times N_{v,i}, then pi_i (or
@@ -177,7 +183,9 @@ def test_n_factors_match_split_A(n):
                 ((x_exps(si_image(i, alpha)), (0,) * (l - 1) + (1,), 0), -1)
                 for l in moved_levels(w, i) for alpha in split_A(w, l, i)[1]
             )
-            got = sorted(term for f in series._n_factors(w, i) for term in f.exponent_items())
+            got = sorted(term for m, c, td in series._n_factors(w, i)
+                         for term in SparsePoly.from_key(m, c).exponent_items())
+            assert {td for _, _, td in series._n_factors(w, i)} <= {1}
             assert got == expected, (w.one_line(), i)
 
 
@@ -359,3 +367,57 @@ def test_numerator_term_cap():
         numerator_P(w, max_terms=53)
     series._P_CACHE.clear()
     assert numerator_P(w, max_terms=1000) == exact
+
+
+@pytest.mark.parametrize("xi_mode", [False, True])
+@pytest.mark.parametrize("tmax", [2, 3, None])
+def test_numerator_step_refuses_a_wrong_low_term(xi_mode, tmax):
+    # The step reads its invariant from the staged product's low levels: P_{s_i v}
+    # has constant term 1 and no other T-free term, and outside xi mode no
+    # T-linear term.  A P_v with a term that breaks it, and that pi_i keeps,
+    # is refused; a stray T-linear term is allowed in xi mode.
+    v, i = parse_permutation("1324"), 1
+    p = numerator_P(v, xi_mode, tmax)
+    assert numerator_step(p, v, i, xi_mode, tmax) == numerator_P(v.left_mul_s(i), xi_mode, tmax)
+    x1, t1 = SparsePoly.x_var(1), SparsePoly.term(t=(1,))
+    for stray in (SparsePoly.one(), -2 * SparsePoly.one(), x1, x1 * t1):
+        if xi_mode and stray == x1 * t1:
+            numerator_step(p + stray, v, i, xi_mode, tmax)
+            continue
+        with pytest.raises(InvariantError, match="P_2314 has a wrong term"):
+            numerator_step(p + stray, v, i, xi_mode, tmax)
+
+
+@pytest.mark.parametrize("n, tmax", [(4, 2), (4, 3), (4, None), (5, 3)])
+def test_numerator_step_cap_counts_the_staged_product(n, tmax):
+    # The step leaves P_v as it is and stages the product as deltas over it,
+    # yet its cap counts the staged product's terms as series_product does:
+    # the least cap it accepts is the least series_product accepts on P_v and
+    # N_{v,i}'s factors, or the size of P_{s_i v} if that is larger.
+    def least_cap(run):
+        lo, hi = 1, 1
+        while True:
+            try:
+                run(hi)
+                break
+            except ResourceCapError:
+                lo, hi = hi + 1, 2 * hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                run(mid)
+                hi = mid
+            except ResourceCapError:
+                lo = mid + 1
+        return lo
+
+    for v in all_permutations(n):
+        p = numerator_P(v, tmax=tmax)
+        for i in range(1, n):
+            if not v.is_ascent(i):
+                continue
+            factors = [SparsePoly.from_key(m, c) for m, c, _ in series._n_factors(v, i)]
+            product = least_cap(lambda cap: series.series_product(p, factors, tmax, cap))
+            size = len(numerator_P(v.left_mul_s(i), tmax=tmax).terms)
+            step = least_cap(lambda cap: numerator_step(p, v, i, tmax=tmax, max_terms=cap))
+            assert step == max(product, size), (v.one_line(), i)
