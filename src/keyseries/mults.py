@@ -9,15 +9,17 @@ weak-order covers, and runs the conjecture scans (presentation poset
 invariance and monotonicity, multiplicity growth under s_i, cubic support,
 lower bounds).
 
-The multiplicity tables are packed views, `MultView`, behind `multiplicity2`
-and `multiplicity3`: a lookup packs its key and reads the numerator's terms;
-iteration decodes the slice in ascending packed-key order.  No sweep reads a
-view.  The quadratic checks read m straight from P_w's terms, against rows
-built once per pair of bounds (w_upper(w, k), w_upper(w, l)) and held for one
-sweep (`_bound_rows`), presentations computed once per row.  The transfer
-rules (`check_multsiw`, `scan_siinc`, `scan_formpw2bound`) split packed keys
-by their (x_i, x_{i+1}) exponents.  `scan_formpw3` compares P_w's cubic
-terms, grouped by T-monomial (`SparsePoly.t_strata`), with
+The multiplicity tables (`quadratic_multiplicities`, `cubic_multiplicities`)
+are plain dicts: one T-slice of the numerator, decoded in ascending
+packed-key order.  `multiplicity2` and `multiplicity3` read one coefficient
+of the numerator, and no sweep reads a table.  The quadratic checks read m
+straight from P_w's terms, against rows built once per pair of bounds
+(w_upper(w, k), w_upper(w, l)) and held for one sweep (`_bound_rows`),
+presentations computed once per row.  The transfer rules (`check_multsiw`,
+`scan_siinc`, `scan_formpw2bound`) read whole packed keys too: moving the
+(x_i, x_{i+1}) exponents of a key adds multiples of the packed units of x_i
+and x_{i+1}, so a moved key is one lookup.  `scan_formpw3` compares P_w's
+cubic terms, grouped by T-monomial (`SparsePoly.t_strata`), with
 `multisets.packed_C` by set difference, holding what it finds as packed rows
 (`permutation.Findings`).  Only the keys a check reports are decoded.
 
@@ -47,11 +49,10 @@ from .bseq import format_seq, w_upper
 from .config import InvariantError
 from .multisets import _decoded, doubled, eta_parts, packed_B, packed_C, presentations
 from .permutation import Findings, Permutation, ScanOutcome, sweep
-from .poly import TD_SHIFT, SparsePoly, key_multisets, multiset_key, x_exps
+from .poly import _FIELD, SparsePoly, _pair_shifts, key_multisets, multiset_key, x_exps
 from .series import n_factor_product, numerator_carry, numerator_P, numerator_step
 
 __all__ = [
-    "MultView",
     "multiplicity2",
     "multiplicity3",
     "quadratic_multiplicities",
@@ -78,50 +79,26 @@ __all__ = [
 # -- multiplicity tables ---------------------------------------------------------
 
 
-class MultView:
-    """Read-only table of the T-degree `grade` slice of a xi-free polynomial,
-    times `sign`, keyed (levels..., eta) with sorted index multisets: (k, l,
-    eta) at grade 2, (p, k, l, tau) at grade 3.  `get` packs its key (x_exps
-    counts the levels as T-exponents, (2, 3) -> (0, 1, 1)) and reads the
-    terms; `items` decodes the slice lazily, in ascending packed-key order, a
-    function of the polynomial's value only."""
-
-    __slots__ = ("poly", "grade", "sign")
-
-    def __init__(self, poly: SparsePoly, grade: int, sign: int = 1):
-        self.poly, self.grade, self.sign = poly, grade, sign
-
-    def get(self, key: tuple, default: int = 0) -> int:
-        if len(key) != self.grade + 1:
-            return default
-        c = self.poly.coefficient(x=x_exps(key[-1]), t=x_exps(key[:-1]))
-        return self.sign * c if c else default
-
-    def items(self) -> Iterator[tuple[tuple, int]]:
-        for (eta, levels, _), c in self.poly.t_slice(self.grade).multiset_items():
-            yield levels + (eta,), self.sign * c
-
-    def __len__(self) -> int:
-        lo, hi = self.grade << TD_SHIFT, (self.grade + 1) << TD_SHIFT
-        return len([k for k in self.poly.terms if lo <= k < hi])
+def quadratic_multiplicities(w: Permutation) -> dict[tuple, int]:
+    """m by key (k, l, eta), from the T-quadratic slice of numerator_P(w,
+    tmax=2) in ascending packed-key order.  The slice carries a global minus
+    sign, so the values are positive whenever the structure theory says they
+    should be."""
+    return {levels + (eta,): -c for (eta, levels, _), c
+            in numerator_P(w, tmax=2).t_slice(2).multiset_items()}
 
 
-def quadratic_multiplicities(w: Permutation) -> MultView:
-    """m with keys (k, l, eta), from the T-quadratic slice of
-    numerator_P(w, tmax=2).  The slice carries a global minus sign, so the
-    values are positive whenever the structure theory says they should be."""
-    return MultView(numerator_P(w, tmax=2), 2, -1)
-
-
-def cubic_multiplicities(w: Permutation) -> MultView:
-    """m with keys (p, k, l, tau), from the T-cubic slice of numerator_P(w, tmax=3)."""
-    return MultView(numerator_P(w, tmax=3), 3)
+def cubic_multiplicities(w: Permutation) -> dict[tuple, int]:
+    """m by key (p, k, l, tau), from the T-cubic slice of numerator_P(w,
+    tmax=3) in ascending packed-key order."""
+    return {levels + (tau,): c for (tau, levels, _), c
+            in numerator_P(w, tmax=3).t_slice(3).multiset_items()}
 
 
 def multiplicity2(w: Permutation, k: int, l: int, eta: tuple[int, ...]) -> int:
     if not 1 <= k <= l:
         raise ValueError(f"need 1 <= k <= l, got {(k, l)}")
-    return quadratic_multiplicities(w).get((k, l, tuple(eta)))
+    return -numerator_P(w, tmax=2).coefficient(x=x_exps(eta), t=x_exps((k, l)))
 
 
 def multiplicity3(
@@ -129,7 +106,7 @@ def multiplicity3(
 ) -> int:
     if not 1 <= p <= k <= l:
         raise ValueError(f"need 1 <= p <= k <= l, got {(p, k, l)}")
-    return cubic_multiplicities(w).get((p, k, l, tuple(tau)))
+    return numerator_P(w, tmax=3).coefficient(x=x_exps(tau), t=x_exps((p, k, l)))
 
 
 def N_quadratic(w: Permutation, i: int) -> SparsePoly:
@@ -370,55 +347,53 @@ def check_lowbdr2(n: int) -> ScanOutcome:
 
 # -- transfer rules along weak-order covers -----------------------------------------
 #
-# A rule moves the (x_i, x_{i+1}) exponents (a, b) of a packed key: with the
-# terms split by them (`_pair_split`), a moved key is a lookup at another
-# (a, b) for the same rest of the key.  P_{s_i w} is one induction step from
-# P_w, pi_i(P_w N_{w,i}) (`series.numerator_step`).
-
-
-def _pair_split(poly: SparsePoly, i: int) -> dict[tuple[int, int], dict[int, int]]:
-    """The terms of poly by their (x_i, x_{i+1}) exponents (a, b): (a, b) ->
-    {the rest of the key: coeff}."""
-    return {ab: part.terms for ab, part in poly.pair_components(i).items()}
-
-
-def _pair_key(i: int, a: int, b: int, rest: int) -> int:
-    """The packed key rest * x_i^a x_{i+1}^b."""
-    return rest + a * multiset_key((i,)) + b * multiset_key((i + 1,))
+# A rule moves the exponents (a, b) of x_i and x_{i+1} in a packed key.  With
+# X and Y the packed units of x_i and x_{i+1}, the key at (a, b) with the
+# rest of the key fixed is rest + a*X + b*Y, so a moved key is one lookup in
+# the flat terms.  P_{s_i w} is one induction step from P_w, pi_i(P_w
+# N_{w,i}) (`series.numerator_step`).
 
 
 def _key_tuple(key: int) -> tuple:
-    """(levels..., eta) of a packed key, the keys of `MultView`."""
+    """(levels..., eta) of a packed key: the key of a finding, as in the
+    multiplicity tables."""
     eta, levels = key_multisets(key)
     return levels + (eta,)
 
 
 def _transfer_mismatches(
-    i: int, cap: int, sources: tuple[dict, ...], w: dict, sw: dict, corr: dict, nfac: dict
+    i: int, cap: int, w: dict, sw: dict, corr: dict, nfac: dict
 ) -> Iterator[tuple[tuple, int, int]]:
-    """One grade of a transfer rule, from the split tables of w to those of
-    s_i w: (key, value at s_i w, value the rule gives) where the two differ.
+    """One grade of a transfer rule, from the terms of w to those of s_i w:
+    (key, value at s_i w, value the rule gives) where the two differ.
 
-    The keys are those of the sources with (a, b) redistributed in every way
-    that keeps both at most cap, in ascending (a + b, rest, a) order.  With
-    (h, l) = (max(a, b), min(a, b)) the rule gives w(h, l), plus w(h + 1,
-    l - 1) - w(l - 1, h + 1) + corr(h, l) + nfac(l - 1, h + 1) when l >= 1
-    and h < cap."""
-    empty: dict[int, int] = {}
-    sums = sorted({(a + b, rest) for table in sources
-                   for (a, b), part in table.items() if a + b <= 2 * cap for rest in part})
-    for s, rest in sums:
+    The rule keeps a + b and the rest of the key, so the keys are those of
+    all four tables with (a, b) redistributed in every way that keeps both
+    at most cap, in ascending (a + b, rest, a) order.  With (h, l) = (max(a,
+    b), min(a, b)) the rule gives w(h, l), plus w(h + 1, l - 1) - w(l - 1,
+    h + 1) + corr(h, l) + nfac(l - 1, h + 1) when l >= 1 and h < cap."""
+    sa, sb = _pair_shifts(i)
+    X, Y = 1 << sa, 1 << sb
+    step = X - Y  # one unit moved from x_{i+1} to x_i
+    keep = ~((_FIELD << sa) | (_FIELD << sb))
+    sums = {(((key >> sa) & _FIELD) + ((key >> sb) & _FIELD), key & keep)
+            for table in (w, sw, corr, nfac) for key in table}
+    w_get, sw_get, corr_get, nfac_get = w.get, sw.get, corr.get, nfac.get
+    for s, rest in sorted(sums):
+        top = rest + s * Y  # the key at (0, s); the key at (a, s - a) is top + a*step
         for a in range(max(0, s - cap), min(s, cap) + 1):
-            h, l = max(a, s - a), min(a, s - a)
-            expect = w.get((h, l), empty).get(rest, 0)
+            l = a if 2 * a <= s else s - a
+            h = s - l
+            base = top + h * step
+            expect = w_get(base, 0)
             if l and h < cap:
-                expect += (w.get((h + 1, l - 1), empty).get(rest, 0)
-                           - w.get((l - 1, h + 1), empty).get(rest, 0)
-                           + corr.get((h, l), empty).get(rest, 0)
-                           + nfac.get((l - 1, h + 1), empty).get(rest, 0))
-            got = sw.get((a, s - a), empty).get(rest, 0)
+                flip = top + (l - 1) * step
+                expect += (w_get(base + step, 0) - w_get(flip, 0)
+                           + corr_get(base, 0) + nfac_get(flip, 0))
+            key = top + a * step
+            got = sw_get(key, 0)
             if got != expect:
-                yield _key_tuple(_pair_key(i, a, s - a, rest)), got, expect
+                yield _key_tuple(key), got, expect
 
 
 def check_multsiw(n: int) -> ScanOutcome:
@@ -444,12 +419,11 @@ def check_multsiw(n: int) -> ScanOutcome:
             x_i = SparsePoly.x_var(i)
             corr = x_i * -nfac.t_slice(1) * (
                 comp[(1, 0)] + x_i * (comp[(2, 0)] + SparsePoly.x_var(i + 1) * comp[(2, 1)]))
-            q_w, q_sw, n2 = (_pair_split(f, i) for f in (p2, -p_sw.t_slice(2), nfac.t_slice(2)))
-            c_w, c_sw = _pair_split(p3, i), _pair_split(p_sw.t_slice(3), i)
             for grade, found in (
-                (2, _transfer_mismatches(i, 2, (q_w, q_sw, n2), q_w, q_sw, {}, n2)),
-                (3, _transfer_mismatches(i, 3, (c_w, c_sw), c_w, c_sw, _pair_split(corr, i),
-                                         _pair_split(-nfac.t_slice(3), i))),
+                (2, _transfer_mismatches(i, 2, p2.terms, (-p_sw.t_slice(2)).terms, {},
+                                         nfac.t_slice(2).terms)),
+                (3, _transfer_mismatches(i, 3, p3.terms, p_sw.t_slice(3).terms, corr.terms,
+                                         (-nfac.t_slice(3)).terms)),
             ):
                 ces += [{"w": w_text, "i": i, "grade": grade, "key": key,
                          "m": got, "expected": expect} for key, got, expect in found]
@@ -606,20 +580,23 @@ def scan_siinc(n: int) -> ScanOutcome:
     """At an ascent i, swapping i for i+1 inside eta cannot lower m."""
 
     def one(w: Permutation, p: SparsePoly):
-        p2 = -p.t_slice(2)
+        quad = (-p.t_slice(2)).terms
         w_text = w.one_line()
         ces: list[dict] = []
         checked = 0
         for i in range(1, n):
             if not w.is_ascent(i):
                 continue
-            split = _pair_split(p2, i)
+            sa, sb = _pair_shifts(i)
+            step = (1 << sa) - (1 << sb)  # one unit moved from x_{i+1} to x_i
             found = []
-            for a, b in ((0, 1), (0, 2), (1, 2)):
-                part, swapped = split.get((a, b), {}), split.get((b, a), {})
-                checked += len(part)
-                found += [(_pair_key(i, a, b, rest), m, swapped.get(rest, 0))
-                          for rest, m in part.items() if m > swapped.get(rest, 0)]
+            for key, m in quad.items():
+                a, b = (key >> sa) & _FIELD, (key >> sb) & _FIELD
+                if a < b <= 2:
+                    checked += 1
+                    other = quad.get(key + (b - a) * step, 0)  # a and b swapped
+                    if m > other:
+                        found.append((key, m, other))
             for key, m, other in sorted(found):
                 k, l, eta = _key_tuple(key)
                 ces.append({"w": w_text, "i": i, "k": k, "l": l,

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -9,7 +10,7 @@ from keyseries import mults
 from keyseries.bseq import format_seq, w_upper
 from keyseries.multisets import enum_B, enum_C
 from keyseries.mults import (
-    MultView,
+    _key_tuple,
     N_quadratic,
     check_diff1,
     check_diff2,
@@ -48,6 +49,8 @@ def test_multiplicity2_golden():
     assert multiplicity2(parse_permutation("31425"), 2, 3, (1, 1, 2, 3, 4)) == 1
     assert multiplicity2(W, 2, 3, (1, 2, 3, 4, 5)) == 3
     assert multiplicity2(W, 2, 3, (1, 1, 3, 3, 4)) == 0
+    # eta need not be sorted
+    assert multiplicity2(W, 2, 3, (5, 4, 3, 2, 1)) == 3
     with pytest.raises(ValueError):
         multiplicity2(W, 3, 2, (1, 2, 3, 4, 5))
 
@@ -57,6 +60,7 @@ def test_multiplicity3_golden():
     assert multiplicity3(w, 1, 2, 3, (1, 1, 2, 2, 3, 4)) == 1
     assert multiplicity3(w, 1, 2, 3, (1, 1, 2, 3, 3, 4)) == 1
     assert multiplicity3(w, 1, 1, 2, (1, 1, 2, 3)) == 0
+    assert multiplicity3(w, 1, 2, 3, (4, 3, 2, 2, 1, 1)) == 1
 
 
 def test_quadratic_table_matches_single_lookups():
@@ -78,7 +82,7 @@ def test_cubic_table_matches_single_lookups():
 
 def _decoded_slice(poly, grade, sign):
     """A T-slice decoded term by term, in ascending packed-key order (the
-    order a view must yield): {(levels..., eta): sign * c}."""
+    order a table must have): {(levels..., eta): sign * c}."""
     out = {}
     for key, c in sorted(poly.t_slice(grade).terms.items()):
         single = SparsePoly()
@@ -88,9 +92,9 @@ def _decoded_slice(poly, grade, sign):
     return out
 
 
-def _assert_view_matches(view, expected, n):
-    assert len(view) == len(expected)
-    assert list(view.items()) == list(expected.items())
+def _assert_table_matches(table, expected, lookup, n):
+    """table is expected, in its order, and lookup(*key) reads the same m."""
+    assert list(table.items()) == list(expected.items())
     # every key, and every key with the i, i+1 entries of eta redistributed,
     # most of which have no term
     queries = set(expected)
@@ -102,33 +106,30 @@ def _assert_view_matches(view, expected, n):
                 moved = tuple(sorted(rest + [i] * a + [i + 1] * (pair - a)))
                 queries.add((*levels, moved))
     for key in queries:
-        assert view.get(key, 0) == expected.get(key, 0), key
+        assert lookup(*key) == expected.get(key, 0), key
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_multiplicity_tables_match_decoded_slices(n):
     for w in all_permutations(n):
-        _assert_view_matches(
-            quadratic_multiplicities(w), _decoded_slice(numerator_P(w, tmax=2), 2, -1), n)
-        _assert_view_matches(
-            cubic_multiplicities(w), _decoded_slice(numerator_P(w, tmax=3), 3, 1), n)
-        for i in range(1, n):
-            if w.is_ascent(i):
-                # a view of a polynomial that is not a numerator: the cover
-                # factor product
-                nfac = n_factor_product(w, i, tmax=3)
-                _assert_view_matches(MultView(nfac, 2), _decoded_slice(nfac, 2, 1), n)
+        _assert_table_matches(
+            quadratic_multiplicities(w), _decoded_slice(numerator_P(w, tmax=2), 2, -1),
+            functools.partial(multiplicity2, w), n)
+        _assert_table_matches(
+            cubic_multiplicities(w), _decoded_slice(numerator_P(w, tmax=3), 3, 1),
+            functools.partial(multiplicity3, w), n)
 
 
 def test_view_lookups_outside_the_slice():
+    # a table is a dict: a key with no term is missing from it, and m is 0
     quad = quadratic_multiplicities(W)
-    assert quad.get((2, 3, (1, 2, 3, 4, 5))) == 3
-    assert quad.get((2, 3, (1, 2, 3, 4, 5)), None) == 3
-    assert quad.get((2, 3, (1, 1, 3, 3, 4)), None) is None
+    assert quad[(2, 3, (1, 2, 3, 4, 5))] == multiplicity2(W, 2, 3, (1, 2, 3, 4, 5)) == 3
+    assert quad.get((2, 3, (1, 1, 3, 3, 4))) is None
+    assert multiplicity2(W, 2, 3, (1, 1, 3, 3, 4)) == 0
     # a key with the wrong number of levels or an index past x9 has no term
-    assert quad.get((2, (1, 2, 3, 4, 5))) == 0
-    assert quad.get((1, 2, 3, (1, 2, 3, 4, 5))) == 0
-    assert quad.get((2, 3, (1, 2, 3, 4, 10))) == 0
+    assert (2, (1, 2, 3, 4, 5)) not in quad
+    assert multiplicity3(W, 1, 2, 3, (1, 2, 3, 4, 5)) == 0
+    assert multiplicity2(W, 2, 3, (1, 2, 3, 4, 10)) == 0
 
 
 def test_n_quadratic_is_pure_in_the_pair():
@@ -416,6 +417,45 @@ def test_multsiw_reports_injected_faults(monkeypatch):
         {"w": "2143", "i": 2, "grade": 3, "key": (1, 2, 3, (1, 1, 2, 2, 3, 4)), "m": 2,
          "expected": 1},
     ]
+
+
+def test_multsiw_reports_a_missing_cubic_term(monkeypatch):
+    # 4123 covers 3124 at i = 3.  Read there, its cubic term T1^2T2 x^1234
+    # (m = 1, pair exponents (1, 1) of x3, x4) is gone.  No other cubic term
+    # of w or s_i w has its (a + b, rest), but a term of the correction
+    # does, and the rule still gives it m = 1.
+    target = parse_permutation("4123")
+    assert numerator_P(target, tmax=3).coefficient(x=x_exps((1, 2, 3, 4)), t=(2, 1)) == 1
+    _faulty_covers(monkeypatch, target, -SparsePoly.term(x=x_exps((1, 2, 3, 4)), t=(2, 1)))
+    assert check_multsiw(4).counterexamples == [
+        {"w": "3124", "i": 3, "grade": 3, "key": (1, 1, 2, (1, 2, 3, 4)), "m": 0,
+         "expected": 1},
+    ]
+
+
+def test_multsiw_sees_every_deleted_term(monkeypatch):
+    # Replay each rule a clean S4 run compares, once per in-cap term of
+    # P_{s_i w} (both pair exponents at most the cap), with that term
+    # deleted: the rule must report it, and nothing else.
+    calls = []
+    real = mults._transfer_mismatches
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mults, "_transfer_mismatches", recording)
+    assert check_multsiw(4).ok
+    deleted = {2: 0, 3: 0}
+    for i, cap, w, sw, corr, nfac in calls:
+        for key, m in sw.items():
+            *_, eta = _key_tuple(key)
+            if max(eta.count(i), eta.count(i + 1)) > cap:
+                continue
+            deleted[cap] += 1
+            rest = {k: c for k, c in sw.items() if k != key}
+            assert list(real(i, cap, w, rest, corr, nfac)) == [(_key_tuple(key), 0, m)]
+    assert deleted == {2: 183, 3: 250}
 
 
 def test_formpw2bound_reports_injected_faults(monkeypatch):
