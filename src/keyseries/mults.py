@@ -49,8 +49,10 @@ from .bseq import format_seq, w_upper
 from .config import InvariantError
 from .multisets import _decoded, doubled, eta_parts, packed_B, packed_C, presentations
 from .permutation import Findings, Permutation, ScanOutcome, sweep
-from .poly import _FIELD, SparsePoly, _pair_shifts, key_multisets, multiset_key, x_exps
-from .series import n_factor_product, numerator_carry, numerator_P, numerator_step
+from .poly import (
+    _FIELD, SparsePoly, _levels, _pair_shifts, key_multisets, multiset_key, x_exps,
+)
+from .series import n_factor_product, numerator_carry, numerator_P, numerator_step, t_support
 
 __all__ = [
     "multiplicity2",
@@ -227,9 +229,15 @@ def _exactly(expect: int | None, valid: bool) -> tuple[int, int]:
 def _row_check(
     name: str, n: int, pairs: list[tuple[int, int]], row: Callable, finding: Callable[..., dict]
 ) -> ScanOutcome:
+    """A check over the rows of pairs, each reading m at eta + T_k T_l of
+    P_w.  The walk carries P_w projected onto the divisors of those T_k T_l
+    (``series.t_support``), all it reads: lketa23 walks {1, T_k, T_k^2 : k
+    >= 3}, diff2 no T_k^2.  When pairs hold every (k, l) on the levels of S_n
+    (1 to n - 1), the projection keeps every term and is not made."""
     rows_of = _bound_rows(pairs, row)
+    support = None if set(pairs) >= set(_pairs(n - 1)) else t_support(pairs)
     return sweep(name, n, lambda w, p: _row_findings(w, p, rows_of, finding),
-                 numerator_carry(tmax=2))
+                 numerator_carry(tmax=2, support=support))
 
 
 # -- closed formulas for the small slices ------------------------------------------
@@ -403,33 +411,42 @@ def check_multsiw(n: int) -> ScanOutcome:
     quadratic slice, all at (0, 2); cubic keys (p, k, l, tau) up to 3, with
     N's cubic slice, all at (0, 3), and the correction x_i N_1 (c_10 + x_i
     c_20 + x_i x_{i+1} c_21), where N_1 is N's linear slice and the c_ab are
-    the components of w's quadratic slice (`decompose_quadratic`)."""
+    the components of w's quadratic slice (`decompose_quadratic`).
+
+    P_w is split by T-degree once per w, and P_{s_i w} and N once per cover
+    (`poly._levels`).  The rules are linear, so the quadratic rule runs on
+    the slices as they are, with N's slice negated, and its findings are
+    negated back: the quadratic slice carries a global minus sign."""
     def one(w: Permutation, p_w: SparsePoly):
         w_text = w.one_line()
         ces: list[dict] = []
         pairs = 0
-        p2, p3 = -p_w.t_slice(2), p_w.t_slice(3)
+        _, _, p2, p3 = _levels(p_w.terms, 3)
+        quad = SparsePoly(p2, _trusted=True)
         for i in range(1, n):
             if not w.is_ascent(i):
                 continue
             pairs += 1
-            p_sw = numerator_step(p_w, w, i, tmax=3)
-            nfac = n_factor_product(w, i, tmax=3)
-            comp = decompose_quadratic(p2, i)
+            _, _, sw2, sw3 = _levels(numerator_step(p_w, w, i, tmax=3).terms, 3)
+            _, n1, n2, n3 = _levels(n_factor_product(w, i, tmax=3).terms, 3)
+            comp = decompose_quadratic(quad, i)
             x_i = SparsePoly.x_var(i)
-            corr = x_i * -nfac.t_slice(1) * (
+            corr = x_i * SparsePoly(n1, _trusted=True) * (
                 comp[(1, 0)] + x_i * (comp[(2, 0)] + SparsePoly.x_var(i + 1) * comp[(2, 1)]))
-            for grade, found in (
-                (2, _transfer_mismatches(i, 2, p2.terms, (-p_sw.t_slice(2)).terms, {},
-                                         nfac.t_slice(2).terms)),
-                (3, _transfer_mismatches(i, 3, p3.terms, p_sw.t_slice(3).terms, corr.terms,
-                                         (-nfac.t_slice(3)).terms)),
+            for grade, sign, found in (
+                (2, -1, _transfer_mismatches(i, 2, p2, sw2, {}, _negated(n2))),
+                (3, 1, _transfer_mismatches(i, 3, p3, sw3, corr.terms, _negated(n3))),
             ):
                 ces += [{"w": w_text, "i": i, "grade": grade, "key": key,
-                         "m": got, "expected": expect} for key, got, expect in found]
+                         "m": sign * got, "expected": sign * expect}
+                        for key, got, expect in found]
         return ces, {"covers": pairs}
 
     return sweep("multsiw", n, one, numerator_carry(tmax=3))
+
+
+def _negated(terms: dict[int, int]) -> dict[int, int]:
+    return {k: -c for k, c in terms.items()}
 
 
 # -- presentation posets --------------------------------------------------------

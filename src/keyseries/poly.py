@@ -788,11 +788,16 @@ def series_product(f: SparsePoly, factors: Iterable[SparsePoly], D: int | None,
 
 
 def pi_product(i: int, f: SparsePoly, shifts: list[tuple[int, int, int]], D: int,
-               xi_mode: bool, low: int,
-               max_terms: int | None = None) -> tuple[SparsePoly, dict[int, int]]:
+               xi_mode: bool, low: int, max_terms: int | None = None,
+               support: frozenset[int] | None = None) -> tuple[SparsePoly, dict[int, int]]:
     """pi_i (pi_xi_i) of f times the binomials 1 + c*m of shifts ((packed m,
     c, T-degree of m) with T-degree >= 1), truncated past T-degree D, where f
     holds no term past D; and the terms of that value below T-degree low.
+    Given a support, a divisor-closed set of T-parts ``key >> T_SHIFT`` that
+    holds those of f's terms, the value is projected onto it: the deltas keep
+    only their keys inside it, so pi reads no other term (pi keeps each
+    term's T-part).  A shift outside it adds nothing that is kept, so the
+    caller leaves it out.
 
     The product is never built and f's dict is never copied.  One
     comprehension takes f's levels below max(D, low) (on CPython 3.11 it is
@@ -812,6 +817,8 @@ def pi_product(i: int, f: SparsePoly, shifts: list[tuple[int, int, int]], D: int
         base[k >> TD_SHIFT][k] = terms[k]
     deltas: list[dict[int, int]] = [{} for _ in range(D + 1)]
     _levelled_pass(deltas, shifts, False, base, terms, max_terms)
+    if support is not None:
+        deltas = [{k: c for k, c in d.items() if k >> T_SHIFT in support} for d in deltas]
     op = pi_xi if xi_mode else pi
     out = op(i, f, *(SparsePoly(delta, _trusted=True) for delta in deltas))
     lows = base[:low] + deltas[:low]

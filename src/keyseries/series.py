@@ -12,9 +12,18 @@ then P_{s_i w} = pi_i(P_w * N_{w,i}) with N_{w,i} the product of
 (1 - x^{s_i alpha} T_l) over the sequences alpha moved by s_i.  Neither
 N_{w,i} nor the product is built: P_w's dict is left as it is, the factors'
 updates go into per-level deltas, and pi_i reads P_w and the deltas into
-one dict (``poly.pi_product``).  Truncating every product past a total
-T-degree bound commutes with the induction, which keeps sweeps over whole
-symmetric groups cheap.
+one dict (``poly.pi_product``).
+
+pi_i acts on the x variables only, so the coefficient of each T-monomial
+moves on its own.  Keeping only the terms whose T-monomial lies in a
+divisor-closed set S (one that holds every divisor of each of its members)
+therefore commutes with the induction: a term of P_w N_{w,i} with its
+T-monomial in S comes from a term of P_w and factors whose T-monomials all
+divide it, so all lie in S.  The carry then computes P_w projected onto S
+exactly, and never builds a factor T_l outside S (``t_support``, the
+``support`` of ``numerator_carry``).  Truncation past a total T-degree bound
+is the case where S is every T-monomial up to that degree; both keep sweeps
+over whole symmetric groups cheap.
 
 Both objects are carries down the tree of first left descents: P_w
 (``numerator_carry``, stepped by ``numerator_step``) and the key series, the
@@ -28,6 +37,7 @@ every cover off the tree (``permutation.cover_mismatches``).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -39,6 +49,7 @@ from .permutation import (
 )
 from .poly import (
     NVARS,
+    T_SHIFT,
     Monomial,
     SparsePoly,
     multiset_key,
@@ -58,6 +69,7 @@ __all__ = [
     "lascoux_polynomial",
     "key_by_composition",
     "composition_shape",
+    "t_support",
     "numerator_step",
     "numerator_carry",
     "numerator_P",
@@ -171,10 +183,21 @@ _X_KEYS = tuple(multiset_key((j,)) for j in range(1, NVARS + 1))
 _T_KEYS = tuple(multiset_key(levels=(l,)) for l in range(1, NVARS + 1))
 
 
-def _n_factors(w: Permutation, i: int) -> list[tuple[int, int, int]]:
+def t_support(level_sets: Iterable[Iterable[int]]) -> frozenset[int]:
+    """The divisor closure of the T-monomials T^levels over level_sets, each
+    a multiset of levels ((k, l) is T_k T_l): every T-monomial dividing one of
+    them, 1 among them, as the T-part ``key >> T_SHIFT`` of its packed key."""
+    return frozenset({0}).union(  # the T-part of 1
+        multiset_key(levels=sub) >> T_SHIFT for levels in level_sets
+        for r in range(1, len(levels) + 1) for sub in itertools.combinations(sorted(levels), r))
+
+
+def _n_factors(w: Permutation, i: int,
+               support: frozenset[int] | None = None) -> list[tuple[int, int, int]]:
     """The monomials -x^{s_i alpha} T_l over sequences moved at an ascent i, so
     that N_{w,i} is the product of the binomials 1 + m, each as the factor
-    (packed key, -1, T-degree 1) of ``poly.pi_product``.
+    (packed key, -1, T-degree 1) of ``poly.pi_product``.  A level l whose T_l
+    is outside support (None: every level) is skipped.
 
     Read off the packed members of each level set (``bseq.a_keys``): with
     delta = x_{i+1} - x_i as a key difference, alpha moves exactly when its
@@ -186,6 +209,8 @@ def _n_factors(w: Permutation, i: int) -> list[tuple[int, int, int]]:
     lo, hi = _X_KEYS[i - 1], _X_KEYS[i]
     out = []
     for l in moved_levels(w, i):
+        if support is not None and _T_KEYS[l - 1] >> T_SHIFT not in support:
+            continue
         members = a_keys(w_upper(w, l))
         shift = hi - lo + _T_KEYS[l - 1]
         out += [(alpha + shift, -1, 1) for alpha in members  # fields are 0 or 1
@@ -203,17 +228,20 @@ def n_factor_product(
 
 def numerator_step(
     p: SparsePoly, v: Permutation, i: int, xi_mode: bool = False, tmax: int | None = None,
-    max_terms: int | None = None,
+    max_terms: int | None = None, support: frozenset[int] | None = None,
 ) -> SparsePoly:
     """P_{s_i v} = pi_i(P_v * N_{v,i}) from p = P_v truncated past tmax (None:
-    exact), at an ascent i of v.  The product is never built
-    (``poly.pi_product``).  A product or a value of more than max_terms terms
-    (None: no cap) raises ResourceCapError."""
-    shifts = _n_factors(v, i)
+    exact) and projected onto support (a divisor-closed set of T-parts,
+    ``t_support``; None: every T-monomial), at an ascent i of v: the value
+    is P_{s_i v} truncated and projected the same way.  The product is never
+    built (``poly.pi_product``), and no factor T_l outside support is made.
+    A product or a value of more than max_terms terms (None: no cap) raises
+    ResourceCapError."""
+    shifts = _n_factors(v, i, support)
     D = p.t_degree() + len(shifts) if tmax is None else tmax
     # constant term 1, no other T-free term and, outside xi mode, no T-linear one
     low = 1 if xi_mode else 2
-    out, below = pi_product(i, p, shifts, D, xi_mode, low, max_terms)
+    out, below = pi_product(i, p, shifts, D, xi_mode, low, max_terms, support)
     if max_terms is not None and len(out.terms) > max_terms:
         raise ResourceCapError(
             f"P_{v.left_mul_s(i).one_line()} has more than max_terms={max_terms} terms")
@@ -224,11 +252,15 @@ def numerator_step(
 
 
 def numerator_carry(xi_mode: bool = False, tmax: int | None = None,
-                    max_terms: int | None = None) -> Carry:
+                    max_terms: int | None = None,
+                    support: frozenset[int] | None = None) -> Carry:
     """The numerators as a value carried down a sweep: P at the identity and
-    the step at (xi_mode, tmax, max_terms), so that the sweep hands each w
-    its P_w."""
-    return SparsePoly.one(), lambda p, v, i: numerator_step(p, v, i, xi_mode, tmax, max_terms)
+    the step at (xi_mode, tmax, max_terms, support), so that the sweep hands
+    each w its P_w truncated past tmax and, when a support is given, only the
+    terms whose T-monomial lies in it (a sweep that reads a few T-monomials
+    walks only their divisors)."""
+    return SparsePoly.one(), lambda p, v, i: numerator_step(
+        p, v, i, xi_mode, tmax, max_terms, support)
 
 
 def numerator_P(

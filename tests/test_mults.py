@@ -563,6 +563,35 @@ def test_cover_checks_step_once_per_cover(monkeypatch):
         assert (len(steps), len(set(steps))) == (119 + 240, 240), check.__name__
 
 
+def test_row_checks_walk_their_t_support(monkeypatch):
+    # A row check carries P_w projected onto the divisors of the T_k T_l its
+    # rows read.  Over S6, the terms of the P_w the sweep hands out and the
+    # N factors its steps build: lketa23 walks {1, T_k, T_k^2 : k >= 3} and
+    # diff2 every T-monomial but the T_k^2, while diff1 reads every T_k T_l
+    # and walks every term of the T-degree-2 walk.
+    sizes, factors = [], []
+    real_factors, real_sweep = series._n_factors, mults.sweep
+
+    def counting(*args):
+        out = real_factors(*args)
+        factors.append(len(out))
+        return out
+
+    def sizing(name, n, one, carry):
+        return real_sweep(name, n, lambda w, p: sizes.append(len(p.terms)) or one(w, p), carry)
+
+    monkeypatch.setattr(series, "_n_factors", counting)
+    monkeypatch.setattr(mults, "sweep", sizing)
+    counts = {}
+    for check in (check_lketa23, check_diff2, check_diff1):
+        sizes.clear()
+        factors.clear()
+        assert check(6).ok
+        counts[check.__name__] = (len(sizes), sum(sizes), sum(factors))
+    assert counts == {"check_lketa23": (720, 9648, 2377), "check_diff2": (720, 57968, 3315),
+                      "check_diff1": (720, 69920, 3315)}
+
+
 @pytest.mark.slow
 def test_lketa23_s7():
     # the whole S7 report body, pinned like the bodies above

@@ -10,7 +10,9 @@ from keyseries.permutation import (
     parse_permutation,
     sweep,
 )
-from keyseries.poly import SparsePoly, pi, pi_word, pi_xi, series_inverse_product, x_exps
+from keyseries.poly import (
+    T_SHIFT, SparsePoly, multiset_key, pi, pi_word, pi_xi, series_inverse_product, x_exps,
+)
 from keyseries import series
 from keyseries.series import (
     check_piiKw,
@@ -218,6 +220,42 @@ def test_descent_walk_hands_each_numerator(n, tmax, xi_mode):
     out = sweep("walk", n, lambda w, p: ([{"w": w.one_line()}], {"visits": 1}), carry)
     assert out.counterexamples == [{"w": w.one_line()} for w in all_permutations(n)]
     assert out.stats == {"visits": len(group)}
+
+
+def test_t_support_is_the_divisor_closure():
+    def parts(*level_sets):
+        return {multiset_key(levels=levels) >> T_SHIFT for levels in level_sets}
+
+    assert series.t_support([]) == parts(())
+    assert series.t_support([(3, 3), (4, 4)]) == parts((), (3,), (3, 3), (4,), (4, 4))
+    assert series.t_support([(2, 1)]) == parts((), (1,), (2,), (1, 2))
+    assert series.t_support([(1, 1, 2)]) == parts((), (1,), (2,), (1, 1), (1, 2), (1, 1, 2))
+
+
+# The T-supports of the lketa23 rows, of the diff2 rows and of T_2^2 alone at S5.
+SUPPORTS = {
+    "lketa23": [(k, k) for k in range(3, 6)],
+    "diff2": [(k, l) for k in range(1, 6) for l in range(k + 1, 6)],
+    "T2^2": [(2, 2)],
+}
+
+
+@pytest.mark.parametrize("pairs", SUPPORTS.values(), ids=list(SUPPORTS))
+@pytest.mark.parametrize("xi_mode", [False, True])
+def test_projected_carry_is_the_projection(pairs, xi_mode):
+    # Keeping the terms on a divisor-closed set of T-monomials commutes with
+    # the induction: the projected carry, walked beside the full one, is
+    # the full value with its other terms dropped at every w of S5.  The xi
+    # field sits below the T-part and passes through.
+    support = series.t_support(pairs)
+    (p0, p_step), (q0, q_step) = (numerator_carry(xi_mode, 2),
+                                  numerator_carry(xi_mode, 2, support=support))
+    carry = (p0, q0), lambda pq, v, i: (p_step(pq[0], v, i), q_step(pq[1], v, i))
+    visits, full, kept = 0, 0, 0
+    for w, (p, q) in descent_walk(5, carry):
+        assert q.terms == {k: c for k, c in p.terms.items() if k >> T_SHIFT in support}, w
+        visits, full, kept = visits + 1, full + len(p.terms), kept + len(q.terms)
+    assert visits == 120 and 120 < kept < full
 
 
 def test_truncation_commutes_with_induction():
