@@ -275,9 +275,10 @@ class Findings(Sequence):
             yield values(w_text, row)
 
     @staticmethod
-    def value(field):
-        """The JSON value of a field that rows() yields: the field itself."""
-        return field
+    def field_text(field, newline: str, encode) -> str:
+        """The JSON text of a field that rows() yields, nested at newline: the
+        report encoder's text of the field itself, encode(field, newline)."""
+        return encode(field, newline)
 
     def __iter__(self) -> Iterator[dict]:
         decode = self._decode

@@ -12,9 +12,10 @@ fields, and a product, exponent or variable index that does not fit raises
 ``ResourceCapError``, never wraps.  The public surface speaks exponent tuples
 ``(x, t, xi)``; ``exponent_items`` and ``multiset_items`` decode each distinct
 x-part and T-part once per call, in packed-key order.  ``render`` gives the
-text form and the JSON terms from one sorted pass that renders each part
-once; the terms are a ``Terms`` row table over that pass's rows, which reads
-as a list of dicts and which the report encoder writes without building one.
+text form and the JSON terms from one sorted pass that joins each part from
+its two halves (fields 1-3 and 4-9), each rendered once; the terms are a
+``Terms`` row table over that pass's rows, which reads as a list of dicts and
+which the report encoder writes from each part's JSON members.
 ``multiset_key`` and ``key_multisets`` convert between a key and the sorted
 index multisets (eta, levels) of x^eta T^levels, the multiset layer's form.
 
@@ -78,8 +79,14 @@ XI_SHIFT = NVARS * FIELD_BITS
 T_SHIFT = XI_SHIFT + FIELD_BITS
 TD_SHIFT = T_SHIFT + NVARS * FIELD_BITS
 _FIELD = (1 << FIELD_BITS) - 1
-_PART = (1 << (NVARS * FIELD_BITS)) - 1
+_PART_BITS = NVARS * FIELD_BITS
+_PART = (1 << _PART_BITS) - 1
 _GUARD = sum(1 << (FIELD_BITS * f + FIELD_BITS - 1) for f in range(2 * NVARS + 2))
+# a rendering splits a part into fields 1-3 and 4-9, and ranks it by its
+# degree (below 2**16) above its _PART_BITS of reversed fields
+_LOW_BITS = 3 * FIELD_BITS
+_LOW = (1 << _LOW_BITS) - 1
+_RANK_BITS = _PART_BITS + 16
 
 
 def _pack_part(exps: Iterable[int], shift: int, name: str) -> int:
@@ -171,31 +178,40 @@ def key_multisets(key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class _Part:
-    """One distinct x-part or T-part of a rendering: its exponent tuple, its
-    text factors ("x1*x3^2", "" for no variable) and its JSON exponent dict.
-    It hashes by identity, as a rendering builds one per distinct part."""
+    """One distinct x-part or T-part of a rendering: its packed fields, its
+    text factors ("x1*x3^2", "" for no variable) and its JSON members
+    ('"1": 1', '"3": 2').  It hashes by identity, as a rendering builds one
+    per distinct part; its exponent tuple and dict are decoded when read."""
 
-    __slots__ = ("exps", "text", "json")
+    __slots__ = ("part", "text", "members")
 
-    def __init__(self, part: int, name: str):
-        exps: list[int] = []
-        factors: list[str] = []
-        self.json: dict[str, int] = {}
-        while part:  # one field per step, as _unpack
-            e = part & _FIELD
-            exps.append(e)
-            if e:
-                i = str(len(exps))
-                self.json[i] = e
-                factors.append(name + i if e == 1 else f"{name}{i}^{e}")
-            part >>= FIELD_BITS
-        self.exps = tuple(exps)
-        self.text = "*".join(factors)
+    def __init__(self, part: int, text: str, members: tuple[str, ...]):
+        self.part, self.text, self.members = part, text, members
+
+    @property
+    def exps(self) -> tuple[int, ...]:
+        return _unpack(self.part)
+
+    @property
+    def json(self) -> dict[str, int]:
+        return {str(i): e for i, e in enumerate(self.exps, 1) if e}
 
 
-def _graded_key(exps: tuple[int, ...]) -> tuple:
-    """Sort key of a part: total degree, then dominance-descending."""
-    return sum(exps), tuple(-e for e in exps)
+def _half(half: int, first: int, name: str) -> tuple[str, tuple[str, ...], int, int]:
+    """A half of a part, its fields from index first on: its text factors,
+    JSON members, fields packed in reversed order (field 1 on top) and degree."""
+    factors, members, rev, deg = [], [], 0, 0
+    idx = first
+    while half:
+        if e := half & _FIELD:
+            i = str(idx)
+            factors.append(name + i if e == 1 else f"{name}{i}^{e}")
+            members.append(f'"{i}": {e}')
+            rev |= e << (FIELD_BITS * (NVARS - idx))
+            deg += e
+        half >>= FIELD_BITS
+        idx += 1
+    return "*".join(factors), tuple(members), rev, deg
 
 
 def _text(rows) -> str:
@@ -224,8 +240,8 @@ class Terms(Sequence):
     when it is read: iteration and indexing yield fresh dicts, so no two terms
     share a dict, and ``==`` against a list compares the decoded dicts.
     ``rows()`` yields the rows, in key order, for the report encoder, which
-    keys its memo on each part by identity and reads its JSON through
-    ``value``.  ``json.dumps`` does not know the table; ``list`` of it does.
+    keys its memo on each part by identity and reads a field's JSON text from
+    ``field_text``.  ``json.dumps`` does not know the table; ``list`` of it does.
     """
 
     KEYS = ("coeff", "x", "T", "xi")
@@ -239,14 +255,19 @@ class Terms(Sequence):
         return iter(self._rows)
 
     @staticmethod
-    def value(field):
-        """The JSON value of a row field: a part's exponent dict, else the field."""
-        return field.json if type(field) is _Part else field
+    def field_text(field, newline: str, encode) -> str:
+        """The JSON text of a row field nested at newline: a part's members
+        joined at newline, else the int's digits; no field needs encode."""
+        if type(field) is not _Part:
+            return int.__repr__(field)
+        inner = newline + "  "
+        members = ("," + inner).join(field.members)
+        return "{" + inner + members + newline + "}" if members else "{}"
 
     @staticmethod
     def _decode(row: tuple) -> dict:
         c, xpart, tpart, xi = row
-        return {"coeff": c, "x": dict(xpart.json), "T": dict(tpart.json), "xi": xi}
+        return {"coeff": c, "x": xpart.json, "T": tpart.json, "xi": xi}
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -469,24 +490,33 @@ class SparsePoly:
 
     def _graded_rows(self) -> list[tuple[int, _Part, _Part, int]]:
         """Terms in graded order as the rows (coeff, x-part, T-part, xi) of
-        ``Terms``.  One pass decodes and renders each distinct x-part and each
-        distinct T-part once, as one ``_Part`` in separate memos (x1 and T1 are
-        the same part integer), and ranks them so that a term's sort key is
-        one int."""
+        ``Terms``.  Each distinct half of an x-part (fields 1-3 or 4-9) is
+        rendered once per call, and each half of a T-part apart from them (x1
+        and T1 are the same part integer); a part is two half reads and a
+        join.  Its rank is one int, its degree above the complement of its
+        reversed fields, which orders equal degrees dominance-descending, and
+        a term's sort key is one int of its xi, T-rank and x-rank."""
         ranked = []
         for shift, name in ((0, "x"), (T_SHIFT, "T")):
-            parts = {p: _Part(p, name) for p in {(k >> shift) & _PART for k in self.terms}}
-            order = sorted(parts, key=lambda p: _graded_key(parts[p].exps))
-            ranked.append({p: (rank, parts[p]) for rank, p in enumerate(order)})
+            parts = {(k >> shift) & _PART for k in self.terms}
+            lows = {lo: _half(lo, 1, name) for lo in {p & _LOW for p in parts}}
+            highs = {hi: _half(hi, 4, name) for hi in {p >> _LOW_BITS for p in parts}}
+            ranks = {}
+            for p in parts:
+                ltext, lmembers, lrev, ldeg = lows[p & _LOW]
+                htext, hmembers, hrev, hdeg = highs[p >> _LOW_BITS]
+                text = f"{ltext}*{htext}" if ltext and htext else ltext or htext
+                ranks[p] = ((ldeg + hdeg) << _PART_BITS | (_PART - lrev - hrev),
+                            _Part(p, text, lmembers + hmembers))
+            ranked.append(ranks)
         xs, ts = ranked
-        rows = []
+        rows = {}
         for k, c in self.terms.items():
             xrank, xpart = xs[k & _PART]
             trank, tpart = ts[(k >> T_SHIFT) & _PART]
             xi = (k >> XI_SHIFT) & _FIELD
-            rows.append(((xi << 64) | (trank << 32) | xrank, c, xpart, tpart, xi))
-        rows.sort()  # the int keys are distinct, so no part is ever compared
-        return [row[1:] for row in rows]
+            rows[(xi << _RANK_BITS | trank) << _RANK_BITS | xrank] = c, xpart, tpart, xi
+        return [rows[key] for key in sorted(rows)]
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms as ((x, t, xi), coeff) in graded order: by xi degree, then

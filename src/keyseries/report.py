@@ -18,10 +18,10 @@ sort_keys=True, indent=2, ensure_ascii=False)`` plus a newline, but built in
 one recursive pass that appends one joined string per dict or list item,
 since ``json.dumps`` with an indent runs its pure-Python encoder.  A row
 table is encoded through one row template, without building its dicts: its
-keys are sorted once, each field's text is memoised per distinct value (an
-x-part of a polynomial's terms is rendered once, however many terms share
-it), and each row is appended as one string.  The chunked form follows the
-contract of ``json.JSONEncoder.iterencode``: the joined chunks are the text.
+keys are sorted once, each field's text (the table's ``field_text``) is
+memoised per distinct value, so a polynomial's x-part is written once however
+many terms share it, and each row is appended as one string.  The chunked
+form follows ``json.JSONEncoder.iterencode``: the joined chunks are the text.
 """
 
 from __future__ import annotations
@@ -57,6 +57,16 @@ def _scalar(obj) -> str | None:
     if isinstance(obj, (dict, list, tuple, Findings, Terms)):
         return None
     raise TypeError(f"report JSON cannot encode {type(obj).__name__}")
+
+
+def _value_text(value, newline: str) -> str:
+    """The JSON text of a scalar, dict, list or tuple value nested at newline."""
+    text = _scalar(value)
+    if text is None:
+        pieces: list[str] = []
+        _encode(value, pieces, newline, lambda: None)
+        text = "".join(pieces)
+    return text
 
 
 def _encode(obj, out: list[str], newline: str, flush: Callable[[], None]) -> None:
@@ -99,12 +109,13 @@ def _encode_rows(rows: Findings | Terms, out: list[str], newline: str,
     CHUNK_PIECES pieces' worth of characters.
 
     A row table has ``KEYS``; ``rows()``, which yields each row's fields in
-    KEYS order; and ``value(field)``, a field's JSON value.  Fields are the
-    memo keys: they are hashable, and fields that compare equal have the same
-    value, whose text is built once per encode.  A ``Findings`` field is its
-    own value.  A ``Terms`` x or T field is the one ``_Part`` that every term
-    with that part shares; it hashes by identity, and its value is the
-    part's exponent dict."""
+    KEYS order; and ``field_text(field, newline, encode)``, a field's JSON
+    text nested at newline, given ``encode(value, newline)``, the text of a
+    plain value.  Fields are the memo keys: they are hashable, and equal
+    fields have the same text, built once per encode.  A ``Findings`` field
+    is a plain value.  A ``Terms`` x or T field is the one ``_Part`` that
+    every term with that part shares; it hashes by identity, and its text is
+    its JSON members joined at newline, built with no exponent dict."""
     if not rows:
         out.append("[]")
         return
@@ -114,16 +125,7 @@ def _encode_rows(rows: Findings | Terms, out: list[str], newline: str,
     template = ("{" + ",".join(field_newline + encode_basestring(rows.KEYS[i]).replace("%", "%%")
                                + ": %s" for i in order) + inner + "}")
     fields: list[tuple[int, dict]] = [(i, {}) for i in order]  # (index, text memo)
-    to_json = rows.value
-
-    def field_text(field) -> str:
-        value = to_json(field)
-        text = _scalar(value)
-        if text is None:
-            pieces: list[str] = []
-            _encode(value, pieces, field_newline, lambda: None)
-            text = "".join(pieces)
-        return text
+    field_text = rows.field_text
 
     # A row's dict would make one piece per line, of about 16 characters: the
     # rows flush once they hold the characters of CHUNK_PIECES such pieces.
@@ -135,7 +137,7 @@ def _encode_rows(rows: Findings | Terms, out: list[str], newline: str,
             value = values[i]
             text = memo.get(value)
             if text is None:
-                text = memo[value] = field_text(value)
+                text = memo[value] = field_text(value, field_newline, _value_text)
             texts.append(text)
         row = sep + template % tuple(texts)
         out.append(row)

@@ -167,7 +167,8 @@ def test_verify_body_pinned(tmp_path, capsys, name):
 
 
 # The --format json stdout of single answers, pinned byte for byte, so that
-# a rewrite of the rendering or the encoder keeps every answer.
+# a rewrite of the rendering or the encoder keeps every answer.  Each runs
+# under max_tdeg=12, which only the x1^12 key needs.
 ANSWER_PINS = {
     "pw-52341-tdeg3": (
         ("pw", "--w", "52341", "--tdeg", "3"),
@@ -193,13 +194,21 @@ ANSWER_PINS = {
     "key-nu021-xi": (
         ("key", "--nu", "0,2,1", "--xi"),
         "19929cdf72b3f689f50dcab2fc3ccb50a3eb286a936bca127b148bf337a770d0"),
+    "pw-7123456-tdeg2": (  # x1..x7, T1..T6
+        ("pw", "--w", "7123456", "--tdeg", "2"),
+        "42d0ab30d2258eb4bdf9084b88d34c6d4d05af3c89f98c719e5a2d57e4f38711"),
+    "key-nu0-12-3-0-0-0-1-xi": (  # x1^12, x7, xi^6; run under max_tdeg=12
+        ("key", "--nu", "0,12,3,0,0,0,1", "--xi"),
+        "5a7aea7cd6f4bb664144fc26ba9738358fd14bf49658e4bb7d489a661598af80"),
 }
 
 
 @pytest.mark.parametrize("name", list(ANSWER_PINS))
-def test_answer_json_pinned(capsys, name):
+def test_answer_json_pinned(tmp_path, capsys, name):
     argv, digest = ANSWER_PINS[name]
-    code, out = run(capsys, *argv, "--format", "json")
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("max_tdeg=12\n")
+    code, out = run(capsys, *argv, "--format", "json", "--config", str(cfg))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

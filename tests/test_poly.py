@@ -9,7 +9,7 @@ import pytest
 from conftest import swap_x
 from hypothesis import example, given, settings, strategies as st
 
-from keyseries import report
+from keyseries import poly, report
 from keyseries.cli import main
 from keyseries.config import ResourceCapError
 from keyseries.report import canonical_json
@@ -37,6 +37,19 @@ monomials = st.tuples(
     st.integers(0, 2),
 )
 polys = st.dictionaries(monomials, coeffs, min_size=1, max_size=6).map(SparsePoly)
+# Every variable index and multi-digit exponents, so that a rendering meets
+# parts past x4 and T4 and both of its halves; a T-part's degree fits a field.
+wide_exps = st.sampled_from((0, 1, 2, 3, 9, 10, 11, 12, MAX_EXP))
+wide_monomials = st.tuples(
+    st.lists(wide_exps, max_size=NVARS).map(tuple),
+    st.lists(wide_exps, max_size=NVARS).filter(lambda t: sum(t) <= MAX_EXP).map(tuple),
+    wide_exps,
+)
+rendered_polys = polys | st.dictionaries(wide_monomials, coeffs, min_size=1,
+                                         max_size=6).map(SparsePoly)
+# parts that differ in their fields past x3 or T3 alone, at equal degrees
+SAME_LOW_HALF = ("x4 + x9 + x5 + x4*x6 + x5^2 + x1*x5*T4 + x1*x4*T7 + x1*x4*T4"
+                 " - 12*x1^12*x9*T9^2047*xi^11 + x1^12*x8*T9^2047*xi^11")
 letters = st.integers(min_value=1, max_value=3)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -196,27 +209,43 @@ def test_text_rejects_a_variable_index_below_1(text):
         SparsePoly.parse(text)
 
 
-@given(polys)
-def test_sorted_terms_graded_order(p):
+def graded_items(p):
     # xi degree, then T-part, then x-part; a part by total degree, then
     # dominance-descending
     def part_key(exps):
         return sum(exps), tuple(-e for e in exps)
 
-    want = sorted(p.exponent_items(), key=lambda mc: (
+    return sorted(p.exponent_items(), key=lambda mc: (
         mc[0][2], part_key(mc[0][1]), part_key(mc[0][0])))
-    assert p.sorted_terms() == want
 
 
-@given(polys)
+@given(rendered_polys)
+@example(SparsePoly.parse(SAME_LOW_HALF))
+def test_sorted_terms_graded_order(p):
+    assert p.sorted_terms() == graded_items(p)
+
+
+@given(rendered_polys)
+@example(SparsePoly.parse(SAME_LOW_HALF))
 def test_render_is_text_and_json_with_fresh_dicts(p):
     text, obj = p.render()
     assert (text, obj) == (p.to_text(), p.to_json_obj())
+    want_text, want_terms = "", []
+    for (x, t, xi), c in graded_items(p):
+        factors = [f"{name}{i}" + (f"^{e}" if e > 1 else "")
+                   for name, exps in (("x", x), ("T", t)) for i, e in enumerate(exps, 1) if e]
+        factors += [f"xi^{xi}" if xi > 1 else "xi"] if xi else []
+        body = "*".join(([str(abs(c))] if abs(c) != 1 or not factors else []) + factors)
+        want_text += (f" {'-' if c < 0 else '+'} " if want_text else "-" * (c < 0)) + body
+        want_terms.append({"coeff": c, "x": {str(i): e for i, e in enumerate(x, 1) if e},
+                           "T": {str(i): e for i, e in enumerate(t, 1) if e}, "xi": xi})
+    assert text == (want_text or "0")
+    assert obj["terms"] == want_terms
     dicts = [d for term in obj["terms"] for d in (term, term["x"], term["T"])]
     assert len({id(d) for d in dicts}) == len(dicts)
 
 
-@given(polys, st.integers(0, 3))
+@given(rendered_polys, st.integers(0, 3))
 @example(SparsePoly.zero(), 1)
 @example(SparsePoly.parse("2*x1*x3^2*T1*xi - x1 + 3*T2^2"), 3)
 def test_encoded_terms_are_the_json_of_the_decoded_dicts(p, depth):
@@ -235,17 +264,24 @@ def test_encoded_terms_are_the_json_of_the_decoded_dicts(p, depth):
 
 
 def test_encoding_terms_builds_no_term_dict(monkeypatch, capsys):
+    # Nor an exponent dict: a part's text is written from its JSON members.
     p = SparsePoly.parse("2*x1*x3^2*T1*xi - x1 + 3*T2^2 + x2*T2^2")
     want = json.dumps({"terms": list(p.to_json_obj()["terms"])}, sort_keys=True, indent=2,
                       ensure_ascii=False) + "\n"
-    decoded = []
-    real_decode = Terms._decode
+    decoded, encoded, json_reads = [], [], []
+    real_decode, real_encode, real_json = Terms._decode, report._encode, poly._Part.json
     monkeypatch.setattr(Terms, "_decode", staticmethod(
         lambda row: decoded.append(row) or real_decode(row)))
+    monkeypatch.setattr(report, "_encode", lambda obj, *args: encoded.append(obj)
+                        or real_encode(obj, *args))
+    monkeypatch.setattr(poly._Part, "json", property(
+        lambda part: json_reads.append(part) or real_json.__get__(part)))
     assert canonical_json(p.to_json_obj()) == want
     assert main(["pw", "--w", "52341", "--tdeg", "3", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["polynomial"]["terms"]
-    assert decoded == []
+    assert decoded == [] and json_reads == []
+    assert encoded and not [obj for obj in encoded
+                            if isinstance(obj, dict) and all(key.isdigit() for key in obj)]
     assert len(p.to_json_obj()["terms"][1:3]) == 2 and len(decoded) == 2
 
 
