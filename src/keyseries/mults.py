@@ -18,10 +18,12 @@ straight from P_w's terms, against rows built once per pair of bounds
 presentations computed once per row.  The transfer rules (`check_multsiw`,
 `scan_siinc`, `scan_formpw2bound`) read whole packed keys too: moving the
 (x_i, x_{i+1}) exponents of a key adds multiples of the packed units of x_i
-and x_{i+1}, so a moved key is one lookup.  `scan_formpw3` compares P_w's
-cubic terms, grouped by T-monomial (`SparsePoly.t_strata`), with
-`multisets.packed_C` by set difference, holding what it finds as packed rows
-(`permutation.Findings`).  Only the keys a check reports are decoded.
+and x_{i+1}, so a moved key is one lookup, and the correction of the cubic
+rule reads each quadratic key of P_w against its mirror, the key with the
+two exponents swapped.  `scan_formpw3` compares P_w's cubic terms, grouped
+by T-monomial (`SparsePoly.t_strata`), with `multisets.packed_C` by set
+difference, holding what it finds as packed rows (`permutation.Findings`).
+Only the keys a check reports are decoded.
 
 Every check and scan is a function of one permutation w and its numerator
 P_w, run over S_n by `sweep`, which lives in `permutation` with `ScanOutcome`
@@ -59,8 +61,6 @@ __all__ = [
     "multiplicity3",
     "quadratic_multiplicities",
     "cubic_multiplicities",
-    "N_quadratic",
-    "decompose_quadratic",
     "ScanOutcome",
     "sweep",
     "check_quadratic_support",
@@ -109,53 +109,6 @@ def multiplicity3(
     if not 1 <= p <= k <= l:
         raise ValueError(f"need 1 <= p <= k <= l, got {(p, k, l)}")
     return numerator_P(w, tmax=3).coefficient(x=x_exps(tau), t=x_exps((p, k, l)))
-
-
-def N_quadratic(w: Permutation, i: int) -> SparsePoly:
-    """The T-quadratic slice of the cover factor product, with positive sign.
-
-    Every term is divisible by x_{i+1}^2 and free of x_i: each moved sequence
-    contains i and not i+1, so its s_i image contains i+1 and not i.
-    """
-    out = n_factor_product(w, i, tmax=2).t_slice(2)
-    if not set(out.pair_components(i)) <= {(0, 2)}:
-        raise InvariantError(f"N_quadratic({w.one_line()}, {i}) has a term off x_{i + 1}^2")
-    return out
-
-
-# -- pair-degree decomposition ---------------------------------------------------
-
-
-def _pair_basis(i: int, a: int, b: int) -> SparsePoly:
-    """Basis element for the decomposition: pure x_i^a x_{i+1}^b when a >= b,
-    x_i^a x_{i+1}^a times the complete homogeneous part of degree b - a when
-    a < b; exactly the pi_i images of the pure monomials."""
-    total = SparsePoly.zero()
-    for u in range(max(b - a, 0) + 1):
-        vec = [0] * (i + 1)
-        vec[i - 1], vec[i] = a + u, b - u
-        total = total + SparsePoly.term(x=tuple(vec))
-    return total
-
-
-def decompose_quadratic(f: SparsePoly, i: int) -> dict[tuple[int, int], SparsePoly]:
-    """Write f (pair degrees at most 2) over the nine-element pair basis.
-
-    Returns components free of x_i and x_{i+1}; the expansion over
-    _pair_basis reconstructs f, which is checked.
-    """
-    parts = f.pair_components(i)
-    comp = {(a, b): parts.get((a, b), SparsePoly.zero()) for a in range(3) for b in range(3)}
-    # each basis element with a < b also holds pure monomials: take its share off them
-    for pure, basis in (((1, 0), (0, 1)), ((2, 0), (0, 2)),
-                        ((1, 1), (0, 2)), ((2, 1), (1, 2))):
-        comp[pure] = comp[pure] - comp[basis]
-    rebuilt = SparsePoly.zero()
-    for (a, b), part in comp.items():
-        rebuilt = rebuilt + part * _pair_basis(i, a, b)
-    if rebuilt != f:
-        raise InvariantError("pair degrees above 2 cannot be decomposed here")
-    return comp
 
 
 # -- the two-presentation rows, one table per sweep ----------------------------
@@ -404,14 +357,40 @@ def _transfer_mismatches(
                 yield _key_tuple(key), got, expect
 
 
+def _correction(i: int, p2: dict[int, int], n1: dict[int, int]) -> dict[int, int]:
+    """The terms of x_i N_1 C, C = c_10 + x_i c_20 + x_i x_{i+1} c_21, from
+    w's quadratic slice p2 and N's linear slice n1.
+
+    For a > b, c_ab is p2's coefficient at pair exponents (a, b) less the one
+    at (b, a), so x_i C holds, at each key of p2 with a > b, the coefficient
+    there less the one at the mirrored key: one pass over p2, then one
+    product.  No pair exponent of p2 exceeds 2, as each of the two sequences
+    of a key holds i and i + 1 at most once; one that does raises."""
+    sa, sb = _pair_shifts(i)
+    step = (1 << sa) - (1 << sb)  # one unit moved from x_{i+1} to x_i
+    xc: dict[int, int] = {}
+    for key, m in p2.items():
+        a, b = (key >> sa) & _FIELD, (key >> sb) & _FIELD
+        if a > 2 or b > 2:
+            raise InvariantError(f"a quadratic term has x_{i}^{a} x_{i + 1}^{b}: "
+                                 "pair exponents above 2")
+        if a < b:
+            key, m = key + (b - a) * step, -m
+        if a != b:
+            xc[key] = xc.get(key, 0) + m
+    c = SparsePoly({k: m for k, m in xc.items() if m}, _trusted=True)
+    return (SparsePoly(n1, _trusted=True) * c).terms
+
+
 def check_multsiw(n: int) -> ScanOutcome:
     """Multiplicities of s_i w from those of w across every cover in weak order.
 
     Quadratic keys (k, l, eta) move up to pair exponent 2, with N_{w,i}'s
     quadratic slice, all at (0, 2); cubic keys (p, k, l, tau) up to 3, with
     N's cubic slice, all at (0, 3), and the correction x_i N_1 (c_10 + x_i
-    c_20 + x_i x_{i+1} c_21), where N_1 is N's linear slice and the c_ab are
-    the components of w's quadratic slice (`decompose_quadratic`).
+    c_20 + x_i x_{i+1} c_21), where N_1 is N's linear slice and c_ab is the
+    antisymmetric part of w's quadratic slice at pair exponents (a, b)
+    (`_correction`).
 
     P_w is split by T-degree once per w, and P_{s_i w} and N once per cover
     (`poly._levels`).  The rules are linear, so the quadratic rule runs on
@@ -422,20 +401,16 @@ def check_multsiw(n: int) -> ScanOutcome:
         ces: list[dict] = []
         pairs = 0
         _, _, p2, p3 = _levels(p_w.terms, 3)
-        quad = SparsePoly(p2, _trusted=True)
         for i in range(1, n):
             if not w.is_ascent(i):
                 continue
             pairs += 1
             _, _, sw2, sw3 = _levels(numerator_step(p_w, w, i, tmax=3).terms, 3)
             _, n1, n2, n3 = _levels(n_factor_product(w, i, tmax=3).terms, 3)
-            comp = decompose_quadratic(quad, i)
-            x_i = SparsePoly.x_var(i)
-            corr = x_i * SparsePoly(n1, _trusted=True) * (
-                comp[(1, 0)] + x_i * (comp[(2, 0)] + SparsePoly.x_var(i + 1) * comp[(2, 1)]))
             for grade, sign, found in (
                 (2, -1, _transfer_mismatches(i, 2, p2, sw2, {}, _negated(n2))),
-                (3, 1, _transfer_mismatches(i, 3, p3, sw3, corr.terms, _negated(n3))),
+                (3, 1, _transfer_mismatches(i, 3, p3, sw3, _correction(i, p2, n1),
+                                            _negated(n3))),
             ):
                 ces += [{"w": w_text, "i": i, "grade": grade, "key": key,
                          "m": sign * got, "expected": sign * expect}

@@ -452,16 +452,6 @@ class SparsePoly:
         return SparsePoly({k & low: c for k, c in self.terms.items() if k >> T_SHIFT == hi},
                           _trusted=True)
 
-    def pair_components(self, i: int) -> dict[tuple[int, int], "SparsePoly"]:
-        """Terms grouped by their exponents (a, b) of (x_i, x_{i+1}), which are removed."""
-        sa, sb = _pair_shifts(i)
-        mask = (_FIELD << sa) | (_FIELD << sb)
-        groups: dict[tuple[int, int], dict[int, int]] = {}
-        for k, c in self.terms.items():
-            pair = k & mask
-            groups.setdefault(((pair >> sa) & _FIELD, pair >> sb), {})[k - pair] = c
-        return {ab: SparsePoly(d, _trusted=True) for ab, d in groups.items()}
-
     # -- decoded views ----------------------------------------------------
 
     def _decoded(self, decode) -> Iterator[tuple[Monomial, int]]:

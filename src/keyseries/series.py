@@ -43,10 +43,7 @@ from typing import Iterable, Iterator
 
 from .bseq import a_keys, enum_A, moved_levels, w_upper
 from .config import InvariantError, ResourceCapError
-from .permutation import (
-    Carry, Permutation, ScanOutcome, all_permutations, chain_value, cover_mismatches,
-    descent_walk, sweep,
-)
+from .permutation import Carry, Permutation, ScanOutcome, chain_value, cover_mismatches, sweep
 from .poly import (
     NVARS,
     T_SHIFT,
@@ -82,7 +79,6 @@ __all__ = [
     "verify_form",
     "suite_formofkw",
     "check_piiKw",
-    "check_propgen",
     "lascoux_linear_part",
     "suite_pxiw1",
 ]
@@ -420,38 +416,6 @@ def check_piiKw(group_n: int, D: int, xi_mode: bool = False) -> ScanOutcome:
         return _check_findings(w, failures, checks=group_n - 1)
 
     return sweep("piiKw", group_n, one, carry)
-
-
-def check_propgen(group_n: int, D: int) -> list[FormCheck]:
-    """Group-algebra form of the previous identity.
-
-    Writing the family f[v] = series of v*w0, applying pi_i to every component
-    must equal multiplication by (eps_{s_i} + 1) in the algebra with relations
-    eps_{s_i} eps_v = eps_{s_i v} when the length goes up and -eps_v when it
-    goes down.
-    """
-    w0 = Permutation.longest(group_n)
-    by_w = {w.core: s for w, s in descent_walk(group_n, direct_carry(group_n, D))}
-    fam = {v.core: by_w[(v * w0).core] for v in all_permutations(group_n)}
-    out = []
-    for i in range(1, group_n):
-        mult: dict[tuple[int, ...], SparsePoly] = {
-            core: SparsePoly.zero() for core in fam
-        }
-        for v in all_permutations(group_n):
-            if v.is_ascent(i):  # at a descent, -eps_v + eps_v cancel
-                sv = v.left_mul_s(i)
-                mult[sv.core] = mult[sv.core] + fam[v.core]
-                mult[v.core] = mult[v.core] + fam[v.core]
-        applied = {core: pi(i, f) for core, f in fam.items()}
-        ok = applied == mult
-        out.append(
-            FormCheck(
-                f"s_{i}", group_n, D, False, ok,
-                "" if ok else "componentwise pi disagrees with algebra action",
-            )
-        )
-    return out
 
 
 # -- the xi-linear slice of the numerator ---------------------------------------

@@ -11,7 +11,6 @@ from keyseries.bseq import format_seq, w_upper
 from keyseries.multisets import enum_B, enum_C
 from keyseries.mults import (
     _key_tuple,
-    N_quadratic,
     check_diff1,
     check_diff2,
     check_lketa23,
@@ -19,7 +18,6 @@ from keyseries.mults import (
     check_multsiw,
     check_quadratic_support,
     cubic_multiplicities,
-    decompose_quadratic,
     multiplicity2,
     multiplicity3,
     presentation_poset,
@@ -133,19 +131,54 @@ def test_view_lookups_outside_the_slice():
 
 
 def test_n_quadratic_is_pure_in_the_pair():
-    for w in all_permutations(4):
-        for i in range(1, 4):
-            if w.is_ascent(i):
-                got = N_quadratic(w, i)
-                assert got == n_factor_product(w, i, tmax=2).t_slice(2)
-                assert set(got.pair_components(i)) <= {(0, 2)}
+    # each moved sequence holds i and not i+1, so its s_i image holds i+1 and
+    # not i: N's quadratic terms sit at pair exponents (0, 2), its cubic ones
+    # at (0, 3)
+    checked = 0
+    for n in (4, 5):
+        for w in all_permutations(n):
+            for i in range(1, n):
+                if w.is_ascent(i):
+                    for (x, t, _), _ in n_factor_product(w, i, tmax=3).exponent_items():
+                        if sum(t) >= 2:
+                            checked += 1
+                            pair = (x + (0,) * (i + 1))[i - 1:i + 1]
+                            assert pair == (0, sum(t)), (w.one_line(), i, x, t)
+    assert checked == 1854
 
 
-def test_decompose_quadratic_rejects_pair_degree_three():
-    x1, x2 = SparsePoly.x_var(1), SparsePoly.x_var(2)
-    assert decompose_quadratic(x1 * x1 * x2 * x2, 1)[(2, 2)] == SparsePoly.one()
+def test_multsiw_correction_reads_mirrored_keys():
+    # with N_1 = 1 the correction is x_i C: at each quadratic key with a > b
+    # the coefficient there less the one at its mirror (b, a); a = b drops out
+    def quad(x):
+        return SparsePoly.term(x=x, t=(2,)).terms
+
+    assert mults._correction(1, {**quad((0, 1)), **quad((2, 2))}, {0: 1}) == (
+        SparsePoly.term(-1, x=(1,), t=(2,)).terms)
+    assert mults._correction(1, {**quad((2, 1)), **quad((1, 2))}, {0: 1}) == {}
+    assert mults._correction(2, quad((0, 0, 2)), {0: 1}) == (
+        SparsePoly.term(-1, x=(0, 2), t=(2,)).terms)
+
+
+def test_multsiw_correction_rejects_pair_degree_three():
     with pytest.raises(InvariantError):
-        decompose_quadratic(x1 ** 3, 1)
+        mults._correction(1, SparsePoly.term(x=(3,), t=(2,)).terms, {0: 1})
+
+
+def test_multsiw_makes_one_product_per_cover(monkeypatch):
+    # the correction is one product N_1 x (x_i C), and nothing else in the
+    # check multiplies polynomials
+    calls = []
+    real = SparsePoly.mul_trunc
+
+    def counting(self, other, tmax):
+        calls.append(tmax)
+        return real(self, other, tmax)
+
+    monkeypatch.setattr(SparsePoly, "mul_trunc", counting)
+    out = check_multsiw(4)
+    assert out.ok and out.stats["covers"] == 36
+    assert len(calls) == 36
 
 
 def test_quadratic_support_s4():

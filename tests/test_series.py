@@ -16,7 +16,6 @@ from keyseries.poly import (
 from keyseries import series
 from keyseries.series import (
     check_piiKw,
-    check_propgen,
     denominator_factors,
     key_by_composition,
     key_polynomial,
@@ -352,11 +351,6 @@ def test_pi_transport_on_series():
     out = check_piiKw(3, 3)
     assert out.ok, out.counterexamples
     assert out.stats == {"checks": 12, "failed": 0}
-
-
-def test_epsilon_algebra_identity():
-    for check in check_propgen(3, 3):
-        assert check.ok, check
 
 
 def test_lascoux_reduces_to_key():
