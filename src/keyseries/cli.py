@@ -5,6 +5,10 @@ the subcommand that runs it, and `run_check` runs any row and builds its
 report, for the CLI and the scripts alike.  A verify suite that checks
 nothing at the requested rank is a usage error.
 
+The parser is built by the first `main` call and reused by every later call
+in the process; each subcommand names its function (`cmd_key`, ...), which
+`main` looks up in this module at call time, so rebinding one takes effect.
+
 Exit codes: 0 success, 1 mathematical counterexample or mismatch, 2 usage
 error, 3 resource cap exceeded or memory exhausted, 4 a structural invariant
 failed or the recursion limit was hit (a bug), 130 interrupted.
@@ -299,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", help="weak composition, comma-separated")
     p.add_argument("--xi", action="store_true", help="Lascoux variant")
     common(p)
-    p.set_defaults(func=cmd_key)
+    p.set_defaults(func="cmd_key")
 
     p = subs.add_parser("pw", help="numerator polynomial of the series")
     p.add_argument("--w", required=True)
@@ -307,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grade", type=int, help="extract one total T-degree")
     p.add_argument("--tdeg", type=int, help="truncate past this total T-degree")
     common(p)
-    p.set_defaults(func=cmd_pw)
+    p.set_defaults(func="cmd_pw")
 
     p = subs.add_parser("sets", help="list A, B, or C sets")
     p.add_argument("--w", required=True)
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", help="levels k,l")
     p.add_argument("--C", help="levels p,k,l")
     common(p)
-    p.set_defaults(func=cmd_sets)
+    p.set_defaults(func="cmd_sets")
 
     for command, (label, _, text) in _SUBCOMMANDS.items():
         names = check_names(command)
@@ -327,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(f"--{key}", type=int,
                                help=f"read by {name} only (default {default})")
         common(p)
-        p.set_defaults(func=cmd_check)
+        p.set_defaults(func="cmd_check")
 
     return parser
 
@@ -354,13 +358,18 @@ def guarded(run, *args) -> int:
         return EXIT_USAGE
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return guarded(lambda: args.func(args, load_config(args.config)))
+    return guarded(lambda: globals()[args.func](args, load_config(args.config)))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -151,39 +151,9 @@ class Permutation:
             i for i in range(1, len(core)) if self.position(i) > self.position(i + 1)
         )
 
-    def reduced_word(self) -> tuple[int, ...]:
-        """Canonical reduced word: repeatedly peel the smallest left descent.
-
-        Returns (i_1, ..., i_r) with w = s_{i_1} s_{i_2} ... s_{i_r}.
-        """
-        return self._greedy_word(smallest=True)
-
-    def reduced_word_alt(self) -> tuple[int, ...]:
-        """Greedy largest-descent reduced word.
-
-        Differs from :meth:`reduced_word` exactly when w has more than one
-        reduced word (a unique greedy choice at every step forces uniqueness).
-        """
-        return self._greedy_word(smallest=False)
-
-    def _greedy_word(self, smallest: bool) -> tuple[int, ...]:
-        word: list[int] = []
-        w = self
-        while w.core:
-            descents = w.left_descents()
-            i = descents[0] if smallest else descents[-1]
-            word.append(i)
-            w = w.left_mul_s(i)
-        return tuple(word)
-
     @classmethod
     def identity(cls, n: int = 1) -> "Permutation":
         return cls(range(1, n + 1))
-
-    @classmethod
-    def longest(cls, n: int) -> "Permutation":
-        """w_0 in S_n."""
-        return cls(range(n, 0, -1))
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

@@ -70,7 +70,6 @@ __all__ = [
     "numerator_step",
     "numerator_carry",
     "numerator_P",
-    "numerator_P_along",
     "n_factor_product",
     "denominator_factors",
     "direct_carry",
@@ -277,28 +276,6 @@ def numerator_P(
         for key in list(_P_CACHE)[held:]:  # the chain climbed by this call
             del _P_CACHE[key]
         raise
-    return out
-
-
-def numerator_P_along(
-    word: Iterable[int], xi_mode: bool = False, tmax: int | None = None
-) -> SparsePoly:
-    """Run the induction along an explicit reduced word (rightmost letter first).
-
-    Unlike :func:`numerator_P` this follows the given word, not the chain of
-    first left descents, and memoises nothing: an oracle for the value along
-    any word.  Raises ValueError if the word is not reduced.
-    """
-    word = tuple(word)
-    if any(i < 1 for i in word):
-        raise ValueError(f"word letters must be >= 1: {word}")
-    v = Permutation.identity(max(word, default=0) + 1)
-    out = SparsePoly.one()
-    for i in reversed(word):
-        if not v.is_ascent(i):
-            raise ValueError(f"word {word} is not reduced at letter {i}")
-        out = numerator_step(out, v, i, xi_mode, tmax)
-        v = v.left_mul_s(i)
     return out
 
 

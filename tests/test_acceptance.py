@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import make_poly
+from conftest import make_poly, reduced_word, reduced_word_alt
 from keyseries.bseq import enum_A, split_A
 from keyseries.counts import F_coefficient, approx_coefficient, suite_fcoeff
 from keyseries.multisets import (
@@ -211,7 +211,7 @@ def test_c09_operator_suite():
                 assert lhs == rhs, name
                 assert op(1, op(3, f)) == op(3, op(1, f)), name
                 w = perms[trial % len(perms)]
-                first, second = w.reduced_word(), w.reduced_word_alt()
+                first, second = reduced_word(w), reduced_word_alt(w)
                 xi_mode = name == "pi_xi"
                 assert pi_word(first, f, xi_mode) == pi_word(second, f, xi_mode)
         outcome = check_piiKw(4, 4)

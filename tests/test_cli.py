@@ -431,6 +431,62 @@ def test_fatal_errors_exit_codes(tmp_path, capsys, monkeypatch, exc, status):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    for argv in (["key", "--nu", "0,1"], ["pw", "--w", "21"], ["sets", "--w", "321", "--A", "1"]):
+        assert run(capsys, *argv)[0] == 0
+    assert len(builds) == 1
+
+
+def test_import_builds_no_parser():
+    # The parser is left to the first main() call, so importing the CLI costs
+    # no argparse setup.
+    code = (
+        "from keyseries import cli\n"
+        "print(cli._PARSER is None)\n"
+        "cli.main(['--version'])\n"
+        "print(cli._PARSER is None)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "0.1.0", "False"]
+
+
+def test_reused_parser_keeps_no_flag(capsys):
+    code, out = run(capsys, "pw", "--w", "21", "--xi", "--format", "json")
+    assert code == 0 and json.loads(out)["params"]["xi"] is True
+    code, out = run(capsys, "pw", "--w", "21", "--format", "json")
+    assert code == 0 and json.loads(out)["params"]["xi"] is False
+
+
+def test_reused_parser_keeps_no_option(capsys):
+    assert run(capsys, "key", "--nu", "0,1") == (0, "x1 + x2\n")
+    assert run(capsys, "key", "--w", "21", "--lambda", "1") == (0, "x1 + x2\n")
+
+
+@pytest.mark.parametrize("argv, status", [(["pw"], 2), (["--version"], 0)])
+def test_parser_exit_then_a_valid_call(capsys, argv, status):
+    assert main(argv) == status
+    capsys.readouterr()
+    assert run(capsys, "key", "--nu", "0,1") == (0, "x1 + x2\n")
+
+
+def test_rebound_command_takes_effect_after_the_parser_is_built(capsys, monkeypatch):
+    def fail(args, cfg):
+        raise MemoryError()
+
+    assert run(capsys, "pw", "--w", "21")[0] == 0
+    monkeypatch.setattr(cli, "cmd_pw", fail)
+    assert main(["pw", "--w", "21"]) == 3
+    assert capsys.readouterr() == ("", "resource cap: out of memory\n")
+
+
 def test_manifest_hashes_config_input(tmp_path, capsys):
     cfg = tmp_path / "caps.cfg"
     cfg.write_text("max_n=6\n")

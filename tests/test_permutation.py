@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from conftest import longest, reduced_word, reduced_word_alt
 from hypothesis import given, strategies as st
 
 from keyseries.permutation import (
@@ -45,7 +46,7 @@ def test_values_beyond_rank_are_fixed():
 def test_length_and_longest():
     assert parse_permutation("42531").length() == 7
     for n in range(1, 6):
-        assert Permutation.longest(n).length() == n * (n - 1) // 2
+        assert longest(n).length() == n * (n - 1) // 2
     assert Permutation.identity(4).length() == 0
 
 
@@ -64,7 +65,7 @@ def test_ascent_matches_length_step():
 
 def test_reduced_words_multiply_back():
     for w in all_permutations(4):
-        for word in (w.reduced_word(), w.reduced_word_alt()):
+        for word in (reduced_word(w), reduced_word_alt(w)):
             assert len(word) == w.length()
             # s_{i_1} ... s_{i_r} applied to the identity, rightmost letter first
             built = Permutation.identity(4)
@@ -75,8 +76,8 @@ def test_reduced_words_multiply_back():
 
 def test_greedy_words_differ_for_braid():
     w = parse_permutation("321")
-    assert w.reduced_word() != w.reduced_word_alt()
-    assert parse_permutation("21").reduced_word() == (1,)
+    assert reduced_word(w) != reduced_word_alt(w)
+    assert reduced_word(parse_permutation("21")) == (1,)
 
 
 def test_all_permutations_distinct():
@@ -156,7 +157,7 @@ def test_chain_value_follows_first_left_descents(n):
     steps = []
     carry = _word_carry(steps)
     for w, value in descent_walk(n, carry):
-        assert chain_value(w, carry) == value == tuple(reversed(w.reduced_word()))
+        assert chain_value(w, carry) == value == tuple(reversed(reduced_word(w)))
 
 
 def test_chain_value_memo_holds_the_chain():
@@ -168,12 +169,12 @@ def test_chain_value_memo_holds_the_chain():
         assert len(memo) == w.length() + 1
         assert all(tag == "t" for tag, _ in memo)
         v = w
-        for i in w.reduced_word():
-            assert memo[("t", v.core)] == tuple(reversed(v.reduced_word()))
+        for i in reduced_word(w):
+            assert memo[("t", v.core)] == tuple(reversed(reduced_word(v)))
             v = v.left_mul_s(i)
     # a second call reuses the stored prefix and steps only what is missing
-    w = Permutation.longest(4)
-    word = w.reduced_word()
+    w = longest(4)
+    word = reduced_word(w)
     memo = {}
     chain_value(w.left_mul_s(word[0]).left_mul_s(word[1]), carry, memo)
     assert len(memo) == 5

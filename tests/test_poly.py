@@ -6,7 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import swap_x
+from conftest import reduced_word, reduced_word_alt, swap_x
 from hypothesis import example, given, settings, strategies as st
 
 from keyseries import poly, report
@@ -372,7 +372,7 @@ def test_distant_letters_commute(op, p):
 @settings(max_examples=30)
 def test_word_independence(p):
     for w in all_permutations(4):
-        first, second = w.reduced_word(), w.reduced_word_alt()
+        first, second = reduced_word(w), reduced_word_alt(w)
         if first == second:
             continue
         assert pi_word(first, p) == pi_word(second, p)

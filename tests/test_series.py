@@ -1,4 +1,5 @@
 import pytest
+from conftest import longest, numerator_P_along, reduced_word, reduced_word_alt
 
 from keyseries.bseq import moved_levels, si_image, split_A
 from keyseries.config import InvariantError, ResourceCapError
@@ -23,7 +24,6 @@ from keyseries.series import (
     lascoux_polynomial,
     numerator_carry,
     numerator_P,
-    numerator_P_along,
     numerator_step,
     partitions,
     series_Kw_direct,
@@ -67,7 +67,7 @@ def test_key_polynomial_basics():
 
 
 def test_key_polynomial_schur_at_longest():
-    got = key_polynomial((2, 1), Permutation.longest(3))
+    got = key_polynomial((2, 1), longest(3))
     assert got == SparsePoly.parse(
         "x1^2*x2 + x1^2*x3 + x1*x2^2 + 2*x1*x2*x3 + x1*x3^2 + x2^2*x3 + x2*x3^2"
     )
@@ -130,7 +130,7 @@ def test_graded_slices_conventions():
 
 def test_numerator_word_independence():
     for w in all_permutations(4):
-        first, second = w.reduced_word(), w.reduced_word_alt()
+        first, second = reduced_word(w), reduced_word_alt(w)
         if first == second:
             continue
         assert numerator_P_along(first) == numerator_P_along(second)
@@ -210,7 +210,7 @@ def test_descent_walk_hands_each_numerator(n, tmax, xi_mode):
     visited = []
     for w, p in descent_walk(n, carry):
         assert p == numerator_P(w, xi_mode, tmax) == chain_value(w, carry), w
-        assert p == numerator_P_along(w.reduced_word(), xi_mode, tmax), w
+        assert p == numerator_P_along(reduced_word(w), xi_mode, tmax), w
         visited.append(w.values)
     group = [w.values for w in all_permutations(n)]
     assert sorted(visited) == group and len(set(visited)) == len(group)
@@ -336,7 +336,7 @@ def test_formofkw_reports_a_fault_off_the_greedy_words(monkeypatch, xi_mode):
         return out
 
     for w in all_permutations(4):
-        for word in (w.reduced_word(), w.reduced_word_alt()):
+        for word in (reduced_word(w), reduced_word_alt(w)):
             v = Permutation.identity(4)
             for i in reversed(word):
                 assert (v.one_line(), i) != ("4231", 2)
