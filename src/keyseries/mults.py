@@ -31,11 +31,12 @@ and is re-exported here.  The sweep walks the tree of first left descents and
 hands each w its own P_w (`series.numerator_carry`), holding only the
 numerators on the current path; findings come out in one-line order.  The two
 checks that also read the cover s_i w (`check_multsiw`, `scan_formpw2bound`)
-take P_{s_i w} as one induction step from P_w (`series.numerator_step`), at
-the sweep's tmax: one step per cover, and one P_{s_i w} held at a time.  The
-step is the tree's value by the word property, which `verify --suite
-formofkw` checks at every cover off the tree.  The checks and scans are
-listed once, with the subcommand that runs each, in `cli.CHECKS`.
+take P_{s_i w} as one induction step from P_w, made by the step of the
+carry that the sweep runs with, so at the sweep's tmax: one step per cover,
+and one P_{s_i w} held at a time.  The step is the tree's value by the word
+property, which `verify --suite formofkw` checks at every cover off the
+tree.  The checks and scans are listed once, with the subcommand that runs
+each, in `cli.CHECKS`.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .permutation import Findings, Permutation, ScanOutcome, sweep
 from .poly import (
     _FIELD, SparsePoly, _levels, _pair_shifts, key_multisets, multiset_key, x_exps,
 )
-from .series import n_factor_product, numerator_carry, numerator_P, numerator_step, t_support
+from .series import n_factor_product, numerator_carry, numerator_P, t_support
 
 __all__ = [
     "multiplicity2",
@@ -396,6 +397,8 @@ def check_multsiw(n: int) -> ScanOutcome:
     (`poly._levels`).  The rules are linear, so the quadratic rule runs on
     the slices as they are, with N's slice negated, and its findings are
     negated back: the quadratic slice carries a global minus sign."""
+    _, step = carry = numerator_carry(tmax=3)
+
     def one(w: Permutation, p_w: SparsePoly):
         w_text = w.one_line()
         ces: list[dict] = []
@@ -405,7 +408,7 @@ def check_multsiw(n: int) -> ScanOutcome:
             if not w.is_ascent(i):
                 continue
             pairs += 1
-            _, _, sw2, sw3 = _levels(numerator_step(p_w, w, i, tmax=3).terms, 3)
+            _, _, sw2, sw3 = _levels(step(p_w, w, i).terms, 3)
             _, n1, n2, n3 = _levels(n_factor_product(w, i, tmax=3).terms, 3)
             for grade, sign, found in (
                 (2, -1, _transfer_mismatches(i, 2, p2, sw2, {}, _negated(n2))),
@@ -417,7 +420,7 @@ def check_multsiw(n: int) -> ScanOutcome:
                         for key, got, expect in found]
         return ces, {"covers": pairs}
 
-    return sweep("multsiw", n, one, numerator_carry(tmax=3))
+    return sweep("multsiw", n, one, carry)
 
 
 def _negated(terms: dict[int, int]) -> dict[int, int]:
@@ -664,6 +667,7 @@ def scan_formpw3(n: int) -> ScanOutcome:
 def scan_formpw2bound(n: int) -> ScanOutcome:
     """Lower bound 2^r - 1 on the quadratic slice plus cover monotonicity."""
     floors = _bound_rows(_pairs(n), _floor_row)
+    _, step = carry = numerator_carry(tmax=2)
 
     def one(w: Permutation, p_w: SparsePoly):
         w_text = w.one_line()
@@ -672,11 +676,11 @@ def scan_formpw2bound(n: int) -> ScanOutcome:
         for i in range(1, n):
             if not w.is_ascent(i):
                 continue
-            cover = numerator_step(p_w, w, i, tmax=2).terms
+            cover = step(p_w, w, i).terms
             for key, m in entries:
                 if (cover_m := -cover.get(key, 0)) < m:
                     ces.append({"w": w_text, "i": i, "key": _key_tuple(key),
                                 "m": m, "cover_m": cover_m})
         return ces, counts
 
-    return sweep("formpw2bound", n, one, numerator_carry(tmax=2))
+    return sweep("formpw2bound", n, one, carry)

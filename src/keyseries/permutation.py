@@ -24,11 +24,12 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_right
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
 from .config import ResourceCapError
+from .report import RowTable
 
 __all__ = [
     "Permutation",
@@ -173,23 +174,20 @@ _TAU_MASK = (1 << (_M_SHIFT - _TAU_SHIFT)) - 1
 _M_LIMIT = 1 << (63 - _M_SHIFT)
 
 
-class Findings(Sequence):
-    """Read-only findings of a claim check, held as packed rows.
+class Findings(RowTable):
+    """Findings of a claim check, a row table (``report.RowTable``) held as
+    packed rows.
 
     Each finding is the dict ``{"claim", "w", "levels", "tau", "m"}``, in that
     key order, with ``levels`` a tuple and ``m`` an int.  Rows are kept in
     per-w blocks, each the w text and an ``array('q')`` of ints packed by
     ``pack``; the claims, the levels tuples and the tau texts are decode
     tables shared by every block of one sweep, which the scan fills as it
-    goes.  A finding is decoded only when it is read: iteration and indexing
-    yield fresh dicts, ``[:k]`` decodes k rows, and ``==`` against a list
-    compares the decoded dicts.  ``rows()`` yields the field values, in key
-    order, for the report encoder.
+    goes.
     """
 
     KEYS = ("claim", "w", "levels", "tau", "m")
     __slots__ = ("claims", "levels", "taus", "_blocks", "_ends")
-    __hash__ = None
 
     def __init__(self, claims: tuple[str, str], levels: list[tuple[int, ...]] | None = None,
                  taus: list[str] | None = None):
@@ -226,57 +224,20 @@ class Findings(Sequence):
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
 
-    def _packed(self) -> Iterator[tuple[str, int]]:
-        for w_text, rows in self._blocks:
-            for row in rows:
-                yield w_text, row
-
     def _values(self, w_text: str, row: int) -> tuple:
         return (self.claims[row & 1], w_text, self.levels[(row >> _LEVELS_SHIFT) & _LEVELS_MASK],
                 self.taus[(row >> _TAU_SHIFT) & _TAU_MASK], row >> _M_SHIFT)
 
-    def _decode(self, w_text: str, row: int) -> dict:
-        return dict(zip(self.KEYS, self._values(w_text, row)))
-
     def rows(self) -> Iterator[tuple]:
-        """Each finding's field values, in KEYS order."""
         values = self._values
-        for w_text, row in self._packed():
-            yield values(w_text, row)
+        for w_text, rows in self._blocks:
+            for row in rows:
+                yield values(w_text, row)
 
-    @staticmethod
-    def field_text(field, newline: str, encode) -> str:
-        """The JSON text of a field that rows() yields, nested at newline: the
-        report encoder's text of the field itself, encode(field, newline)."""
-        return encode(field, newline)
-
-    def __iter__(self) -> Iterator[dict]:
-        decode = self._decode
-        for w_text, row in self._packed():
-            yield decode(w_text, row)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            if step < 0:
-                return [self[i] for i in range(start, stop, step)]
-            return [self._decode(*pair)
-                    for pair in itertools.islice(self._packed(), start, stop, step)]
-        size = len(self)
-        if not -size <= index < size:
-            raise IndexError("findings index out of range")
-        index %= size
+    def _row(self, index: int) -> tuple:
         b = bisect_right(self._ends, index)
         w_text, rows = self._blocks[b]
-        return self._decode(w_text, rows[index - (self._ends[b - 1] if b else 0)])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Findings, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"<Findings: {len(self)} rows in {len(self._blocks)} blocks>"
+        return self._values(w_text, rows[index - (self._ends[b - 1] if b else 0)])
 
 
 @dataclass

@@ -61,6 +61,7 @@ from functools import lru_cache, reduce
 from operator import or_
 
 from .config import ResourceCapError
+from .report import RowTable
 
 __all__ = [
     "FIELD_BITS", "MAX_EXP", "NVARS", "Monomial", "SparsePoly", "Terms", "divided_difference",
@@ -230,34 +231,35 @@ def _text(rows) -> str:
     return " ".join(chunks) if chunks else "0"
 
 
-class Terms(Sequence):
-    """Read-only JSON terms of a polynomial, held as the rows of _graded_rows.
+class Terms(RowTable):
+    """JSON terms of a polynomial, a row table (``report.RowTable``) held as
+    the rows of _graded_rows.
 
     Each term is the dict ``{"coeff", "x", "T", "xi"}``, in that key order,
     with the x and T exponents keyed by variable index.  A row is the
     coefficient, the ``_Part`` of its x-part and of its T-part (one shared
-    object per distinct part) and the xi exponent.  A term is decoded only
-    when it is read: iteration and indexing yield fresh dicts, so no two terms
-    share a dict, and ``==`` against a list compares the decoded dicts.
-    ``rows()`` yields the rows, in key order, for the report encoder, which
-    keys its memo on each part by identity and reads a field's JSON text from
-    ``field_text``.  ``json.dumps`` does not know the table; ``list`` of it does.
+    object per distinct part) and the xi exponent.  ``json.dumps`` does not
+    know the table; ``list`` of it does.
     """
 
     KEYS = ("coeff", "x", "T", "xi")
     __slots__ = ("_rows",)
-    __hash__ = None
 
     def __init__(self, rows: list[tuple[int, _Part, _Part, int]]):
         self._rows = rows
 
+    def __len__(self) -> int:
+        return len(self._rows)
+
     def rows(self) -> Iterator[tuple]:
         return iter(self._rows)
 
+    def _row(self, index: int) -> tuple:
+        return self._rows[index]
+
     @staticmethod
-    def field_text(field, newline: str, encode) -> str:
-        """The JSON text of a row field nested at newline: a part's members
-        joined at newline, else the int's digits; no field needs encode."""
+    def field_text(field, newline: str) -> str:
+        """A part's JSON members joined at newline, else the int's digits."""
         if type(field) is not _Part:
             return int.__repr__(field)
         inner = newline + "  "
@@ -268,25 +270,6 @@ class Terms(Sequence):
     def _decode(row: tuple) -> dict:
         c, xpart, tpart, xi = row
         return {"coeff": c, "x": xpart.json, "T": tpart.json, "xi": xi}
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self) -> Iterator[dict]:
-        return map(self._decode, self._rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._decode(row) for row in self._rows[index]]
-        return self._decode(self._rows[index])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Terms, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"<Terms: {len(self)} rows>"
 
 
 def x_exps(eta: tuple[int, ...]) -> tuple[int, ...]:
@@ -767,11 +750,11 @@ def _levelled_pass(deltas: list[dict[int, int]], shifts: list[tuple[int, int, in
 
 
 def _binomial_pass(f: SparsePoly, shifts: list[tuple[int, int, int]], D: int,
-                   ascending: bool, max_terms: int | None = None) -> SparsePoly:
+                   ascending: bool) -> SparsePoly:
     """f times or divided by the binomials of shifts, truncated past T-degree
     D: the levelled pass on f's levels, which are then merged."""
     levels = _levels(f.terms, D)
-    _levelled_pass(levels, shifts, ascending, max_terms=max_terms)
+    _levelled_pass(levels, shifts, ascending)
     top = levels.pop()
     for level in levels:
         top.update(level)
@@ -791,20 +774,17 @@ def series_quotient(f: SparsePoly, factors: Iterable[SparsePoly], D: int) -> Spa
     return _binomial_pass(f, _monomial_factors(factors), min(D, MAX_EXP + 1), True)
 
 
-def series_product(f: SparsePoly, factors: Iterable[SparsePoly], D: int | None,
-                   max_terms: int | None = None) -> SparsePoly:
+def series_product(f: SparsePoly, factors: Iterable[SparsePoly], D: int | None) -> SparsePoly:
     """f * prod over factors (1 + c*m), truncated past total T-degree D (None: exact).
 
     The mirror of ``series_quotient``, with the same single-monomial factors:
     the same pass, highest source level first, so no product is ever built.
-    A product that comes to hold more than max_terms terms on the way raises
-    ResourceCapError.
     """
     if D is not None and D < 0:
         raise ValueError(f"truncation degree must be >= 0, got {D}")
     shifts = _monomial_factors(factors)
     exact = f.t_degree() + sum(td for _, _, td in shifts)
-    return _binomial_pass(f, shifts, exact if D is None else min(D, exact), False, max_terms)
+    return _binomial_pass(f, shifts, exact if D is None else min(D, exact), False)
 
 
 def pi_product(i: int, f: SparsePoly, shifts: list[tuple[int, int, int]], D: int,
@@ -826,7 +806,8 @@ def pi_product(i: int, f: SparsePoly, shifts: list[tuple[int, int, int]], D: int
     reads f and then each delta into one dict, as pi is linear.  The value's
     terms below low are pi of f's and the deltas' levels below low alone, as
     pi keeps the T-degree.  A product of more than max_terms terms raises
-    ResourceCapError."""
+    ResourceCapError; the cap counts the staged product before the support
+    projection, so a step can be refused for terms the projection drops."""
     if D < 0:
         raise ValueError(f"truncation degree must be >= 0, got {D}")
     terms = f.terms

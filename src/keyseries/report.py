@@ -9,37 +9,45 @@ of obj to ``write`` in chunks of about ``CHUNK_PIECES`` pieces, so a report
 streams into its file (or a digest) without its whole text ever being held;
 ``canonical_json`` joins the same chunks into one string.  It encodes
 exactly the types reports hold: dicts with ``str`` keys (emitted in sorted
-order), lists and tuples, the row tables ``permutation.Findings`` and
-``poly.Terms`` (each encoded as the list of its decoded dicts), ``str``,
-``int``, ``True``, ``False`` and ``None``; any other value, a float or a set
-for one, or a non-``str`` key raises ``TypeError``, after the chunks before
-it were written.  The text is byte-identical to ``json.dumps(obj,
-sort_keys=True, indent=2, ensure_ascii=False)`` plus a newline, but built in
-one recursive pass that appends one joined string per dict or list item,
-since ``json.dumps`` with an indent runs its pure-Python encoder.  A row
-table is encoded through one row template, without building its dicts: its
-keys are sorted once, each field's text (the table's ``field_text``) is
-memoised per distinct value, so a polynomial's x-part is written once however
-many terms share it, and each row is appended as one string.  The chunked
-form follows ``json.JSONEncoder.iterencode``: the joined chunks are the text.
+order), lists and tuples, row tables (each encoded as the list of its
+decoded dicts), ``str``, ``int``, ``True``, ``False`` and ``None``; any
+other value, a float or a set for one, or a non-``str`` key raises
+``TypeError``, after the chunks before it were written.  The text is
+byte-identical to ``json.dumps(obj, sort_keys=True, indent=2,
+ensure_ascii=False)`` plus a newline, but built in one recursive pass that
+appends one joined string per dict or list item, since ``json.dumps`` with
+an indent runs its pure-Python encoder.  The chunked form follows
+``json.JSONEncoder.iterencode``: the joined chunks are the text.
+
+A row table (``RowTable``: a scan's findings, a polynomial's terms) is a
+read-only sequence of dicts with the keys ``KEYS``, held as rows of fields
+and decoded only when read: iteration and indexing yield fresh dicts,
+``[:k]`` decodes k rows, and ``==`` against a list compares the decoded
+dicts.  A subclass holds the storage: ``__len__``; ``rows()``, which yields
+each row's fields in KEYS order; ``_row(index)``, the fields of one row;
+``_decode(fields)``, a row's dict, by default the fields zipped with KEYS;
+and ``field_text(field, newline)``, a field's JSON text nested at newline,
+by default the encoder's text of the field itself.  The encoder writes a
+table without building its dicts: its keys are sorted once into one row
+template, and each field's text is built once per distinct field, so a
+field must be hashable, with equal fields having the same text.  A
+polynomial's x or T field is the one part object that every term with that
+part shares: it hashes by identity, so an x-part is written once however
+many terms share it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable
+from abc import abstractmethod
+from collections.abc import Callable, Iterator, Sequence
 from datetime import datetime, timezone
-from itertools import repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring
-
-from .permutation import Findings, ScanOutcome
-from .poly import Terms
 
 VOLATILE_FIELDS = ("elapsed_ms", "timestamp")
 # pieces the encoder holds before it hands them, joined, to write
 CHUNK_PIECES = 8192
-# the row tables, which the encoder writes through _encode_rows
-_ROW_TABLES = (Findings, Terms)
 
 
 def _scalar(obj) -> str | None:
@@ -54,7 +62,7 @@ def _scalar(obj) -> str | None:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, (dict, list, tuple, Findings, Terms)):
+    if isinstance(obj, (dict, list, tuple, RowTable)):
         return None
     raise TypeError(f"report JSON cannot encode {type(obj).__name__}")
 
@@ -67,6 +75,50 @@ def _value_text(value, newline: str) -> str:
         _encode(value, pieces, newline, lambda: None)
         text = "".join(pieces)
     return text
+
+
+class RowTable(Sequence):
+    """A read-only sequence of dicts held as rows of fields; see the module
+    docstring for the protocol."""
+
+    KEYS: tuple[str, ...] = ()
+    __slots__ = ()
+    __hash__ = None
+
+    @abstractmethod
+    def rows(self) -> Iterator[tuple]:
+        """Each row's fields, in KEYS order."""
+
+    @abstractmethod
+    def _row(self, index: int) -> tuple:
+        """The fields of row index, 0 <= index < len(self)."""
+
+    def _decode(self, fields: tuple) -> dict:
+        return dict(zip(self.KEYS, fields))
+
+    field_text = staticmethod(_value_text)
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(self._decode, self.rows())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step < 0:
+                return [self[i] for i in range(start, stop, step)]
+            return list(map(self._decode, islice(self.rows(), start, stop, step)))
+        size = len(self)
+        if not -size <= index < size:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._decode(self._row(index % size))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (RowTable, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}: {len(self)} rows>"
 
 
 def _encode(obj, out: list[str], newline: str, flush: Callable[[], None]) -> None:
@@ -92,7 +144,7 @@ def _encode(obj, out: list[str], newline: str, flush: Callable[[], None]) -> Non
             _encode(value, out, inner, flush)
         elif (text := _scalar(value)) is None:
             out.append(sep + label)
-            (_encode_rows if cls in _ROW_TABLES else _encode)(value, out, inner, flush)
+            (_encode_rows if isinstance(value, RowTable) else _encode)(value, out, inner, flush)
         else:
             out.append(sep + label + text)
         sep = "," + inner
@@ -101,21 +153,12 @@ def _encode(obj, out: list[str], newline: str, flush: Callable[[], None]) -> Non
     out.append(newline + ("}" if is_dict else "]"))
 
 
-def _encode_rows(rows: Findings | Terms, out: list[str], newline: str,
+def _encode_rows(rows: RowTable, out: list[str], newline: str,
                  flush: Callable[[], None]) -> None:
-    """Append the text of the row table rows, the list of its decoded dicts,
-    nested at newline: one string per row, from a template of the sorted keys
-    and one text memo per field, calling flush as the rows pass about
-    CHUNK_PIECES pieces' worth of characters.
-
-    A row table has ``KEYS``; ``rows()``, which yields each row's fields in
-    KEYS order; and ``field_text(field, newline, encode)``, a field's JSON
-    text nested at newline, given ``encode(value, newline)``, the text of a
-    plain value.  Fields are the memo keys: they are hashable, and equal
-    fields have the same text, built once per encode.  A ``Findings`` field
-    is a plain value.  A ``Terms`` x or T field is the one ``_Part`` that
-    every term with that part shares; it hashes by identity, and its text is
-    its JSON members joined at newline, built with no exponent dict."""
+    """Append the text of the row table rows nested at newline: one string
+    per row, from a template of the sorted keys and one text memo per field,
+    calling flush as the rows pass about CHUNK_PIECES pieces' worth of
+    characters."""
     if not rows:
         out.append("[]")
         return
@@ -137,7 +180,7 @@ def _encode_rows(rows: Findings | Terms, out: list[str], newline: str,
             value = values[i]
             text = memo.get(value)
             if text is None:
-                text = memo[value] = field_text(value, field_newline, _value_text)
+                text = memo[value] = field_text(value, field_newline)
             texts.append(text)
         row = sep + template % tuple(texts)
         out.append(row)
@@ -162,7 +205,7 @@ def write_json(obj, write: Callable[[str], object]) -> None:
         write("".join(out))
         out.clear()
 
-    (_encode_rows if type(obj) in _ROW_TABLES else _encode)(obj, out, "\n", flush)
+    (_encode_rows if isinstance(obj, RowTable) else _encode)(obj, out, "\n", flush)
     out.append("\n")
     flush()
 
@@ -182,7 +225,8 @@ def body_digest(obj: dict) -> str:
     return digest.hexdigest()
 
 
-def outcome_report(outcome: ScanOutcome, params: dict, elapsed_ms: int) -> dict:
+def outcome_report(outcome, params: dict, elapsed_ms: int) -> dict:
+    """The report body of a scan's ``permutation.ScanOutcome``."""
     return {
         "scan": outcome.name,
         "n": outcome.n,

@@ -1,5 +1,6 @@
 """Packed finding rows (permutation.Findings): the dicts they decode to, their
-report text, and what a formpw3 scan decodes and holds."""
+report text, and what a formpw3 scan decodes and holds; and the list
+behaviour that they share with a polynomial's terms (report.RowTable)."""
 
 import hashlib
 import itertools
@@ -20,10 +21,10 @@ from keyseries.cli import main
 from keyseries.config import ResourceCapError
 from keyseries.multisets import packed_C
 from keyseries.mults import scan_formpw3
-from keyseries.permutation import Findings, ScanOutcome, sweep
-from keyseries.poly import key_multisets, multiset_key
+from keyseries.permutation import Findings, Permutation, ScanOutcome, sweep
+from keyseries.poly import Terms, key_multisets, multiset_key
 from keyseries.report import canonical_json, outcome_report, write_json
-from keyseries.series import numerator_carry
+from keyseries.series import numerator_carry, numerator_P
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -56,6 +57,24 @@ def _formpw3_dicts(n: int) -> list[dict]:
     return sweep("old", n, one, numerator_carry(tmax=3)).counterexamples
 
 
+def _reads_as_list(table, old: list[dict]) -> None:
+    """table indexes, slices and compares as the list of dicts old."""
+    assert [table[i] for i in range(-len(old), len(old))] == old + old
+    for cut in (slice(None, 0), slice(None, 20), slice(5, 33), slice(None, None, 7),
+                slice(60, 200), slice(None, None, -3), slice(40, 10, -1), slice(-4, None),
+                slice(None, -5, -2)):
+        assert table[cut] == old[cut]
+    for index in (len(old), -len(old) - 1):
+        with pytest.raises(IndexError):
+            table[index]
+    assert table != list(table)[:-1] and table != old[::-1]
+    assert table != old[:-1] + [dict(old[-1], **{table.KEYS[-1]: old[-1][table.KEYS[-1]] + 1})]
+    assert (table == "rows") is False
+    assert repr(table) == f"<{type(table).__name__}: {len(old)} rows>"
+    with pytest.raises(TypeError):
+        hash(table)
+
+
 def test_rows_read_as_the_old_dicts_at_s4():
     found = scan_formpw3(4).counterexamples
     old = _formpw3_dicts(4)
@@ -64,15 +83,16 @@ def test_rows_read_as_the_old_dicts_at_s4():
     assert list(found) == old and found == old and old == found
     assert [list(ce) for ce in found] == [list(Findings.KEYS)] * len(old)
     assert all(type(ce["levels"]) is tuple and type(ce["m"]) is int for ce in found)
-    assert [found[i] for i in range(-len(old), len(old))] == old + old
-    for cut in (slice(None, 0), slice(None, 20), slice(5, 33), slice(None, None, 7),
-                slice(60, 200), slice(None, None, -3), slice(40, 10, -1)):
-        assert found[cut] == old[cut]
-    with pytest.raises(IndexError):
-        found[len(old)]
-    assert found != old[:-1] and found != old[::-1]
-    assert found != old[:-1] + [dict(old[-1], m=old[-1]["m"] + 1)]
-    assert (found == "rows") is False
+    _reads_as_list(found, old)
+
+
+def test_terms_read_as_their_dicts():
+    terms = numerator_P(Permutation((4, 2, 3, 1)), tmax=3).to_json_obj()["terms"]
+    old = list(terms)
+    assert isinstance(terms, Terms) and len(old) == 27 and terms == old and old == terms
+    assert [list(term) for term in terms] == [list(Terms.KEYS)] * len(old)
+    _reads_as_list(terms, old)
+    assert terms != Findings(("a", "b"))
 
 
 def test_slicing_decodes_only_the_rows_asked_for(monkeypatch):
@@ -80,7 +100,7 @@ def test_slicing_decodes_only_the_rows_asked_for(monkeypatch):
     seen = []
     real = Findings._decode
     monkeypatch.setattr(Findings, "_decode",
-                        lambda self, w, row: seen.append(row) or real(self, w, row))
+                        lambda self, fields: seen.append(fields) or real(self, fields))
     assert len(found[:3]) == 3 and len(seen) == 3
     assert found[-1]["w"] == "4321" and len(seen) == 4
 
@@ -155,7 +175,7 @@ def test_scan_decodes_at_most_20_rows_before_encoding(tmp_path, monkeypatch, cap
     at_encode = []
     real_decode = Findings._decode
     monkeypatch.setattr(Findings, "_decode",
-                        lambda self, w, row: decoded.append(row) or real_decode(self, w, row))
+                        lambda self, fields: decoded.append(fields) or real_decode(self, fields))
     for name in ("canonical_json", "write_json"):
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda obj, *rest, real=real: (

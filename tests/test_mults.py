@@ -421,15 +421,24 @@ def _quad_term(coeff, levels, eta):
 
 
 def _faulty_covers(monkeypatch, target, fault):
-    """Every P_{s_i w} a check reads as target comes back as P + fault; the
-    walk's own values are untouched."""
-    real_step = mults.numerator_step
+    """Every P_{s_i w} a check reads as target comes back as P + fault: the
+    check steps with a faulty carry, while its sweep walks the clean one, so
+    the walk's own values are untouched."""
+    real_carry, real_sweep, clean = mults.numerator_carry, mults.sweep, {}
 
-    def faulty(p, v, i, **kwargs):
-        value = real_step(p, v, i, **kwargs)
-        return value + fault if v.left_mul_s(i) == target else value
+    def faulty_carry(*args, **kwargs):
+        start, step = carry = real_carry(*args, **kwargs)
 
-    monkeypatch.setattr(mults, "numerator_step", faulty)
+        def faulty(p, v, i):
+            value = step(p, v, i)
+            return value + fault if v.left_mul_s(i) == target else value
+
+        clean[faulty] = carry
+        return start, faulty
+
+    monkeypatch.setattr(mults, "numerator_carry", faulty_carry)
+    monkeypatch.setattr(mults, "sweep", lambda name, n, one, carry: real_sweep(
+        name, n, one, clean[carry[1]]))
 
 
 def test_multsiw_reports_injected_faults(monkeypatch):
@@ -589,7 +598,6 @@ def test_cover_checks_step_once_per_cover(monkeypatch):
         return real_step(*args, **kwargs)
 
     monkeypatch.setattr(series, "numerator_step", counting)
-    monkeypatch.setattr(mults, "numerator_step", counting)
     for check in (check_multsiw, scan_formpw2bound):
         steps.clear()
         assert check(5).ok

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import importlib
@@ -92,6 +93,18 @@ def test_caps():
     roomy = EngineConfig(max_n=99)
     with pytest.raises(ResourceCapError):
         roomy.check_rank(ABSOLUTE_MAX_N + 1)
+
+
+def test_report_imports_no_other_keyseries_module():
+    # The encoder is a leaf: the row tables import it, never the other way.
+    tree = ast.parse(open(report.__file__, encoding="utf-8").read())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and not [node for node in imports
+                            if isinstance(node, ast.ImportFrom) and node.level]
+    names = [alias.name for node in imports if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in imports if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in names if name.split(".")[0] == "keyseries"]
 
 
 def test_canonical_json_is_sorted_and_stable():

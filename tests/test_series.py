@@ -14,7 +14,7 @@ from keyseries.permutation import (
 from keyseries.poly import (
     T_SHIFT, SparsePoly, multiset_key, pi, pi_word, pi_xi, series_inverse_product, x_exps,
 )
-from keyseries import series
+from keyseries import poly, series
 from keyseries.series import (
     check_piiKw,
     denominator_factors,
@@ -423,9 +423,9 @@ def test_numerator_step_refuses_a_wrong_low_term(xi_mode, tmax):
 @pytest.mark.parametrize("n, tmax", [(4, 2), (4, 3), (4, None), (5, 3)])
 def test_numerator_step_cap_counts_the_staged_product(n, tmax):
     # The step leaves P_v as it is and stages the product as deltas over it,
-    # yet its cap counts the staged product's terms as series_product does:
-    # the least cap it accepts is the least series_product accepts on P_v and
-    # N_{v,i}'s factors, or the size of P_{s_i v} if that is larger.
+    # yet its cap counts the staged product's terms as series_product's pass
+    # does: the least cap it accepts is the least that pass accepts on P_v's
+    # levels and N_{v,i}'s factors, or the size of P_{s_i v} if that is larger.
     def least_cap(run):
         lo, hi = 1, 1
         while True:
@@ -448,8 +448,11 @@ def test_numerator_step_cap_counts_the_staged_product(n, tmax):
         for i in range(1, n):
             if not v.is_ascent(i):
                 continue
-            factors = [SparsePoly.from_key(m, c) for m, c, _ in series._n_factors(v, i)]
-            product = least_cap(lambda cap: series.series_product(p, factors, tmax, cap))
+            shifts = series._n_factors(v, i)
+            exact = p.t_degree() + len(shifts)
+            product = least_cap(lambda cap: poly._levelled_pass(
+                poly._levels(p.terms, exact if tmax is None else min(tmax, exact)), shifts,
+                False, max_terms=cap))
             size = len(numerator_P(v.left_mul_s(i), tmax=tmax).terms)
             step = least_cap(lambda cap: numerator_step(p, v, i, tmax=tmax, max_terms=cap))
             assert step == max(product, size), (v.one_line(), i)
